@@ -28,8 +28,13 @@ from .distribution import exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
 from .identity import test_identity
 from .interpolate import interpolate, trace_to_json
-from .learn_known import fit_report, learn_from_samples_known
-from .learn_unknown import choose_params, learn_unknown
+from .learn_known import (
+    _check_sample_columns,
+    fit_known,
+    fit_report,
+    learn_from_samples_known,
+)
+from .learn_unknown import choose_params, learn_unknown_from_correlations
 from .newick import parse_model, serialize_forest, serialize_tree
 from .trees import correlations, diameter, normalize, random_weighted_tree
 
@@ -106,10 +111,11 @@ def _cmd_estimate(args) -> Dict:
 def _cmd_learn_known(args) -> Dict:
     topology = normalize(_read_tree(args.tree)).topology
     samples = read_samples(args.samples)
-    fit = learn_from_samples_known(topology, samples, args.delta)
+    _check_sample_columns(topology, samples)
+    report = empirical_correlations(samples, args.delta)
+    fit = fit_known(topology, report.alpha_hat, report.eta)
     with open(args.out, "w") as fh:
         fh.write(serialize_tree(fit.tree) + "\n")
-    report = empirical_correlations(samples, args.delta)
     metrics = fit_report(fit, report.alpha_hat)
     return _report(
         "learn-known",
@@ -123,7 +129,7 @@ def _cmd_learn_unknown(args) -> Dict:
     samples = read_samples(args.samples)
     estimate = empirical_correlations(samples, args.delta)
     config = choose_params(estimate.eta, estimate.alpha_hat.n)
-    forest = learn_unknown(samples, args.delta)
+    forest = learn_unknown_from_correlations(estimate.alpha_hat, estimate.eta)
     with open(args.out, "w") as fh:
         fh.write(serialize_forest(forest))
     per_component = [

@@ -9,14 +9,17 @@ Two independent routes to the leaf distribution are kept side by side:
 * direct marginalization of the internal spins by message passing.
 
 The closed form powers the exact total-variation oracle; marginalization is
-the cross-check.  Configurations over ``n`` leaves are indexed by bitmask:
-bit ``k`` is set when the ``k``-th smallest leaf has spin +1.
+the cross-check.  Both routes run batched over configurations and share
+nothing but ``_postorder``.  Every dense table enumerates its
+configurations through ``_configurations``, the one place that enforces the
+``MAX_EXACT_LEAVES`` cap.  Configurations over ``n`` leaves are indexed by
+bitmask: bit ``k`` is set when the ``k``-th smallest leaf has spin +1.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     WeightedTree,
-    _pair_offset,
+    _matching_offsets,
     _postorder,
     binary,
     correlations,
@@ -43,7 +46,7 @@ from .trees import (
     path,
 )
 
-#: exact enumeration guard for total variation
+#: the one cap on dense enumeration: closed form, marginalization and TV
 MAX_EXACT_LEAVES = 14
 
 Model = Union[WeightedTree, WeightedForest, Tuple[TreeTopology, CorrelationVector]]
@@ -71,6 +74,18 @@ def _check_config(n: int, x: Sequence[int]) -> np.ndarray:
     if not np.all(np.isin(arr, (-1, 1))):
         raise DimensionMismatch("spins must be -1 or +1")
     return arr.astype(np.int8)
+
+
+def _configurations(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every configuration over ``n`` leaves, within the enumeration cap.
+
+    Returns the bitmasks ``0 .. 2^n - 1`` and their (2^n, n) boolean bit
+    matrix (column ``k`` is bit ``k``).
+    """
+    if n > MAX_EXACT_LEAVES:
+        raise TooLarge(f"{n} leaves is beyond dense enumeration")
+    masks = np.arange(2 ** n)
+    return masks, (masks[:, None] >> np.arange(n)) & 1 == 1
 
 
 class LeafDistribution:
@@ -103,53 +118,15 @@ class LeafDistribution:
 # even-subset coefficients and the closed form
 
 
-def _rooted_structure(topology: TreeTopology):
-    order, parent = _postorder(topology, topology.leaves[0])
-    children: Dict[int, List[int]] = {v: [] for v in order}
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            children[p].append(v)
-    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
-    return order, children, leaf_pos
-
-
 def _matching_pair_offsets(topology: TreeTopology) -> Tuple[np.ndarray, np.ndarray]:
-    """For every even leaf subset (as a bitmask) the pair offsets of its matching.
+    """Every even leaf subset (as a bitmask) with the pair offsets of its matching.
 
-    Returns (masks, index matrix); unused matrix slots point one past the
-    last pair offset so a 1.0 sentinel can be gathered.
+    Unused matrix slots point one past the last pair offset so a 1.0
+    sentinel can be gathered.
     """
-    cache = topology._matchings
-    if "table" in cache:
-        return cache["table"]
-    if not topology.is_binary():
-        raise MalformedTree("closed form needs internal degree 3")
-    n = topology.leaf_count
-    order, children, leaf_pos = _rooted_structure(topology)
-    n_pairs = n * (n - 1) // 2
-    masks = np.array([m for m in range(2 ** n) if bin(m).count("1") % 2 == 0], dtype=np.int64)
-    idx = np.full((len(masks), max(n // 2, 1)), n_pairs, dtype=np.int64)
-    for row, mask in enumerate(masks):
-        pending: Dict[int, int] = {}
-        col = 0
-        for v in order:
-            carried = -1
-            if topology.is_leaf(v) and (mask >> leaf_pos[v]) & 1:
-                carried = leaf_pos[v]
-            for w in children[v]:
-                other = pending.get(w, -1)
-                if other >= 0:
-                    if carried >= 0:
-                        a, b = (carried, other) if carried < other else (other, carried)
-                        idx[row, col] = _pair_offset(n, a, b)
-                        col += 1
-                        carried = -1
-                    else:
-                        carried = other
-            pending[v] = carried
-    cache["table"] = (masks, idx)
-    return cache["table"]
+    masks, bits = _configurations(topology.leaf_count)
+    even = _parity(masks) == 0
+    return masks[even], _matching_offsets(topology, bits[even])
 
 
 def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -> np.ndarray:
@@ -187,24 +164,14 @@ def closed_form_distribution(topology: TreeTopology, alpha: CorrelationVector) -
     negative.
     """
     topology = _as_binary(topology)
-    n = topology.leaf_count
-    if n > 20:
-        raise TooLarge(f"{n} leaves is beyond dense enumeration")
     coef = even_subset_coefficients(topology, alpha)
-    return _fwht(coef) / (2 ** n)
+    return _fwht(coef) / (2 ** topology.leaf_count)
 
 
 def closed_form_prob(topology: TreeTopology, alpha: CorrelationVector, x: Sequence[int]) -> float:
     """The multilinear leaf form at one configuration."""
-    topology = _as_binary(topology)
-    n = topology.leaf_count
-    arr = _check_config(n, x)
-    masks, idx = _matching_pair_offsets(topology)
-    values = np.append(alpha.values, 1.0)
-    coef = values[idx].prod(axis=1)
-    neg_mask = int(sum(1 << k for k, s in enumerate(arr) if s < 0))
-    signs = 1.0 - 2.0 * _parity(masks & neg_mask)
-    return float(np.dot(coef, signs) / (2 ** n))
+    index = config_index(topology, x)
+    return float(closed_form_distribution(topology, alpha)[index])
 
 
 def _parity(m: np.ndarray) -> np.ndarray:
@@ -227,50 +194,52 @@ def _as_binary(topology: TreeTopology) -> TreeTopology:
 # marginalization oracle
 
 
-def marginalize_prob(tree: WeightedTree, x: Sequence[int]) -> float:
-    """Exact leaf probability by summing out internal spins along the tree.
+def _marginalize(tree: WeightedTree, spins: np.ndarray) -> np.ndarray:
+    """Leaf probability of every row of a (k, n) matrix of +-1 spins.
 
-    Works on any valid weighted tree (no degree restrictions); serves as the
-    independent cross-check of the closed form.
+    Internal spins are summed out by message passing towards the smallest
+    leaf; each message is a pair of (k,) arrays, the subtree's contribution
+    as a function of its top spin being +1 or -1.
     """
     topology = tree.topology
-    n = topology.leaf_count
-    arr = _check_config(n, x)
-    if n == 1:
-        return 0.5
-    spin = {leaf: int(s) for leaf, s in zip(topology.leaves, arr)}
+    if topology.leaf_count == 1:
+        return np.full(len(spins), 0.5)
+    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     root = topology.leaves[0]
     order, parent = _postorder(topology, root)
-    # below[v] = subtree contribution as a function of v's spin (+1, -1)
-    below: Dict[int, Tuple[float, float]] = {}
+    below: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for v in order:
         if topology.is_leaf(v) and v != root:
-            s = spin[v]
-            below[v] = (1.0 if s == 1 else 0.0, 1.0 if s == -1 else 0.0)
+            s = spins[:, leaf_pos[v]]
+            below[v] = ((s == 1).astype(float), (s == -1).astype(float))
             continue
-        plus = minus = 1.0
+        plus = minus = np.ones(len(spins))
         for c in topology.neighbors(v):
             if c == parent[v]:
                 continue
             th = tree.weight(v, c)
-            cp, cm = below[c]
-            plus *= 0.5 * ((1.0 + th) * cp + (1.0 - th) * cm)
-            minus *= 0.5 * ((1.0 - th) * cp + (1.0 + th) * cm)
+            cp, cm = below.pop(c)
+            plus = plus * (0.5 * ((1.0 + th) * cp + (1.0 - th) * cm))
+            minus = minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm))
         below[v] = (plus, minus)
     root_plus, root_minus = below[root]
-    return 0.5 * (root_plus if spin[root] == 1 else root_minus)
+    return 0.5 * np.where(spins[:, 0] == 1, root_plus, root_minus)
+
+
+def marginalize_prob(tree: WeightedTree, x: Sequence[int]) -> float:
+    """Exact leaf probability by summing out internal spins along the tree.
+
+    Works on any valid weighted tree (no degree restrictions) and any leaf
+    count; serves as the independent cross-check of the closed form.
+    """
+    arr = _check_config(tree.topology.leaf_count, x)
+    return float(_marginalize(tree, arr[None, :])[0])
 
 
 def marginal_distribution(tree: WeightedTree) -> np.ndarray:
-    """Full leaf distribution via marginalization, one configuration at a time."""
-    n = tree.topology.leaf_count
-    if n > MAX_EXACT_LEAVES:
-        raise TooLarge(f"{n} leaves is beyond dense enumeration")
-    out = np.empty(2 ** n)
-    for mask in range(2 ** n):
-        x = [1 if (mask >> k) & 1 else -1 for k in range(n)]
-        out[mask] = marginalize_prob(tree, x)
-    return out
+    """Full leaf distribution via marginalization of every configuration."""
+    _, bits = _configurations(tree.topology.leaf_count)
+    return _marginalize(tree, np.where(bits, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +329,13 @@ def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
         )
     if isinstance(model, WeightedForest):
         labels = model.leaves
-        n = len(labels)
+        _, bits = _configurations(len(labels))
         pos = {leaf: k for k, leaf in enumerate(labels)}
-        table = np.ones(2 ** n)
-        all_masks = np.arange(2 ** n)
+        table = np.ones(len(bits))
         for comp in model.components:
             comp_labels, comp_table = _model_table(comp)
-            sub = np.zeros(2 ** n, dtype=np.int64)
-            for k, leaf in enumerate(comp_labels):
-                sub |= ((all_masks >> pos[leaf]) & 1) << k
-            table = table * comp_table[sub]
+            cols = [pos[leaf] for leaf in comp_labels]
+            table = table * comp_table[bits[:, cols] @ (1 << np.arange(len(cols)))]
         return labels, table
     raise TypeError(f"cannot evaluate {type(model).__name__} as a leaf distribution")
 
@@ -379,14 +345,12 @@ def exact_tv(a: Model, b: Model) -> float:
 
     Accepts weighted trees, forests, or (topology, correlation-vector)
     pairs; the latter need not be realizable, in which case the multilinear
-    extension is compared.  Limited to 14 leaves.
+    extension is compared.  Limited to ``MAX_EXACT_LEAVES`` (14) leaves.
     """
     labels_a = _model_labels(a)
     labels_b = _model_labels(b)
     if labels_a != labels_b:
         raise DimensionMismatch(f"leaf sets differ: {labels_a} vs {labels_b}")
-    if len(labels_a) > MAX_EXACT_LEAVES:
-        raise TooLarge(f"{len(labels_a)} leaves is beyond exact enumeration")
     _, table_a = _model_table(a)
     _, table_b = _model_table(b)
     return float(0.5 * np.abs(table_a - table_b).sum())

@@ -70,7 +70,3 @@ def forest_diameter(forest: WeightedForest) -> int:
     """Largest component diameter in edges (0 when all components are single leaves)."""
     return max(diameter(c.topology) for c in forest.components)
 
-
-def partitions_labels(forest: WeightedForest, labels: Iterable[int]) -> bool:
-    """True when the component leaf sets exactly partition ``labels``."""
-    return forest.leaves == tuple(sorted(labels))

@@ -121,17 +121,23 @@ def fit_known(
     return KnownTopologyFit(tree=tree, eta_used=eta, sign_equations_used=len(equations))
 
 
+def _check_sample_columns(topology: TreeTopology, samples: np.ndarray) -> None:
+    """Reject a sample matrix whose column count differs from the leaf count."""
+    samples = np.asarray(samples)
+    if samples.ndim == 2 and samples.shape[1] != topology.leaf_count:
+        raise BadParameter(
+            f"samples have {samples.shape[1]} columns, topology has "
+            f"{topology.leaf_count} leaves"
+        )
+
+
 def learn_from_samples_known(
     topology: TreeTopology, samples: np.ndarray, delta: float
 ) -> KnownTopologyFit:
     """Estimate correlations from samples, then fit the known topology with
     the matching confidence radius."""
+    _check_sample_columns(topology, samples)
     report = empirical_correlations(samples, delta)
-    if report.alpha_hat.n != topology.leaf_count:
-        raise BadParameter(
-            f"samples have {report.alpha_hat.n} columns, topology has "
-            f"{topology.leaf_count} leaves"
-        )
     return fit_known(topology, report.alpha_hat, report.eta)
 
 

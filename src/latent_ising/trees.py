@@ -4,8 +4,9 @@ A tree Ising model lives on an unrooted tree whose observed nodes are the
 leaves.  This module holds the topology representation plus the purely
 combinatorial operations: degree normalization, path queries, correlations
 as path products of edge weights, quartet classification, cut-and-paste
-surgery, induced subtrees, and the edge-disjoint pair matching that drives
-the closed-form leaf distribution.
+surgery, induced subtrees, and the edge-disjoint pair matching.  The
+matching is computed once, batched over leaf subsets, and is the one the
+closed-form leaf distribution multiplies correlations along.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -53,7 +54,7 @@ class TreeTopology:
     node dangles with degree < 2.
     """
 
-    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set", "_matchings", "_leaf_dist")
+    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set", "_leaf_dist")
 
     def __init__(self, leaves: Iterable[int], edges: Iterable[Edge]):
         self.leaves: Tuple[int, ...] = tuple(sorted(set(leaves)))
@@ -61,7 +62,6 @@ class TreeTopology:
             raise MalformedTree("a tree needs at least one leaf")
         self.edges: Tuple[Edge, ...] = tuple(sorted(edge_key(u, v) for u, v in edges))
         self._leaf_set = frozenset(self.leaves)
-        self._matchings: Dict[int, tuple] = {}
         self._leaf_dist: Optional[Dict[Tuple[int, int], int]] = None
 
         adjacency: Dict[int, List[int]] = {v: [] for v in self.leaves}
@@ -543,8 +543,7 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
     """Pair up an even leaf subset so the connecting paths are edge-disjoint.
 
     On a tree with internal degree 3 this pairing exists and is unique; it
-    is found by walking the tree from an arbitrary leaf root and matching
-    the two unpaired leaves that first meet at a node.
+    is the one-row view of :func:`_matching_offsets`.
     """
     members = sorted(set(subset))
     for v in members:
@@ -552,31 +551,44 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
     if len(members) % 2:
         raise OddSubset(f"subset of size {len(members)} cannot be paired")
+    offsets = _matching_offsets(topology, np.isin(topology.leaves, members)[None, :])[0]
+    pairs = list(itertools.combinations(topology.leaves, 2))
+    return sorted(pairs[k] for k in offsets if k < len(pairs))
+
+
+def _matching_offsets(topology: TreeTopology, members: np.ndarray) -> np.ndarray:
+    """Pair offsets of the edge-disjoint matching of every row's leaf subset.
+
+    ``members`` is a (k, n) boolean matrix over the sorted leaves whose rows
+    have even size.  The tree is walked once from its smallest leaf, for all
+    rows at a time: each node carries up at most one unpaired leaf, and two
+    unpaired leaves meeting at a node are matched.  Row r of the
+    (k, max(n // 2, 1)) result lists its pairs in the order they close,
+    padded with the one-past-last offset n(n-1)/2.
+    """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
-    if not members:
-        return []
-    if len(members) == 2:
-        return [edge_key(members[0], members[1])]
-
-    member_set = set(members)
-    root = topology.leaves[0]
-    order, parent = _postorder(topology, root)
-    pairs: List[Edge] = []
-    pending: Dict[int, Optional[int]] = {}
+    n = topology.leaf_count
+    out = np.full((len(members), max(n // 2, 1)), n * (n - 1) // 2, dtype=np.int64)
+    col = np.zeros(len(members), dtype=np.int64)
+    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
+    order, parent = _postorder(topology, topology.leaves[0])
+    pending: Dict[int, np.ndarray] = {}
     for v in order:
-        carried = [v] if (topology.is_leaf(v) and v in member_set) else []
+        carried = np.full(len(members), -1, dtype=np.int64)
+        if v in leaf_pos:
+            carried[members[:, leaf_pos[v]]] = leaf_pos[v]
         for w in topology.neighbors(v):
-            if w != parent[v] and pending.get(w) is not None:
-                carried.append(pending[w])
-        while len(carried) >= 2:
-            b = carried.pop()
-            a = carried.pop()
-            pairs.append(edge_key(a, b))
-        pending[v] = carried[0] if carried else None
-    if pending[root] is not None:
-        raise OddSubset("pairing did not close; odd intersection detected")
-    return sorted(pairs)
+            if w == parent[v]:
+                continue
+            lo = np.minimum(carried, pending[w])
+            hi = np.maximum(carried, pending.pop(w))
+            pair = lo >= 0
+            out[pair, col[pair]] = _pair_offset(n, lo[pair], hi[pair])
+            col += pair
+            carried = np.where(pair, -1, hi)
+        pending[v] = carried
+    return out
 
 
 def _postorder(topology: TreeTopology, root: int) -> Tuple[List[int], Dict[int, Optional[int]]]:

@@ -22,6 +22,7 @@ from latent_ising import (
     exact_tv,
     marginal_distribution,
     marginalize_prob,
+    normalize,
     path_removed,
     random_weighted_tree,
     read_samples,
@@ -79,11 +80,15 @@ class TestMarginalization:
         wt = WeightedTree(TreeTopology([1, 2], [(1, 2)]), {(1, 2): 0.5})
         assert marginalize_prob(wt, (1, 1)) == pytest.approx(0.375)
 
-    def test_perfect_correlation(self):
-        topo = caterpillar(4)
+    @pytest.mark.parametrize("n", [4, 70])
+    def test_perfect_correlation(self, n):
+        # n=70 is far beyond dense enumeration and the int64 mask width
+        topo = caterpillar(n)
         wt = WeightedTree(topo, {e: 1.0 for e in topo.edges})
-        assert marginalize_prob(wt, (1, 1, 1, 1)) == pytest.approx(0.5)
-        assert marginalize_prob(wt, (1, 1, -1, 1)) == pytest.approx(0.0)
+        x = [1] * n
+        assert marginalize_prob(wt, x) == pytest.approx(0.5)
+        x[2] = -1
+        assert marginalize_prob(wt, x) == pytest.approx(0.0)
 
     def test_four_leaf_value(self):
         assert marginalize_prob(four_leaf_example(), (1, 1, 1, 1)) == pytest.approx(
@@ -193,11 +198,20 @@ class TestExactTv:
         assert expected == pytest.approx(0.75)
         assert exact_tv(chain, uniform) == pytest.approx(0.75)
 
-    def test_too_large_guard(self):
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda wt: exact_tv(wt, wt),
+            lambda wt: closed_form_distribution(normalize(wt).topology, correlations(wt)),
+            marginal_distribution,
+        ],
+        ids=["exact_tv", "closed_form_distribution", "marginal_distribution"],
+    )
+    def test_too_large_guard(self, evaluate):
         topo = TreeTopology(range(1, 16), [(k, 16) for k in range(1, 16)])
         wt = WeightedTree(topo, {e: 0.0 for e in topo.edges})
         with pytest.raises(TooLarge):
-            exact_tv(wt, wt)
+            evaluate(wt)
 
     def test_forest_table_marginalizes_componentwise(self):
         left = WeightedTree(TreeTopology([1, 3], [(1, 3)]), {(1, 3): 0.5})
