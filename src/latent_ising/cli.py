@@ -6,7 +6,7 @@ run report to stdout with the command name, the full configuration
 (including the seed), numeric metrics, and the paths of files it wrote.
 Reports are byte-identical across runs with identical arguments.
 
-Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
+Exit status: 0 on success, 1 on domain and file errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except LatentIsingError as exc:
+    except (LatentIsingError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1

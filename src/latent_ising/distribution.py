@@ -18,7 +18,7 @@ bitmask: bit ``k`` is set when the ``k``-th smallest leaf has spin +1.
 
 from __future__ import annotations
 
-import itertools
+import re
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,11 +39,11 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     _matching_offsets,
+    _path_incidence,
     _postorder,
     binary,
     correlations,
     normalize,
-    path,
 )
 
 #: the one cap on dense enumeration: closed form, marginalization and TV
@@ -286,6 +286,8 @@ def sample(model: Model, m: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sample files: optional "# n=<n> m=<m>" header, then one row of +-1 per line
 
+_HEADER = re.compile(r"#\s*n=(?P<n>\d+)\s+m=(?P<m>\d+)")
+
 
 def write_samples(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples)
@@ -298,17 +300,32 @@ def write_samples(path, samples: np.ndarray) -> None:
 
 def read_samples(path) -> np.ndarray:
     rows = []
+    header = None
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([int(tok) for tok in line.split()])
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    header = header or _HEADER.fullmatch(line)
+                    continue
+                rows.append([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise BadSpinValue(f"sample file {path} has a non-integer entry: {exc}") from None
     if not rows:
         raise EmptySample(f"no sample rows in {path}")
-    samples = np.array(rows, dtype=np.int8)
+    try:
+        samples = np.array(rows, dtype=np.int8)
+    except OverflowError:
+        raise BadSpinValue("sample file contains entries outside {-1, +1}") from None
+    except ValueError:
+        raise DimensionMismatch(f"sample rows in {path} differ in length") from None
     if not np.all(np.isin(samples, (-1, 1))):
         raise BadSpinValue("sample file contains entries outside {-1, +1}")
+    if header and (int(header["n"]), int(header["m"])) != (samples.shape[1], samples.shape[0]):
+        raise DimensionMismatch(
+            f"header of {path} says n={header['n']} m={header['m']}, "
+            f"data has n={samples.shape[1]} m={samples.shape[0]}"
+        )
     return samples
 
 
@@ -386,11 +403,9 @@ def path_removed(
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
     if tuple(sorted(alpha.labels)) != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
-    removed_edges = set()
-    for i, j in itertools.combinations(members, 2):
-        removed_edges.update(path(topology, i, j))
-    changes = {}
-    for i, j, _ in alpha.pairs():
-        if removed_edges.intersection(path(topology, i, j)):
-            changes[(i, j)] = 0.0
-    return alpha.replace(changes)
+    incidence = _path_incidence(topology)
+    removal = np.isin(topology.leaves, members)
+    a, b = np.triu_indices(topology.leaf_count, 1)
+    removed_edges = incidence[removal[a] & removal[b]].any(axis=0)
+    hit = incidence[:, removed_edges].any(axis=1)
+    return CorrelationVector(alpha.labels, np.where(hit, 0.0, alpha.values))

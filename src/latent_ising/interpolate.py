@@ -20,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import (
     AlreadyCherry,
     DimensionMismatch,
@@ -32,12 +34,12 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     WeightedTree,
-    _postorder,
+    _edge_splits,
+    _quartet_products,
     component_leaves,
     cut_paste,
     edge_key,
     path_nodes,
-    quartet_gap,
 )
 
 Quartet = Tuple[int, int, int, int]
@@ -191,22 +193,12 @@ def _block_root(topology: TreeTopology, leaves: FrozenSet[int]) -> int:
     """The node whose detached component holds exactly the given leaves."""
     if len(leaves) == 1:
         return next(iter(leaves))
-    order, parent = _postorder(topology, topology.leaves[0])
-    below: Dict[int, frozenset] = {}
-    for v in order:
-        acc = {v} if topology.is_leaf(v) else set()
-        for w in topology.neighbors(v):
-            if w != parent[v]:
-                acc.update(below[w])
-        below[v] = frozenset(acc)
-    all_leaves = frozenset(topology.leaves)
-    for v in order:
-        if parent[v] is None:
-            continue
-        if below[v] == leaves:
+    block = np.isin(topology.leaves, list(leaves))
+    for (u, v), side in zip(topology.edges, _edge_splits(topology)):
+        if (side == block).all():
             return v
-        if all_leaves - below[v] == leaves:
-            return parent[v]
+        if (side != block).all():
+            return u
     raise MalformedTree(f"no edge detaches exactly the block {sorted(leaves)}")
 
 
@@ -238,10 +230,6 @@ def _run_epoch(
         q: sorted(component_leaves(current, nodes[q], path_edges))
         for q in range(1, length)
     }
-    steps = [
-        cut_paste(current, ra, nodes[1], (nodes[r], nodes[r + 1]))
-        for r in range(1, length)
-    ]
     for k in range(1, length - 1):
         left = [u for q in range(1, k + 1) for u in hanging[q]]
         middle = hanging[k + 1]
@@ -254,7 +242,8 @@ def _run_epoch(
             for y in middle
             for u in right
         )
-        max_gap = max((quartet_gap(alpha, q) for q in changed), default=0.0)
+        products = _quartet_products(alpha, np.array(list(changed)).reshape(-1, 4))
+        max_gap = float(np.ptp(products, axis=1).max(initial=0.0))
         moves.append(
             Move(
                 epoch=epoch,
@@ -266,8 +255,8 @@ def _run_epoch(
                 max_gap=max_gap,
             )
         )
-        topologies.append(steps[k])
-    return steps[length - 2]
+        topologies.append(cut_paste(current, ra, nodes[1], (nodes[k + 1], nodes[k + 2])))
+    return topologies[-1]
 
 
 def trace_to_json(trace: InterpolationTrace) -> dict:

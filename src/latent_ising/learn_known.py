@@ -33,8 +33,8 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     WeightedTree,
+    _path_incidence,
     correlations,
-    path,
 )
 
 #: fitted magnitudes below this are reported as exactly zero
@@ -48,27 +48,21 @@ class KnownTopologyFit:
     sign_equations_used: int
 
 
-def _pair_paths(topology: TreeTopology) -> List[Tuple[Tuple[int, int], Tuple[int, ...]]]:
-    edge_index = {e: k for k, e in enumerate(topology.edges)}
-    out = []
-    for i, j in itertools.combinations(topology.leaves, 2):
-        out.append(((i, j), tuple(edge_index[e] for e in path(topology, i, j))))
-    return out
-
-
 def build_interval_lp(
     topology: TreeTopology, alpha_hat: CorrelationVector, eta: float
 ) -> Tuple[IntervalPathLP, List[Tuple[int, int]]]:
-    """Interval program on log-magnitudes; a magnitude below eta drops its
-    lower bound (log of a non-positive number reads as -inf)."""
+    """Interval program on log-magnitudes, one constraint per leaf pair over
+    its ascending path-edge indices; a magnitude below eta drops its lower
+    bound (log of a non-positive number reads as -inf)."""
     constraints = []
-    pairs = []
-    for (i, j), edge_ids in _pair_paths(topology):
+    pairs = list(itertools.combinations(topology.leaves, 2))
+    for (i, j), on_path in zip(pairs, _path_incidence(topology)):
         a = abs(alpha_hat.get(i, j))
         upper = math.log(a + eta)
         lower = math.log(a - eta) if a - eta > 0.0 else None
+        # Python ints: gf2_solve builds bitsets by shifting 1 << edge index
+        edge_ids = tuple(np.flatnonzero(on_path).tolist())
         constraints.append(PathConstraint(variables=edge_ids, lower=lower, upper=upper))
-        pairs.append((i, j))
     return IntervalPathLP(len(topology.edges), tuple(constraints)), pairs
 
 
@@ -96,14 +90,13 @@ def fit_known(
     magnitudes = np.exp(solved)
     magnitudes[magnitudes < ZERO_CLAMP] = 0.0
 
-    edge_index = {e: k for k, e in enumerate(topology.edges)}
     equations = []
     strong_pairs = []
-    for (i, j), edge_ids in _pair_paths(topology):
+    for (i, j), con in zip(pairs, lp.constraints):
         value = alpha_hat.get(i, j)
         if abs(value) > eta:
             equations.append(
-                Gf2Equation(variables=edge_ids, rhs=0 if value > 0 else 1)
+                Gf2Equation(variables=con.variables, rhs=0 if value > 0 else 1)
             )
             strong_pairs.append((i, j))
     system = Gf2System(len(topology.edges), tuple(equations))
@@ -114,8 +107,8 @@ def fit_known(
             f"sign constraints are contradictory at pair ({i},{j}): {bits.message}"
         )
     theta = {
-        e: float((-1.0 if bits[edge_index[e]] else 1.0) * magnitudes[edge_index[e]])
-        for e in topology.edges
+        e: float((-1.0 if bits[k] else 1.0) * magnitudes[k])
+        for k, e in enumerate(topology.edges)
     }
     tree = WeightedTree(topology, theta)
     return KnownTopologyFit(tree=tree, eta_used=eta, sign_equations_used=len(equations))

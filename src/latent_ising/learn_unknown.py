@@ -22,6 +22,12 @@ from .trees import CorrelationVector, TreeTopology, WeightedTree
 #: smallest fitting radius used when correlations are exact
 MIN_FIT_RADIUS = 1e-9
 
+#: the regime eta <= C1^3 / n in which xi is not clamped, and xi <= C1 / n when it is
+C1 = 1.0
+
+#: the widened fitting radius is eta_prime = C2 * n * xi + eta
+C2 = 4.0
+
 
 @dataclass(frozen=True)
 class UnknownLearnConfig:
@@ -38,7 +44,7 @@ class UnknownLearnConfig:
     clamped: bool
 
 
-def choose_params(eta: float, n: int, c1: float = 1.0, c2: float = 4.0) -> UnknownLearnConfig:
+def choose_params(eta: float, n: int) -> UnknownLearnConfig:
     """Split a correlation radius eta into reconstruction parameters."""
     if eta <= 0.0:
         raise BadParameter(f"eta must be positive, got {eta}")
@@ -46,9 +52,9 @@ def choose_params(eta: float, n: int, c1: float = 1.0, c2: float = 4.0) -> Unkno
         raise BadParameter(f"need at least two leaves, got {n}")
     xi = eta ** (1.0 / 3.0) * n ** (-2.0 / 3.0)
     clamped = False
-    if eta > min(1.0, c1 ** 3 / n):
+    if eta > min(1.0, C1 ** 3 / n):
         clamped = True
-        xi = min(xi, c1 / n, 0.9)
+        xi = min(xi, C1 / n, 0.9)
     delta_split = eta / xi  # equals eta^{2/3} n^{2/3} in the nominal regime
     if delta_split >= 1.0:
         clamped = True
@@ -58,7 +64,7 @@ def choose_params(eta: float, n: int, c1: float = 1.0, c2: float = 4.0) -> Unkno
         eta=eta_eff,
         xi=xi,
         delta_split=delta_split,
-        eta_prime=c2 * n * xi + eta_eff,
+        eta_prime=C2 * n * xi + eta_eff,
         clamped=clamped,
     )
 
@@ -80,41 +86,17 @@ def _fit_component(
         return fit_known(topology, alpha_hat, max(eta_prime, MIN_FIT_RADIUS)).tree
 
 
-def learn_unknown_from_correlations(
-    alpha_hat: CorrelationVector,
-    eta: float,
-    contraction_constant: float = 4.0,
-    c1: float = 1.0,
-    c2: float = 4.0,
-) -> WeightedForest:
+def learn_unknown_from_correlations(alpha_hat: CorrelationVector, eta: float) -> WeightedForest:
     """Reconstruct and fit a weighted forest from estimated correlations."""
-    cfg = choose_params(eta, alpha_hat.n, c1, c2)
-    rec = reconstruct_forest(
-        alpha_hat,
-        xi=cfg.xi,
-        delta=cfg.delta_split,
-        eta=cfg.eta,
-        contraction_constant=contraction_constant,
-    )
+    cfg = choose_params(eta, alpha_hat.n)
+    rec = reconstruct_forest(alpha_hat, xi=cfg.xi, delta=cfg.delta_split, eta=cfg.eta)
     components = [
         _fit_component(t, alpha_hat, cfg.eta, cfg.eta_prime) for t in rec.components
     ]
     return WeightedForest(components)
 
 
-def learn_unknown(
-    samples: np.ndarray,
-    delta_conf: float,
-    contraction_constant: float = 4.0,
-    c1: float = 1.0,
-    c2: float = 4.0,
-) -> WeightedForest:
+def learn_unknown(samples: np.ndarray, delta_conf: float) -> WeightedForest:
     """Full pipeline: estimate correlations, reconstruct, fit per component."""
     report = empirical_correlations(samples, delta_conf)
-    return learn_unknown_from_correlations(
-        report.alpha_hat,
-        report.eta,
-        contraction_constant=contraction_constant,
-        c1=c1,
-        c2=c2,
-    )
+    return learn_unknown_from_correlations(report.alpha_hat, report.eta)

@@ -29,6 +29,9 @@ from .trees import (
 #: witnesses sampled per internal edge when estimating its implied weight
 MAX_WITNESS_QUARTETS = 16
 
+#: the constant C of the guarantees below, recorded with every reconstruction
+CONTRACTION_CONSTANT = 4.0
+
 
 @dataclass(frozen=True)
 class ReconstructedForest:
@@ -49,7 +52,6 @@ def reconstruct_forest(
     xi: float,
     delta: float,
     eta: float,
-    contraction_constant: float = 4.0,
 ) -> ReconstructedForest:
     """Recover a forest compatible with the correlations up to radius eta.
 
@@ -77,7 +79,7 @@ def reconstruct_forest(
         xi=xi,
         delta=delta,
         eta=eta,
-        contraction_constant=contraction_constant,
+        contraction_constant=CONTRACTION_CONSTANT,
     )
 
 

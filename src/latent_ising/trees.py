@@ -6,7 +6,9 @@ combinatorial operations: degree normalization, path queries, correlations
 as path products of edge weights, quartet classification, cut-and-paste
 surgery, induced subtrees, and the edge-disjoint pair matching.  The
 matching is computed once, batched over leaf subsets, and is the one the
-closed-form leaf distribution multiplies correlations along.
+closed-form leaf distribution multiplies correlations along.  Batched path
+questions (which edges a pair's path uses, whether two topologies agree)
+are answered from one table of edge bipartitions, ``_edge_splits``.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -54,7 +56,7 @@ class TreeTopology:
     node dangles with degree < 2.
     """
 
-    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set", "_leaf_dist")
+    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set")
 
     def __init__(self, leaves: Iterable[int], edges: Iterable[Edge]):
         self.leaves: Tuple[int, ...] = tuple(sorted(set(leaves)))
@@ -62,7 +64,6 @@ class TreeTopology:
             raise MalformedTree("a tree needs at least one leaf")
         self.edges: Tuple[Edge, ...] = tuple(sorted(edge_key(u, v) for u, v in edges))
         self._leaf_set = frozenset(self.leaves)
-        self._leaf_dist: Optional[Dict[Tuple[int, int], int]] = None
 
         adjacency: Dict[int, List[int]] = {v: [] for v in self.leaves}
         for u, v in self.edges:
@@ -139,27 +140,6 @@ class TreeTopology:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TreeTopology(leaves={self.leaves}, edges={list(self.edges)})"
-
-    # -- cached leaf distances (edge counts) --------------------------------
-
-    def leaf_distances(self) -> Dict[Tuple[int, int], int]:
-        """Edge-count distance for every unordered leaf pair."""
-        if self._leaf_dist is None:
-            dist: Dict[Tuple[int, int], int] = {}
-            for a in self.leaves:
-                level = {a: 0}
-                queue = deque([a])
-                while queue:
-                    v = queue.popleft()
-                    for w in self._adjacency[v]:
-                        if w not in level:
-                            level[w] = level[v] + 1
-                            queue.append(w)
-                for b in self.leaves:
-                    if b > a:
-                        dist[(a, b)] = level[b]
-            self._leaf_dist = dist
-        return self._leaf_dist
 
 
 class WeightedTree:
@@ -333,9 +313,30 @@ def component_leaves(topology: TreeTopology, start: int, blocked: Iterable[Edge]
 
 def diameter(topology: TreeTopology) -> int:
     """Longest leaf-to-leaf path length in edges (0 for a single leaf)."""
-    if topology.leaf_count < 2:
-        return 0
-    return max(topology.leaf_distances().values())
+    return int(_path_incidence(topology).sum(axis=1).max(initial=0))
+
+
+def _edge_splits(topology: TreeTopology) -> np.ndarray:
+    """(|E|, n) boolean, one postorder pass: row k marks the sorted leaves on
+    v's side of ``topology.edges[k] = (u, v)``."""
+    edge_index = {e: k for k, e in enumerate(topology.edges)}
+    splits = np.zeros((len(topology.edges), topology.leaf_count), dtype=bool)
+    order, parent = _postorder(topology, topology.leaves[0])
+    below = {v: np.equal(topology.leaves, v) for v in order}
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            below[p] |= below[v]
+            splits[edge_index[edge_key(v, p)]] = below[v] if v > p else ~below[v]
+    return splits
+
+
+def _path_incidence(topology: TreeTopology) -> np.ndarray:
+    """(n(n-1)/2, |E|) boolean: row p marks the edges that separate leaf pair
+    p, which are its path edges; pairs come in :func:`_pair_offset` order."""
+    splits = _edge_splits(topology)
+    a, b = np.triu_indices(topology.leaf_count, 1)
+    return (splits[:, a] != splits[:, b]).T
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +491,35 @@ def quartet_split(alpha: CorrelationVector, quartet: Sequence[int]) -> QuartetSp
     if len(set(quartet)) != 4:
         raise UnknownPair(f"quartet needs four distinct leaves, got {tuple(quartet)}")
     q = tuple(sorted(quartet))
-    products = []
-    for ia, ib, ic, id_ in _SPLIT_ORDER:
-        products.append(abs(alpha.get(q[ia], q[ib])) * abs(alpha.get(q[ic], q[id_])))
-    best = max(products)
-    chosen = next(k for k, p in enumerate(products) if p >= best - TIE_TOLERANCE)
+    products = _quartet_products(alpha, np.array([q]))[0]
+    best = products.max()
+    chosen = int(np.argmax(products >= best - TIE_TOLERANCE))
     ia, ib, ic, id_ = _SPLIT_ORDER[chosen]
     split = ((q[ia], q[ib]), (q[ic], q[id_]))
-    return QuartetSplit(q, split, best - min(products))
+    return QuartetSplit(q, split, float(best - products.min()))
 
 
 def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:
     """Max minus min of the three |correlation| cross-products."""
     return quartet_split(alpha, quartet).gap
+
+
+def _quartet_products(alpha: CorrelationVector, quartets: np.ndarray) -> np.ndarray:
+    """(k, 3) |correlation| cross-products in ``_SPLIT_ORDER`` of a (k, 4)
+    array of ascending leaf-label quartets."""
+    missing = ~np.isin(quartets, alpha.labels)
+    if missing.any():
+        raise UnknownLeaf(f"leaf {quartets[missing][0]} not covered by this vector")
+    pos = np.searchsorted(alpha.labels, quartets)
+    magnitudes = np.abs(alpha.values)
+    return np.stack(
+        [
+            magnitudes[_pair_offset(alpha.n, pos[:, ia], pos[:, ib])]
+            * magnitudes[_pair_offset(alpha.n, pos[:, ic], pos[:, id_])]
+            for ia, ib, ic, id_ in _SPLIT_ORDER
+        ],
+        axis=1,
+    )
 
 
 def canonical_splits(topology: TreeTopology) -> frozenset:
@@ -512,15 +529,12 @@ def canonical_splits(topology: TreeTopology) -> frozenset:
     these sets agree.  Quartets meeting at a single node (possible after edge
     contractions) are unresolved and omitted.
     """
-    dist = topology.leaf_distances()
-
-    def d(i: int, j: int) -> int:
-        return dist[(i, j) if i < j else (j, i)]
-
+    pairs = itertools.combinations(topology.leaves, 2)
+    dist = dict(zip(pairs, _path_incidence(topology).sum(axis=1).tolist()))
     splits = set()
     for q in itertools.combinations(topology.leaves, 4):
         sums = [
-            d(q[ia], q[ib]) + d(q[ic], q[id_]) for ia, ib, ic, id_ in _SPLIT_ORDER
+            dist[q[ia], q[ib]] + dist[q[ic], q[id_]] for ia, ib, ic, id_ in _SPLIT_ORDER
         ]
         smallest = min(sums)
         winners = [k for k, s in enumerate(sums) if s == smallest]
@@ -531,8 +545,10 @@ def canonical_splits(topology: TreeTopology) -> frozenset:
 
 
 def topologies_equal(a: TreeTopology, b: TreeTopology) -> bool:
-    """Leaf-labeled isomorphism via equality of resolved quartet split sets."""
-    return a.leaves == b.leaves and canonical_splits(a) == canonical_splits(b)
+    """Leaf-labeled isomorphism via equality of edge bipartition sets, each
+    split oriented so the smallest leaf is unmarked."""
+    oriented = [{r.tobytes() for r in s ^ s[:, :1]} for s in map(_edge_splits, (a, b))]
+    return a.leaves == b.leaves and oriented[0] == oriented[1]
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "estimate", "--samples", str(tmp_path / "missing.txt"),
+        "--out", str(tmp_path / "est.json"),
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert out == ""
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn-known"])  # missing required flags

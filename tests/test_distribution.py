@@ -12,6 +12,7 @@ from latent_ising import (
     DimensionMismatch,
     EmptySample,
     LeafDistribution,
+    BadSpinValue,
     TooLarge,
     TreeTopology,
     WeightedForest,
@@ -175,6 +176,22 @@ class TestSampling:
         text = path.read_text()
         assert text.splitlines()[0] == "# n=5 m=37"
         assert np.array_equal(read_samples(path), draws)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("+1 -1\n+1\n", DimensionMismatch),  # ragged rows
+            ("+1 -1\n+1 x\n", BadSpinValue),  # non-integer token
+            ("+1 -1\n+1 +300\n", BadSpinValue),  # outside int8
+            ("# n=3 m=2\n+1 -1\n-1 +1\n", DimensionMismatch),  # header disagrees
+        ],
+        ids=["ragged", "token", "overflow", "header"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, error):
+        path = tmp_path / "draws.dat"
+        path.write_text(text)
+        with pytest.raises(error):
+            read_samples(path)
 
 
 class TestExactTv:

@@ -1,5 +1,6 @@
 """Topology interpolation: moves, bounds, and the factorization identity."""
 
+import importlib
 import itertools
 import math
 
@@ -114,6 +115,18 @@ class TestInterpolate:
         quartets = [q for move in trace.moves for q in move.changed_quartets]
         assert quartets == [(1, 2, 3, 4)]
         assert topologies_equal(trace.final, FLIP4)
+
+    def test_one_paste_per_recorded_move(self, monkeypatch):
+        module = importlib.import_module("latent_ising.interpolate")
+        pastes = []
+        real = module.cut_paste
+        monkeypatch.setattr(module, "cut_paste", lambda *args: pastes.append(args) or real(*args))
+        rng = philox(51)
+        source = random_topology(12, rng)
+        target = random_model(12, rng, magnitude=(0.25, 0.85))
+        trace = interpolate(source, target, correlations(random_model(12, rng)))
+        assert trace.epochs > 0
+        assert len(pastes) == len(trace.moves) == len(trace.topologies) - 1
 
     def test_leaf_set_mismatch(self):
         other = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])

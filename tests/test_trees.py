@@ -33,8 +33,23 @@ from latent_ising import (
     topologies_equal,
 )
 from latent_ising.distribution import marginal_distribution
+from latent_ising.trees import TIE_TOLERANCE, _path_incidence, _quartet_products
 
 from conftest import caterpillar, four_leaf_example, philox, three_leaf_star
+
+
+def reshaped(topo: TreeTopology, rng, contractions: int, subdivisions: int) -> TreeTopology:
+    """Contract random internal edges (nodes of degree >= 4), then subdivide
+    random edges with fresh degree-2 nodes."""
+    for _ in range(contractions):
+        internal = [e for e in topo.edges if not (topo.is_leaf(e[0]) or topo.is_leaf(e[1]))]
+        if internal:
+            topo = contract_edge(topo, internal[int(rng.integers(len(internal)))])
+    for _ in range(subdivisions if topo.edges else 0):
+        u, v = topo.edges[int(rng.integers(len(topo.edges)))]
+        t = max(topo.nodes) + 1
+        topo = TreeTopology(topo.leaves, [e for e in topo.edges if e != (u, v)] + [(u, t), (t, v)])
+    return topo
 
 
 class TestValidation:
@@ -375,3 +390,64 @@ class TestCanonicalForm:
         assert diameter(caterpillar(6)) == 5
         assert diameter(TreeTopology([1, 2], [(1, 2)])) == 1
         assert diameter(TreeTopology([1], [])) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10**6),
+        same_base=st.booleans(),
+        extra_leaf=st.booleans(),
+        shape=st.tuples(*[st.integers(0, 2)] * 4),
+    )
+    def test_split_sets_agree_with_quartet_sets(self, n, seed, same_base, extra_leaf, shape):
+        rng = philox(seed)
+        base = random_topology(n, rng)
+        other = base if same_base else random_topology(n + extra_leaf, rng)
+        a = reshaped(base, rng, shape[0], shape[1])
+        b = reshaped(other, rng, shape[2], shape[3])
+        expected = a.leaves == b.leaves and canonical_splits(a) == canonical_splits(b)
+        assert topologies_equal(a, b) == expected
+        assert topologies_equal(a, a)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_path_incidence_rows_are_paths(self, n):
+        rng = philox(n)
+        # n = 40 has 77 edges, more than an int64 bitset holds
+        for topo in (random_topology(n, rng), reshaped(random_topology(n, rng), rng, 2, 2)):
+            incidence = _path_incidence(topo)
+            pairs = list(itertools.combinations(topo.leaves, 2))
+            assert incidence.shape == (len(pairs), len(topo.edges))
+            for (i, j), row in zip(pairs, incidence):
+                assert {topo.edges[k] for k in np.flatnonzero(row)} == set(path(topo, i, j))
+
+
+class TestQuartetProducts:
+    def test_rows_match_scalar_products_and_split_on_exact_ties(self):
+        rng = philox(8)
+        labels = list(range(1, 8))
+        # magnitudes from a set closed under exact products, so many splits tie exactly
+        alpha = CorrelationVector(labels, rng.choice([0.25, -0.5, 0.5, 1.0], size=21))
+        quartets = list(itertools.combinations(labels, 4))
+        rows = _quartet_products(alpha, np.array(quartets))
+        ties = 0
+        for q, row in zip(quartets, rows):
+            want = [
+                abs(alpha.get(q[a], q[b])) * abs(alpha.get(q[c], q[d]))
+                for a, b, c, d in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+            ]
+            assert row.tolist() == want
+            first = next(k for k, p in enumerate(want) if p >= max(want) - TIE_TOLERANCE)
+            split = quartet_split(alpha, q)
+            assert split.split == (
+                ((q[0], q[1]), (q[2], q[3])),
+                ((q[0], q[2]), (q[1], q[3])),
+                ((q[0], q[3]), (q[1], q[2])),
+            )[first]
+            assert split.gap == max(want) - min(want)
+            ties += want.count(max(want)) > 1
+        assert ties > 0
+
+    def test_uncovered_leaf_rejected(self):
+        alpha = correlations(four_leaf_example())
+        with pytest.raises(UnknownLeaf):
+            quartet_split(alpha, (1, 2, 3, 9))
