@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,8 +35,6 @@ from .learn_known import (
 from .learn_unknown import choose_params, learn_unknown_from_correlations
 from .newick import parse_model, serialize_forest, serialize_tree
 from .trees import correlations, diameter, normalize, random_weighted_tree
-
-THREAD_ENV = "LATENT_ISING_THREADS"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -214,23 +210,13 @@ def bench_sweep(
 ) -> List[Dict]:
     """TV against the truth for each (sample count, trial) pair."""
     truth = normalize(tree)
-    jobs = [
-        (m, trial, seed + 7919 * trial + 104729 * k)
-        for k, m in enumerate(m_values)
-        for trial in range(trials)
-    ]
-
-    def run(job):
-        m, trial, trial_seed = job
-        draws = sample(truth, m, trial_seed)
-        fit = learn_from_samples_known(truth.topology, draws, delta)
-        return {"m": m, "trial": trial, "tv": exact_tv(truth, fit.tree)}
-
-    workers = max(1, int(os.environ.get(THREAD_ENV, "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+    rows = []
+    for k, m in enumerate(m_values):
+        for trial in range(trials):
+            draws = sample(truth, m, seed + 7919 * trial + 104729 * k)
+            fit = learn_from_samples_known(truth.topology, draws, delta)
+            rows.append({"m": m, "trial": trial, "tv": exact_tv(truth, fit.tree)})
+    return rows
 
 
 def fitted_decay_exponent(rows: List[Dict]) -> float:

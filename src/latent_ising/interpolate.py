@@ -138,13 +138,16 @@ def interpolate(
                 p = _common_neighbor(target_topology, i, j)
                 if p is None:
                     continue
-                if not _blocks_adjacent(current, block[i], block[j]):
+                roots = dict(zip((i, j), _block_roots(current, block[i], block[j])))
+                if _common_neighbor(current, roots[i], roots[j]) is None:
                     mover, anchor = _pick_weaker(target, block, i, j, p)
                     epochs += 1
                     current = _run_epoch(
                         current,
                         block[mover],
                         block[anchor],
+                        roots[mover],
+                        roots[anchor],
                         alpha,
                         epochs,
                         rounds,
@@ -189,29 +192,31 @@ def _pick_weaker(
     return i, j
 
 
-def _block_root(topology: TreeTopology, leaves: FrozenSet[int]) -> int:
-    """The node whose detached component holds exactly the given leaves."""
-    if len(leaves) == 1:
-        return next(iter(leaves))
-    block = np.isin(topology.leaves, list(leaves))
-    for (u, v), side in zip(topology.edges, _edge_splits(topology)):
-        if (side == block).all():
-            return v
-        if (side != block).all():
-            return u
-    raise MalformedTree(f"no edge detaches exactly the block {sorted(leaves)}")
-
-
-def _blocks_adjacent(topology: TreeTopology, a: FrozenSet[int], b: FrozenSet[int]) -> bool:
-    ra = _block_root(topology, a)
-    rb = _block_root(topology, b)
-    return _common_neighbor(topology, ra, rb) is not None
+def _block_roots(topology: TreeTopology, *blocks: FrozenSet[int]) -> List[int]:
+    """For each block, the node whose detached component holds exactly its
+    leaves; the edge-split table is built at most once per call."""
+    splits = _edge_splits(topology) if any(len(b) > 1 for b in blocks) else None
+    roots = []
+    for leaves in blocks:
+        if len(leaves) == 1:
+            roots.append(next(iter(leaves)))
+            continue
+        block = np.array([leaf in leaves for leaf in topology.leaves])
+        same = (splits == block).all(axis=1)
+        hits = np.flatnonzero(same | (splits != block).all(axis=1))
+        if hits.size == 0:
+            raise MalformedTree(f"no edge detaches exactly the block {sorted(leaves)}")
+        u, v = topology.edges[hits[0]]
+        roots.append(v if same[hits[0]] else u)
+    return roots
 
 
 def _run_epoch(
     current: TreeTopology,
     mover_block: FrozenSet[int],
     anchor_block: FrozenSet[int],
+    ra: int,
+    rb: int,
     alpha: CorrelationVector,
     epoch: int,
     round_: int,
@@ -219,8 +224,6 @@ def _run_epoch(
     topologies: List[TreeTopology],
     moves: List[Move],
 ) -> TreeTopology:
-    ra = _block_root(current, mover_block)
-    rb = _block_root(current, anchor_block)
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
     path_edges = [edge_key(a, b) for a, b in zip(nodes, nodes[1:])]

@@ -2,21 +2,23 @@
 
 Both solvers are deliberately small and dependency-free.  Problem sizes are
 tiny (one variable per tree edge, one constraint pair per leaf pair), so a
-dense two-phase simplex with Bland's rule is plenty; determinism matters
-more than speed.
+dense one-phase simplex with Bland's rule is plenty: shifting the maximized
+slack by a constant makes the origin a feasible start, so no artificial
+columns are needed.  Determinism matters more than speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, NoConsistentModel
 
 _TOL = 1e-9
 _SLACK_CAP = 50.0  # bound on the centering slack; e^-50 is zero for our purposes
+_MAX_PIVOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,175 +58,80 @@ class Infeasible:
 def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     """Find w <= 0 with every path sum inside its interval, or a witness.
 
-    Among feasible points, a second simplex phase maximizes the smallest
-    interval slack, which keeps the returned point away from interval
-    endpoints; any feasible point satisfies the contract.
+    One simplex phase maximizes the smallest interval slack t over x = -w
+    and tau = t - t0, where t0 (at most 0, every upper bound and minus every
+    lower bound) makes x = 0, tau = 0 a feasible start.  The program is
+    feasible exactly when the optimal t is non-negative; the returned point
+    then keeps the largest distance from the interval endpoints.  Otherwise
+    the witness is the bound with the largest dual weight, a member of a
+    Farkas certificate of infeasibility.
     """
     nv = lp.n_vars
-    t_col = nv  # shared slack variable being maximized
     rows: List[np.ndarray] = []
-    rels: List[str] = []
     rhs: List[float] = []
     origin: List[Tuple[int, str]] = []
+    t = np.zeros(nv + 1)
+    t[nv] = 1.0
     for k, con in enumerate(lp.constraints):
-        a = np.zeros(nv + 1)
-        a[list(con.variables)] = 1.0
-        upper_row = a.copy()
-        upper_row[t_col] = -1.0
-        rows.append(upper_row)  # sum(x) - t >= -upper  (x = -w)
-        rels.append("ge")
-        rhs.append(-con.upper)
+        path = np.zeros(nv + 1)
+        path[list(con.variables)] = 1.0
+        rows.append(t - path)  # -sum(x) + t <= upper
+        rhs.append(con.upper)
         origin.append((k, "upper"))
         if con.lower is not None:
-            lower_row = a.copy()
-            lower_row[t_col] = 1.0
-            rows.append(lower_row)  # sum(x) + t <= -lower
-            rels.append("le")
+            rows.append(t + path)  # sum(x) + t <= -lower
             rhs.append(-con.lower)
             origin.append((k, "lower"))
-    cap = np.zeros(nv + 1)
-    cap[t_col] = 1.0
-    rows.append(cap)
-    rels.append("le")
+    rows.append(t)  # t <= cap
     rhs.append(_SLACK_CAP)
-    origin.append((-1, "cap"))
 
-    objective = np.zeros(nv + 1)
-    objective[t_col] = 1.0
-    status, x, witness = _two_phase_simplex(
-        np.array(rows), rels, np.array(rhs), objective
-    )
-    if status == "infeasible":
-        k, side = origin[witness] if witness is not None else (0, "upper")
-        con = lp.constraints[max(k, 0)]
+    m = len(rows)
+    t0 = min(0.0, min(rhs))
+    T = np.hstack([np.array(rows), np.eye(m), np.array(rhs)[:, None] - t0])
+    basis = np.arange(nv + 1, nv + 1 + m)
+    cost = np.zeros(nv + 1 + m)
+    cost[nv] = 1.0
+    _simplex_iterate(T, basis, cost)
+
+    x = np.zeros(nv + 1 + m)
+    x[basis] = T[:, -1]
+    if t0 + x[nv] < -_TOL:
+        duals = cost[basis] @ T[:, nv + 1 : nv + m]
+        k, side = origin[int(np.argmax(duals))]
+        con = lp.constraints[k]
         return Infeasible(
-            constraint=max(k, 0),
+            constraint=k,
             side=side,
-            message=f"no assignment satisfies the {side} bound of constraint {max(k, 0)} "
+            message=f"no assignment satisfies the {side} bound of constraint {k} "
             f"(interval [{con.lower}, {con.upper}])",
         )
     return -x[:nv]
 
 
-def _two_phase_simplex(
-    A: np.ndarray, rels: Sequence[str], b: np.ndarray, c: np.ndarray
-) -> Tuple[str, Optional[np.ndarray], Optional[int]]:
-    """Maximize c.x subject to A x (<=|>=) b, x >= 0.
+def _simplex_iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+    """Maximize cost.x over the tableau T = [A | b] from a feasible basis.
 
-    Returns (status, x, witness_row). status is "optimal" or "infeasible";
-    an unbounded second phase falls back to the phase-1 point, which is
-    feasible.
+    Bland's rule: the first improving column enters; among rows whose ratio
+    is within _TOL of the smallest, the one with the smallest basic column
+    leaves.
     """
-    m, nv = A.shape
-    eq = np.zeros((m, nv + m))
-    rhs = np.zeros(m)
-    for i in range(m):
-        row = A[i].copy()
-        bi = float(b[i])
-        if rels[i] == "ge":
-            row = -row
-            bi = -bi
-        eq[i, :nv] = row
-        eq[i, nv + i] = 1.0
-        rhs[i] = bi
-        if bi < 0:
-            eq[i] = -eq[i]
-            rhs[i] = -bi
-    needs_art = [i for i in range(m) if eq[i, nv + i] < 0]
-    n_art = len(needs_art)
-    total = nv + m + n_art
-    T = np.zeros((m, total + 1))
-    T[:, : nv + m] = eq
-    T[:, -1] = rhs
-    basis = [nv + i for i in range(m)]
-    art_cols = set()
-    for j, i in enumerate(needs_art):
-        col = nv + m + j
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cols.add(col)
-
-    if art_cols:
-        cost1 = np.zeros(total)
-        for col in art_cols:
-            cost1[col] = -1.0
-        status = _simplex_iterate(T, basis, cost1, allowed=set(range(total)))
-        if status == "unbounded":  # pragma: no cover - phase 1 is bounded
-            return "infeasible", None, None
-        art_sum = sum(T[i, -1] for i in range(m) if basis[i] in art_cols)
-        if art_sum > 1e-7:
-            witness = max(
-                (i for i in range(m) if basis[i] in art_cols),
-                key=lambda i: T[i, -1],
-            )
-            return "infeasible", None, witness
-        T, basis = _expel_artificials(T, basis, art_cols, nv + m)
-
-    x_feasible = _extract(T, basis, nv)
-    cost2 = np.zeros(T.shape[1] - 1)
-    cost2[:nv] = c
-    status = _simplex_iterate(T, basis, cost2, allowed=set(range(T.shape[1] - 1)))
-    if status == "unbounded":
-        return "optimal", x_feasible, None
-    return "optimal", _extract(T, basis, nv), None
-
-
-def _extract(T: np.ndarray, basis: Sequence[int], nv: int) -> np.ndarray:
-    x = np.zeros(nv)
-    for i, col in enumerate(basis):
-        if col < nv:
-            x[col] = T[i, -1]
-    return x
-
-
-def _expel_artificials(T: np.ndarray, basis: List[int], art_cols: set, real_cols: int):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    keep_rows = []
-    for i in range(T.shape[0]):
-        if basis[i] not in art_cols:
-            keep_rows.append(i)
-            continue
-        pivot_col = next(
-            (j for j in range(real_cols) if abs(T[i, j]) > _TOL), None
-        )
-        if pivot_col is None:
-            continue  # redundant constraint row
-        _pivot(T, basis, i, pivot_col)
-        keep_rows.append(i)
-    kept_cols = [j for j in range(T.shape[1]) if j not in art_cols]
-    new_T = T[np.ix_(keep_rows, kept_cols)]
-    col_map = {j: dst for dst, j in enumerate(kept_cols[:-1])}
-    new_basis = [col_map[basis[i]] for i in keep_rows]
-    return new_T, new_basis
-
-
-def _simplex_iterate(T: np.ndarray, basis: List[int], cost: np.ndarray, allowed: set) -> str:
-    n_cols = T.shape[1] - 1
-    for _ in range(100000):
-        cb = cost[basis]
-        reduced = cost - cb @ T[:, :n_cols]
-        entering = next(
-            (j for j in sorted(allowed) if j < n_cols and reduced[j] > _TOL), None
-        )
-        if entering is None:
-            return "optimal"
-        ratios = []
-        for i in range(T.shape[0]):
-            if T[i, entering] > _TOL:
-                ratios.append((T[i, -1] / T[i, entering], basis[i], i))
-        if not ratios:
-            return "unbounded"
-        _, _, row = min(ratios)  # Bland: smallest ratio, then smallest basis index
-        _pivot(T, basis, row, entering)
-    raise RuntimeError("simplex did not terminate")  # pragma: no cover
-
-
-def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
-    basis[row] = col
+    for _ in range(_MAX_PIVOTS):
+        reduced = cost - cost[basis] @ T[:, :-1]
+        improving = np.flatnonzero(reduced > _TOL)
+        if improving.size == 0:
+            return
+        col = T[:, improving[0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(col > _TOL, T[:, -1] / col, np.inf)
+        if np.isinf(ratios.min()):  # pragma: no cover - the slack cap bounds t
+            raise NoConsistentModel("simplex found an unbounded ray")
+        ties = np.flatnonzero(ratios <= ratios.min() + _TOL)
+        row = ties[np.argmin(basis[ties])]
+        pivot_row = T[row] / col[row]
+        T -= np.outer(col, pivot_row)
+        T[row] = pivot_row
+        basis[row] = improving[0]
+    raise NoConsistentModel(f"simplex did not finish within {_MAX_PIVOTS} pivots")
 
 
 # ---------------------------------------------------------------------------

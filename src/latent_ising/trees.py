@@ -191,7 +191,7 @@ class CorrelationVector:
             raise UnknownPair(
                 f"need {n * (n - 1) // 2} pair values for {n} leaves, got {values.shape}"
             )
-        if n and np.max(np.abs(values), initial=0.0) > 1.0 + 1e-9:
+        if not np.all(np.abs(values) <= 1.0 + 1e-9):  # NaN fails the test too
             raise UnknownPair("correlation outside [-1, 1]")
         self.values = np.clip(values, -1.0, 1.0)
         self.values.flags.writeable = False

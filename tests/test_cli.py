@@ -153,17 +153,6 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_thread_cap_does_not_change_bench_results(tmp_path, capsys, model_file, monkeypatch):
-    from latent_ising import parse_tree
-    from latent_ising.cli import bench_sweep
-
-    tree = parse_tree(model_file.read_text())
-    sequential = bench_sweep(tree, [500, 1000], trials=2, delta=0.1, seed=1)
-    monkeypatch.setenv("LATENT_ISING_THREADS", "4")
-    threaded = bench_sweep(tree, [500, 1000], trials=2, delta=0.1, seed=1)
-    assert sequential == threaded
-
-
 def test_reports_byte_identical(tmp_path, capsys, model_file):
     samples = tmp_path / "draws.dat"
     args = ("sample", "--tree", str(model_file), "--m", "1000",

@@ -9,6 +9,7 @@ from latent_ising import (
     BadParameter,
     BadSpinValue,
     EmptySample,
+    UnknownPair,
     confidence_radius,
     correlations,
     empirical_correlations,
@@ -48,6 +49,14 @@ class TestEmpiricalCorrelations:
         again = report_from_json(report_to_json(report))
         assert again.m == report.m and again.eta == report.eta
         np.testing.assert_allclose(again.alpha_hat.values, report.alpha_hat.values)
+
+    def test_report_json_with_nan_rejected(self):
+        text = (
+            '{"n": 3, "m": 10, "delta": 0.1, "eta": 0.5, '
+            '"alpha": [[1, 2, NaN], [1, 3, 0.5], [2, 3, 0.5]]}'
+        )
+        with pytest.raises(UnknownPair):
+            report_from_json(text)
 
 
 class TestSamplesForRadius:

@@ -11,11 +11,13 @@ from latent_ising import (
     Inconsistent,
     Infeasible,
     IntervalPathLP,
+    NoConsistentModel,
     PathConstraint,
     build_interval_lp,
     correlations,
     gf2_solve,
     lp_feasible,
+    solvers,
 )
 from latent_ising.trees import CorrelationVector, TreeTopology
 
@@ -52,6 +54,17 @@ class TestIntervalLp:
         result = lp_feasible(lp)
         assert isinstance(result, Infeasible)
         assert 0 <= result.constraint < len(lp.constraints)
+        assert result.side in ("upper", "lower")
+        assert f"{result.side} bound" in result.message
+
+    def test_pivot_cap_raises_domain_error(self, monkeypatch):
+        alpha = CorrelationVector.from_pairs(
+            [1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5}
+        )
+        lp, _ = build_interval_lp(STAR, alpha, 0.01)
+        monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
+        with pytest.raises(NoConsistentModel):
+            lp_feasible(lp)
 
     def test_all_upper_bounds_only(self):
         # every magnitude below eta: lower bounds vanish, weights become tiny
@@ -131,6 +144,19 @@ class TestAgainstReferenceSolver:
         if reference.status == 0:
             assert not isinstance(mine, Infeasible)
             assert_satisfies(lp, mine)
+            # optimality: the point's smallest slack is the largest t that keeps
+            # every bound t away from its endpoint (t capped like the solver's)
+            max_slack = scipy_opt.linprog(
+                c=-np.eye(n_vars + 1)[n_vars],
+                A_ub=np.hstack([np.array(rows), np.ones((len(rows), 1))]),
+                b_ub=np.array(bounds_rhs),
+                bounds=[(None, 0.0)] * n_vars + [(None, solvers._SLACK_CAP)],
+                method="highs",
+            )
+            assert max_slack.status == 0
+            sums = np.array(rows) @ mine
+            smallest = min(solvers._SLACK_CAP, float(np.min(np.array(bounds_rhs) - sums)))
+            assert smallest == pytest.approx(-max_slack.fun, abs=1e-7)
         else:
             assert isinstance(mine, Infeasible)
 

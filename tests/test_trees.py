@@ -174,6 +174,10 @@ class TestCorrelations:
         assert alpha.get(1, 3) == pytest.approx(-0.5)
         assert alpha.get(2, 3) == pytest.approx(0.5)
 
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(UnknownPair):
+            CorrelationVector([1, 2, 3, 4], [np.nan, 0.5, 0.5, 0.5, 0.5, 0.5])
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_two_smaller_cross_products_tie(self, seed):
