@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import LatentIsingError
-from .estimation import empirical_correlations, report_to_json
+from .estimation import empirical_correlations, report_to_json, require_unit_labels
 from .distribution import exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
 from .identity import test_identity
@@ -81,6 +81,8 @@ def _cmd_gen(args) -> Dict:
 
 def _cmd_sample(args) -> Dict:
     model = _read_model(args.tree)
+    # estimation labels the sample columns 1..n, so other labels cannot round-trip
+    require_unit_labels(as_forest(model).leaves, "model")
     draws = sample(model, args.m, args.seed)
     write_samples(args.out, draws)
     return _report(

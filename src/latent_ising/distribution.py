@@ -292,33 +292,42 @@ _HEADER = re.compile(r"#\s*n=(?P<n>\d+)\s+m=(?P<m>\d+)")
 def write_samples(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples)
     m, n = samples.shape
-    with open(path, "w") as fh:
-        fh.write(f"# n={n} m={m}\n")
-        for row in samples:
-            fh.write(" ".join("+1" if s > 0 else "-1" for s in row) + "\n")
+    # each spin is a fixed-width "+1 " / "-1 " cell; the last space is the newline
+    buffer = np.full((m, 3 * n), ord(" "), dtype=np.uint8)
+    buffer[:, 0::3] = np.where(samples > 0, ord("+"), ord("-"))
+    buffer[:, 1::3] = ord("1")
+    buffer[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# n={n} m={m}\n".encode())
+        fh.write(buffer.tobytes())
 
 
 def read_samples(path) -> np.ndarray:
-    rows = []
-    header = None
     with open(path) as fh:
         try:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    header = header or _HEADER.fullmatch(line)
-                    continue
-                rows.append([int(tok) for tok in line.split()])
+            text = fh.read()
         except ValueError as exc:
             raise BadSpinValue(f"sample file {path} has a non-integer entry: {exc}") from None
+    rows, header = [], None
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            header = header or _HEADER.fullmatch(line)
+        else:
+            rows.append(line)
     if not rows:
         raise EmptySample(f"no sample rows in {path}")
-    try:
-        samples = np.array(rows, dtype=np.int8)
-    except OverflowError:
-        raise BadSpinValue("sample file contains entries outside {-1, +1}") from None
+    try:  # numpy >= 2 only: 1.x read "1.5" or "257" through a float, with a warning
+        samples = np.loadtxt(rows, dtype=np.int8, comments=None, ndmin=2)
     except ValueError:
-        raise DimensionMismatch(f"sample rows in {path} differ in length") from None
+        # a non-integer token outranks ragged rows, which outrank out-of-range integers
+        try:
+            np.loadtxt([" ".join(rows)], dtype=np.int64, comments=None)
+        except ValueError:
+            raise BadSpinValue(f"sample file {path} has a non-integer entry") from None
+        if len({len(row.split()) for row in rows}) > 1:
+            raise DimensionMismatch(f"sample rows in {path} differ in length") from None
+        raise BadSpinValue("sample file contains entries outside {-1, +1}") from None
     if not np.all(np.isin(samples, (-1, 1))):
         raise BadSpinValue("sample file contains entries outside {-1, +1}")
     if header and (int(header["n"]), int(header["m"])) != (samples.shape[1], samples.shape[0]):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BadSpinValue, EmptySample
+from .errors import BadParameter, BadSpinValue, DimensionMismatch, EmptySample
 from .trees import CorrelationVector
 
 
@@ -52,6 +52,12 @@ def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationRepor
     values = gram[np.triu_indices(n, k=1)]
     alpha_hat = CorrelationVector(range(1, n + 1), np.clip(values, -1.0, 1.0))
     return EstimationReport(alpha_hat=alpha_hat, m=m, delta=delta, eta=eta)
+
+
+def require_unit_labels(leaves, what: str) -> None:
+    """Reject leaf labels other than 1..n, the column labels used above."""
+    if tuple(leaves) != tuple(range(1, len(leaves) + 1)):
+        raise DimensionMismatch(f"{what} leaves must be labeled 1..n")
 
 
 def samples_for_radius(n: int, delta: float, eta: float) -> int:

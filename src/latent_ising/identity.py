@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .estimation import empirical_correlations
+from .estimation import empirical_correlations, require_unit_labels
 from .forest import as_forest, forest_correlations, forest_diameter
 
 #: constant from the different-topology total-variation bound
@@ -73,8 +73,7 @@ def test_identity(
             f"samples have width {samples.shape[-1] if samples.ndim == 2 else '?'}, "
             f"reference has {ref.n} leaves"
         )
-    if ref.leaves != tuple(range(1, ref.n + 1)):
-        raise DimensionMismatch("reference leaves must be labeled 1..n")
+    require_unit_labels(ref.leaves, "reference")
     report = empirical_correlations(samples, delta)
     reference_alpha = forest_correlations(ref)
     statistic = report.alpha_hat.max_abs_difference(reference_alpha)

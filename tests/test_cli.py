@@ -147,6 +147,22 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+def test_sample_rejects_leaves_not_1_to_n(tmp_path, capsys):
+    model = tmp_path / "gap.nwk"
+    model.write_text("((0:0.5,2:0.5):0.8,(3:0.5,4:0.5):1.0);\n")
+    samples = tmp_path / "draws.dat"
+    code, out, err = run_cli(
+        capsys, "sample", "--tree", str(model), "--m", "100", "--seed", "1",
+        "--out", str(samples),
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "DimensionMismatch", "message": "model leaves must be labeled 1..n",
+    }
+    assert out == ""
+    assert not samples.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn-known"])  # missing required flags

@@ -1,16 +1,20 @@
 """Closed form vs marginalization, sampling, exact TV, path removal."""
 
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latent_ising import (
     CorrelationVector,
     DimensionMismatch,
     EmptySample,
+    LatentIsingError,
     LeafDistribution,
     BadSpinValue,
     TooLarge,
@@ -118,6 +122,58 @@ class TestMarginalization:
         assert dist.probabilities.sum() == pytest.approx(1.0)
 
 
+_SPINS = ["+1", "-1", "1", "+01"]
+_TOKENS = _SPINS + ["2", "+300", "x", "#"]
+_SEPARATORS = [" ", "\t", "\r\n", "\n"]
+_HEADERS = st.builds("# n={} m={}".format, st.integers(0, 5), st.integers(0, 6))
+
+
+def _fuzz_pieces():
+    """Free text: tokens and headers, each followed by a separator."""
+    piece = st.one_of(st.sampled_from(_SPINS), st.sampled_from(_TOKENS + _SEPARATORS), _HEADERS)
+    return st.lists(st.tuples(piece, st.sampled_from(_SEPARATORS)), max_size=30).map(
+        lambda pairs: "".join(a + b for a, b in pairs)
+    )
+
+
+@st.composite
+def _fuzz_grid(draw):
+    """Mostly well-formed rows, so the accepting path is reached often."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    token = st.one_of(st.sampled_from(_SPINS), st.sampled_from(_TOKENS))
+    lines = [draw(_HEADERS)] if draw(st.booleans()) else []
+    for _ in range(m):
+        width = n if draw(st.integers(0, 9)) else draw(st.integers(1, 5))
+        cells = [draw(token) for _ in range(width)]
+        lines.append("".join(c + draw(st.sampled_from([" ", "\t", " \t"])) for c in cells))
+        if not draw(st.integers(0, 4)):
+            lines.append(draw(st.sampled_from(["", "# comment", "\t", draw(_HEADERS)])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def _reference_read(path):
+    """The per-token int() parse; None where the file must be rejected."""
+    rows, header = [], None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                header = header or re.fullmatch(r"#\s*n=(\d+)\s+m=(\d+)", line)
+                continue
+            try:
+                rows.append([int(tok) for tok in line.split()])
+            except ValueError:
+                return None
+    if not rows or len({len(row) for row in rows}) > 1:
+        return None
+    samples = np.array(rows)
+    if not np.all(np.isin(samples, (-1, 1))):
+        return None
+    if header and (int(header[1]), int(header[2])) != samples.shape[::-1]:
+        return None
+    return samples.astype(np.int8)
+
+
 class TestSampling:
     def test_unit_weights_freeze_rows(self):
         topo = caterpillar(5)
@@ -183,15 +239,66 @@ class TestSampling:
             ("+1 -1\n+1\n", DimensionMismatch),  # ragged rows
             ("+1 -1\n+1 x\n", BadSpinValue),  # non-integer token
             ("+1 -1\n+1 +300\n", BadSpinValue),  # outside int8
+            ("+1 -1\n+1 257\n", BadSpinValue),  # outside int8, 1 modulo 256
+            ("+1 -1\n+1 1.5\n", BadSpinValue),  # a float is not an integer token
+            ("+1 -1\n+1 1.0\n", BadSpinValue),  # nor is an integral float
             ("# n=3 m=2\n+1 -1\n-1 +1\n", DimensionMismatch),  # header disagrees
+            ("+1 -1 # note\n-1 +1\n", BadSpinValue),  # '#' only starts a comment line
+            (b"+1 -1\n\xff\xfe\n", BadSpinValue),  # not UTF-8
         ],
-        ids=["ragged", "token", "overflow", "header"],
+        ids=[
+            "ragged", "token", "overflow", "wraps-to-one", "float", "integral-float",
+            "header", "inline-comment", "undecodable",
+        ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, error):
         path = tmp_path / "draws.dat"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(error):
             read_samples(path)
+
+    def test_loose_layout_accepted(self, tmp_path):
+        path = tmp_path / "draws.dat"
+        path.write_bytes(b"# n=3 m=2\r\n+1\t-1 +1\r\n\r\n  # between rows\r\n\t-1 -1\t+01 \r\n\n")
+        assert np.array_equal(read_samples(path), [[1, -1, 1], [-1, -1, 1]])
+
+    @pytest.mark.parametrize("text", ["", "# n=3 m=0\n"], ids=["empty", "header-only"])
+    def test_empty_file_is_quiet(self, tmp_path, text):
+        path = tmp_path / "draws.dat"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySample):
+                read_samples(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.int8, st.tuples(st.integers(1, 60), st.integers(1, 20)),
+                  elements=st.sampled_from([-1, 1])))
+    @example(np.ones((1, 1), dtype=np.int8))
+    @example(-np.ones((60, 1), dtype=np.int8))
+    @example(np.ones((1, 20), dtype=np.int8))
+    def test_codec_round_trip(self, tmp_path_factory, draws):
+        path = tmp_path_factory.mktemp("codec") / "draws.dat"
+        write_samples(path, draws)
+        m, n = draws.shape
+        rows = (" ".join("+1" if s > 0 else "-1" for s in row) + "\n" for row in draws)
+        assert path.read_text() == f"# n={n} m={m}\n" + "".join(rows)
+        back = read_samples(path)
+        assert back.dtype == np.int8 and back.shape == (m, n)
+        assert np.array_equal(back, draws)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_fuzz_pieces(), _fuzz_grid()))
+    def test_codec_matches_token_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("codec") / "draws.dat"
+        path.write_bytes(text.encode())
+        expected = _reference_read(path)
+        if expected is None:
+            with pytest.raises(LatentIsingError):
+                read_samples(path)
+        else:
+            got = read_samples(path)
+            assert got.dtype == np.int8 and np.array_equal(got, expected)
 
 
 class TestExactTv:
