@@ -12,6 +12,7 @@ Exit status: 0 on success, 1 on domain and file errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -264,7 +265,9 @@ def _cmd_bench(args) -> Dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="latent-ising",
         description="workbench for tree Ising models observed at their leaves",
@@ -278,51 +281,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sample", help="draw leaf samples from a model")
     p.add_argument("--tree", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("estimate", help="estimate pairwise correlations")
     p.add_argument("--samples", required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("learn-known", help="fit weights on a known topology")
     p.add_argument("--tree", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_learn_known)
 
     p = sub.add_parser("learn-unknown", help="learn topology and weights")
     p.add_argument("--samples", required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_learn_unknown)
 
     p = sub.add_parser("test-identity", help="test samples against a reference model")
     p.add_argument("--samples", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
-    p.set_defaults(func=_cmd_test_identity)
 
     p = sub.add_parser("eval-tv", help="exact total variation of two models")
     p.add_argument("model_a")
     p.add_argument("model_b")
-    p.set_defaults(func=_cmd_eval_tv)
 
     p = sub.add_parser("interpolate", help="topology interpolation trace")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("bench", help="sweep sample counts, reporting TV vs m")
     p.add_argument("--tree", required=True)
@@ -332,16 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so that a handler
+    # replaced after the first call (a test double, a tracing wrapper) runs
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.func(args)
+        report = handler(args)
     except (LatentIsingError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -33,6 +33,7 @@ from .errors import (
     UnknownLeaf,
     UnknownPair,
 )
+from .estimation import _all_spins
 from .forest import WeightedForest
 from .trees import (
     CorrelationVector,
@@ -48,6 +49,9 @@ from .trees import (
 
 #: the one cap on dense enumeration: closed form, marginalization and TV
 MAX_EXACT_LEAVES = 14
+
+#: rows ``sample`` draws per block; its uniform buffer is this many rows of nodes
+_BLOCK_ROWS = 4096
 
 Model = Union[WeightedTree, WeightedForest, Tuple[TreeTopology, CorrelationVector]]
 
@@ -71,7 +75,7 @@ def _check_config(n: int, x: Sequence[int]) -> np.ndarray:
     arr = np.asarray(x)
     if arr.shape != (n,):
         raise DimensionMismatch(f"configuration has length {arr.shape}, tree has {n} leaves")
-    if not np.all(np.isin(arr, (-1, 1))):
+    if not _all_spins(arr):
         raise DimensionMismatch("spins must be -1 or +1")
     return arr.astype(np.int8)
 
@@ -251,8 +255,12 @@ def sample(model: Model, m: int, seed: int) -> np.ndarray:
 
     The root spin is uniform and each spin copies its neighbor with
     probability (1 + theta)/2.  Randomness comes from a counter-based
-    generator keyed by ``seed``, with each row reading a fixed slice of the
-    stream, so output is reproducible and row-parallelizable.
+    generator keyed by ``seed``.  Components consume the stream one after
+    another, each for all ``m`` rows; within a component the stream is read
+    row-major, one uniform per node per row in root-first order, so output is
+    reproducible and does not depend on how the rows are split into blocks.
+    Rows are drawn ``_BLOCK_ROWS`` at a time into one reused buffer, so
+    working memory is O(block x nodes) beside the ``int8`` output.
     """
     if m < 1:
         raise EmptySample(f"need at least one sample, got {m}")
@@ -262,25 +270,33 @@ def sample(model: Model, m: int, seed: int) -> np.ndarray:
     components = (
         model.components if isinstance(model, WeightedForest) else (model,)
     )
+    labels = sorted(leaf for tree in components for leaf in tree.topology.leaves)
+    column = {leaf: k for k, leaf in enumerate(labels)}
+    out = np.empty((m, len(labels)), dtype=np.int8)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    columns: Dict[int, np.ndarray] = {}
     for tree in components:
         topology = tree.topology
         root = topology.leaves[0]
         order, parent = _postorder(topology, root)
         order = order[::-1]  # root first
-        uniform = rng.random((m, len(order)))
-        spins: Dict[int, np.ndarray] = {
-            root: np.where(uniform[:, 0] < 0.5, 1, -1).astype(np.int8)
-        }
-        for k, v in enumerate(order[1:], start=1):
-            th = tree.weight(parent[v], v)
-            agree = uniform[:, k] < (1.0 + th) / 2.0
-            spins[v] = np.where(agree, spins[parent[v]], -spins[parent[v]]).astype(np.int8)
-        for leaf in topology.leaves:
-            columns[leaf] = spins[leaf]
-    labels = sorted(columns)
-    return np.column_stack([columns[leaf] for leaf in labels])
+        row = {v: k for k, v in enumerate(order)}
+        parents = [(k, row[parent[v]]) for k, v in enumerate(order[1:], start=1)]
+        # a node flips against its parent (the root against +1) when u >= threshold
+        threshold = np.array(
+            [0.5] + [(1.0 + tree.weight(parent[v], v)) / 2.0 for v in order[1:]]
+        )[:, None]
+        leaf_rows = [row[leaf] for leaf in topology.leaves]
+        leaf_cols = [column[leaf] for leaf in topology.leaves]
+        uniform = np.empty((min(m, _BLOCK_ROWS), len(order)))
+        flips = np.empty(uniform.shape[::-1], dtype=bool)  # node-major
+        for start in range(0, m, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, m - start)
+            u = rng.random(out=uniform[:rows])
+            flip = np.greater_equal(u.T, threshold, out=flips[:, :rows])
+            for k, p in parents:
+                flip[k] ^= flip[p]
+            out[start:start + rows, leaf_cols] = (1 - 2 * flip[leaf_rows].view(np.int8)).T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +344,7 @@ def read_samples(path) -> np.ndarray:
         if len({len(row.split()) for row in rows}) > 1:
             raise DimensionMismatch(f"sample rows in {path} differ in length") from None
         raise BadSpinValue("sample file contains entries outside {-1, +1}") from None
-    if not np.all(np.isin(samples, (-1, 1))):
+    if not _all_spins(samples):
         raise BadSpinValue("sample file contains entries outside {-1, +1}")
     if header and (int(header["n"]), int(header["m"])) != (samples.shape[1], samples.shape[0]):
         raise DimensionMismatch(

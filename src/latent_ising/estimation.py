@@ -34,6 +34,13 @@ def confidence_radius(n: int, delta: float, m: int) -> float:
     return math.sqrt(2.0 * math.log(n * n / delta) / m)
 
 
+def _all_spins(x: np.ndarray) -> bool:
+    """True when every entry of ``x`` is -1 or +1, as ``np.isin(x, (-1, 1))`` says."""
+    if x.dtype.kind in "biuf":  # real numbers; abs(int8 -128) wraps to -128 and fails
+        return bool(np.all(np.abs(x) == 1))
+    return bool(np.all(np.isin(x, (-1, 1))))  # complex (|1j| is 1), object, text
+
+
 def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationReport:
     """Mean-of-products estimate for every leaf pair.
 
@@ -43,7 +50,7 @@ def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationRepor
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise EmptySample(f"sample matrix must be (m, n) with m >= 1, got {samples.shape}")
-    if not np.all(np.isin(samples, (-1, 1))):
+    if not _all_spins(samples):
         raise BadSpinValue("sample entries must be -1 or +1")
     m, n = samples.shape
     eta = confidence_radius(n, delta, m)

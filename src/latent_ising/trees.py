@@ -156,7 +156,7 @@ class WeightedTree:
         if len(normalized) != len(topology.edges):
             raise MalformedTree("weight map mentions edges not in the tree")
         for e, w in normalized.items():
-            if abs(w) > 1.0 + 1e-12:
+            if not abs(w) <= 1.0 + 1e-12:  # NaN fails this too
                 raise MalformedTree(f"weight {w} on edge {e} outside [-1, 1]")
         self.theta: Dict[Edge, float] = {
             e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from latent_ising import (
     TreeTopology,
@@ -18,6 +19,10 @@ from latent_ising import (
     random_topology,
     topologies_equal,
 )
+
+
+#: edge weights for property tests: anywhere in [-1, 1], often exactly 0 or +-1
+EDGE_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -1,6 +1,10 @@
 """CLI workbench: subcommands, exit codes, reproducible reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,44 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn-known"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    steps = [
+        ["gen", "--n", "15", "--seed", "1", "--out", "big.nwk"],
+        ["eval-tv", "big.nwk", "big.nwk"],  # TooLarge: exit 1
+        ["learn-known"],  # missing required flags: exit 2
+        ["gen", "--n", "5", "--seed", "2", "--out", "a.nwk"],
+        ["eval-tv", "a.nwk", "a.nwk"],
+        ["eval-tv", "a.nwk", "--bogus"],  # unknown flag: exit 2
+        ["eval-tv", "a.nwk", "missing.nwk"],  # FileNotFoundError: exit 1
+        ["gen", "--n", "5", "--seed", "2", "--out", "a.nwk"],
+    ]
+    fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
+    fresh_dir.mkdir()
+    here_dir.mkdir()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    fresh = []
+    for argv in steps:
+        done = subprocess.run(
+            [sys.executable, "-m", "latent_ising.cli", *argv], cwd=fresh_dir, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    monkeypatch.chdir(here_dir)
+    here = []
+    for argv in steps:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        here.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in here] == [0, 1, 2, 0, 0, 2, 1, 0]
+    assert here == fresh
+    for name in ("big.nwk", "a.nwk"):
+        assert (here_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
 
 
 def test_reports_byte_identical(tmp_path, capsys, model_file):

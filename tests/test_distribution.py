@@ -1,5 +1,6 @@
 """Closed form vs marginalization, sampling, exact TV, path removal."""
 
+import hashlib
 import itertools
 import re
 import warnings
@@ -29,15 +30,17 @@ from latent_ising import (
     marginalize_prob,
     normalize,
     path_removed,
+    random_topology,
     random_weighted_tree,
     read_samples,
     sample,
     write_samples,
 )
-from latent_ising.distribution import _parity, config_index
+from latent_ising.distribution import _BLOCK_ROWS, _parity, config_index
 from latent_ising.estimation import confidence_radius, empirical_correlations
+from latent_ising.trees import _postorder
 
-from conftest import caterpillar, four_leaf_example, philox, random_model
+from conftest import EDGE_WEIGHTS, caterpillar, four_leaf_example, philox, random_model
 
 
 def brute_force_prob(tree: WeightedTree, x) -> float:
@@ -174,6 +177,47 @@ def _reference_read(path):
     return samples.astype(np.int8)
 
 
+def _reference_sample(model, m: int, seed: int) -> np.ndarray:
+    """The whole-matrix sampler: one (m, nodes) uniform draw and a per-node pass."""
+    components = model.components if isinstance(model, WeightedForest) else (model,)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    columns = {}
+    for tree in components:
+        topology = tree.topology
+        root = topology.leaves[0]
+        order, parent = _postorder(topology, root)
+        order = order[::-1]  # root first
+        uniform = rng.random((m, len(order)))
+        spins = {root: np.where(uniform[:, 0] < 0.5, 1, -1).astype(np.int8)}
+        for k, v in enumerate(order[1:], start=1):
+            th = tree.weight(parent[v], v)
+            agree = uniform[:, k] < (1.0 + th) / 2.0
+            spins[v] = np.where(agree, spins[parent[v]], -spins[parent[v]]).astype(np.int8)
+        for leaf in topology.leaves:
+            columns[leaf] = spins[leaf]
+    return np.column_stack([columns[leaf] for leaf in sorted(columns)])
+
+
+@st.composite
+def _sampler_models(draw):
+    """A tree, or a forest of two or three trees with interleaved leaf labels."""
+    n = draw(st.integers(1, 12))
+    parts = draw(st.integers(1, min(3, n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=parts - 1,
+                                max_size=parts - 1, unique=True))) if parts > 1 else []
+    labels = draw(st.permutations(range(1, n + 1)))
+    trees = []
+    for c, (lo, hi) in enumerate(zip([0] + cuts, cuts + [n])):
+        topo = random_topology(hi - lo, philox(draw(st.integers(0, 2 ** 32))))
+        leaves = sorted(labels[lo:hi])
+        rename = dict(zip(topo.leaves, leaves))
+        node = lambda v: rename.get(v, 100 * (c + 1) + v)  # internal ids never meet labels
+        edges = [(node(u), node(v)) for u, v in topo.edges]
+        weights = draw(st.lists(EDGE_WEIGHTS, min_size=len(edges), max_size=len(edges)))
+        trees.append(WeightedTree(TreeTopology(leaves, edges), dict(zip(edges, weights))))
+    return trees[0] if parts == 1 else WeightedForest(trees)
+
+
 class TestSampling:
     def test_unit_weights_freeze_rows(self):
         topo = caterpillar(5)
@@ -223,6 +267,30 @@ class TestSampling:
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptySample):
             sample(four_leaf_example(), 0, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _sampler_models(),
+        st.one_of(
+            st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]),
+            st.integers(1, 3 * _BLOCK_ROWS),
+        ),
+        st.integers(0, 2 ** 32),
+    )
+    def test_blocked_stream_matches_whole_matrix_sampler(self, model, m, seed):
+        got = sample(model, m, seed)
+        expected = _reference_sample(model, m, seed)
+        assert got.dtype == expected.dtype == np.int8
+        assert got.shape == expected.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+
+    def test_stream_is_pinned(self):
+        draws = sample(four_leaf_example(), 10_000, 12345)
+        assert draws.dtype == np.int8 and draws.flags.c_contiguous
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "c95653699a7242dc5401aff8b88f6ac9b938e2dfe33ab97aada9ea1ed07f9438"
+        )
 
     def test_file_round_trip(self, tmp_path):
         wt = random_model(5, philox(10))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
 from latent_ising import (
     BadParameter,
@@ -18,8 +21,26 @@ from latent_ising import (
     sample,
     samples_for_radius,
 )
+from latent_ising.estimation import _all_spins
 
 from conftest import philox, random_model
+
+
+def _isin_spins(x: np.ndarray) -> bool:
+    """The reference membership test that ``_all_spins`` must agree with."""
+    return bool(np.all(np.isin(x, (-1, 1))))
+
+
+@st.composite
+def _spin_like_arrays(draw):
+    """Arrays of +-1 (in the dtype's range) with a few arbitrary entries mixed in."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int64", "uint8", "float64", "bool"])))
+    spins = [v for v in (-1, 1) if np.can_cast(np.min_scalar_type(v), dtype)] or [True]
+    shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6))
+    x = draw(arrays(dtype, shape, elements=st.sampled_from(spins)))
+    for _ in range(draw(st.integers(0, 2)) if x.size else 0):
+        x.flat[draw(st.integers(0, x.size - 1))] = draw(from_dtype(dtype))
+    return x
 
 
 class TestEmpiricalCorrelations:
@@ -42,6 +63,24 @@ class TestEmpiricalCorrelations:
             empirical_correlations(np.zeros((0, 4)), 0.1)
         with pytest.raises(BadSpinValue):
             empirical_correlations(np.array([[1, 2]]), 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spin_like_arrays())
+    @example(np.array([-128, 1], dtype=np.int8))
+    @example(np.array([255, 1], dtype=np.uint8))
+    @example(np.array([True, False]))
+    @example(np.array([True, True]))
+    @example(np.array([1, 0, -1], dtype=np.int64))
+    @example(np.array([1.0, np.nan]))
+    @example(np.array([-np.inf, 1.0]))
+    @example(np.array([1j, 1]))  # |1j| is 1, yet 1j is no spin
+    @example(np.array([-1 + 0j, 1]))
+    @example(np.array([1, -1], dtype=object))
+    @example(np.array([1, "a"], dtype=object))
+    @example(np.array(["1", "-1"]))
+    @example(np.array([1, -1], dtype="timedelta64[s]"))
+    def test_spin_predicate_matches_isin(self, x):
+        assert _all_spins(x) == _isin_spins(x)
 
     def test_report_json_round_trip(self):
         draws = sample(random_model(5, philox(3)), 500, 1)

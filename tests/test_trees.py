@@ -70,6 +70,11 @@ class TestValidation:
         with pytest.raises(MalformedTree):
             WeightedTree(topo, {(1, 2): 1.5})
 
+    def test_nan_weight_rejected(self):
+        topo = TreeTopology([1, 2], [(1, 2)])
+        with pytest.raises(MalformedTree):
+            WeightedTree(topo, {(1, 2): float("nan")})
+
     def test_missing_weight_rejected(self):
         topo = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
         with pytest.raises(MalformedTree):
