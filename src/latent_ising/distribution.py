@@ -34,7 +34,7 @@ from .errors import (
     UnknownPair,
 )
 from .estimation import _all_spins
-from .forest import WeightedForest
+from .forest import WeightedForest, as_forest
 from .trees import (
     CorrelationVector,
     TreeTopology,
@@ -250,7 +250,7 @@ def marginal_distribution(tree: WeightedTree) -> np.ndarray:
 # sampling
 
 
-def sample(model: Model, m: int, seed: int) -> np.ndarray:
+def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.ndarray:
     """Draw ``m`` i.i.d. leaf configurations as an (m, n) matrix of +-1 spins.
 
     The root spin is uniform and each spin copies its neighbor with
@@ -267,9 +267,7 @@ def sample(model: Model, m: int, seed: int) -> np.ndarray:
     seed = int(seed)
     if seed < 0:
         raise BadParameter("seed must be non-negative")
-    components = (
-        model.components if isinstance(model, WeightedForest) else (model,)
-    )
+    components = as_forest(model).components
     labels = sorted(leaf for tree in components for leaf in tree.topology.leaves)
     column = {leaf: k for k, leaf in enumerate(labels)}
     out = np.empty((m, len(labels)), dtype=np.int8)
@@ -379,7 +377,7 @@ def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
             cols = [pos[leaf] for leaf in comp_labels]
             table = table * comp_table[bits[:, cols] @ (1 << np.arange(len(cols)))]
         return labels, table
-    raise TypeError(f"cannot evaluate {type(model).__name__} as a leaf distribution")
+    raise BadParameter(f"cannot evaluate {type(model).__name__} as a leaf distribution")
 
 
 def exact_tv(a: Model, b: Model) -> float:
@@ -405,7 +403,7 @@ def _model_labels(model: Model) -> Tuple[int, ...]:
         return model.topology.leaves
     if isinstance(model, WeightedForest):
         return model.leaves
-    raise TypeError(f"cannot evaluate {type(model).__name__} as a leaf distribution")
+    raise BadParameter(f"cannot evaluate {type(model).__name__} as a leaf distribution")
 
 
 # ---------------------------------------------------------------------------

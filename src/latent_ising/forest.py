@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Tuple
 
-from .errors import LeafSetMismatch
+from .errors import BadParameter, LeafSetMismatch
 from .trees import CorrelationVector, WeightedTree, correlations, diameter
 
 
@@ -52,7 +52,7 @@ def as_forest(model) -> WeightedForest:
         return model
     if isinstance(model, WeightedTree):
         return WeightedForest([model])
-    raise TypeError(f"cannot interpret {type(model).__name__} as a forest")
+    raise BadParameter(f"cannot interpret {type(model).__name__} as a forest")
 
 
 def forest_correlations(forest: WeightedForest) -> CorrelationVector:

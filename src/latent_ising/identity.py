@@ -32,21 +32,19 @@ class TestVerdict:
         return self.decision == "accept"
 
 
-def required_samples(
-    n: int, diameter: int, eps: float, delta: float, constant: float = 1.0
-) -> int:
+def required_samples(n: int, diameter: int, eps: float, delta: float) -> int:
     """Sample count sufficient to separate equal from eps-far models.
 
-    Evaluates ceil(c * n^10 * D^2 * log(n/delta) / eps^2); astronomically
+    Evaluates ceil(n^10 * D^2 * log(n/delta) / eps^2); astronomically
     large for realistic sizes, which is the honest reading of the rate.
     """
-    if n < 2 or diameter < 1 or constant <= 0:
-        raise BadParameter("need n >= 2, diameter >= 1, constant > 0")
+    if n < 2 or diameter < 1:
+        raise BadParameter("need n >= 2 and diameter >= 1")
     if not 0.0 < eps <= 1.0:
         raise BadParameter(f"eps must be in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
-    count = constant * n ** 10 * diameter ** 2 * math.log(n / delta) / eps ** 2
+    count = n ** 10 * diameter ** 2 * math.log(n / delta) / eps ** 2
     return int(math.ceil(count))
 
 
@@ -55,7 +53,6 @@ def test_identity(
     reference,
     eps: float,
     delta: float,
-    tv_constant: float = DEFAULT_TV_CONSTANT,
 ) -> TestVerdict:
     """Accept when every pairwise deviation stays under the threshold.
 
@@ -78,6 +75,6 @@ def test_identity(
     reference_alpha = forest_correlations(ref)
     statistic = report.alpha_hat.max_abs_difference(reference_alpha)
     d = max(1, forest_diameter(ref))
-    threshold = report.eta + eps / (tv_constant * ref.n ** 5 * d)
+    threshold = report.eta + eps / (DEFAULT_TV_CONSTANT * ref.n ** 5 * d)
     decision = "reject" if statistic > threshold else "accept"
     return TestVerdict(decision=decision, statistic=statistic, threshold=threshold)

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from .errors import MalformedTree
 from .forest import WeightedForest
-from .trees import TreeTopology, WeightedTree, _contract_degree_two, edge_key
+from .trees import TreeTopology, WeightedTree, _rebuild, edge_key
 
 
 def serialize_tree(tree: WeightedTree) -> str:
@@ -25,10 +25,9 @@ def serialize_tree(tree: WeightedTree) -> str:
     leaves = topology.leaves
     if len(leaves) == 1:
         return f"{leaves[0]};"
-    if len(leaves) == 2:
-        theta = tree.weight(leaves[0], leaves[1])
-        return f"({leaves[0]}:{theta!r},{leaves[1]}:1.0);"
-    root = next(v for v in topology.neighbors(leaves[0]))
+    root = topology.neighbors(leaves[0])[0]
+    if topology.is_leaf(root):  # a single edge; longer chains render generically
+        return f"({leaves[0]}:{tree.weight(leaves[0], root)!r},{root}:1.0);"
 
     def min_leaf(v: int, parent: int) -> int:
         if topology.is_leaf(v):
@@ -111,9 +110,8 @@ def parse_tree(text: str) -> WeightedTree:
         b = mapping.get(v, v)
         topo_edges.append(edge_key(a, b))
         theta[edge_key(a, b)] = w
-    topology = TreeTopology(leaves, topo_edges)
-    contracted, new_theta = _contract_degree_two(topology, theta)
-    return WeightedTree(contracted, new_theta)
+    raw = TreeTopology(leaves, topo_edges)  # the parsed graph is outside input
+    return WeightedTree(*_rebuild(raw.leaves, raw.edges, theta))
 
 
 class _Parser:

@@ -20,9 +20,8 @@ from .errors import BadParameter
 from .trees import (
     CorrelationVector,
     TreeTopology,
-    binary,
+    _rebuild,
     component_leaves,
-    contract_edge,
     edge_key,
 )
 
@@ -127,8 +126,7 @@ def _build_component(strength: CorrelationVector, members: Sequence[int]) -> Tre
         adj[t] = [p, q, leaf]
         adj[leaf] = [t]
     edges = {edge_key(u, v) for u, ns in adj.items() for v in ns}
-    raw = TreeTopology(members, edges)
-    return binary(raw)  # renumbers internals canonically
+    return _rebuild(members, edges)[0]  # renumbers internals canonically
 
 
 def _attachment_edge(
@@ -187,15 +185,13 @@ def _contract_high_implied(
         ratio = _implied_weight_ratio(topology, strength, u, v)
         if ratio is not None and ratio > 1.0 - xi:
             flagged.append((u, v))
-    current = topology
+    # each cluster of flagged edges merges into its smallest node id
     rename = {v: v for v in topology.nodes}
     for u, v in flagged:
         a, b = edge_key(rename[u], rename[v])
-        current = contract_edge(current, (a, b))
-        for key, val in rename.items():
-            if val == b:
-                rename[key] = a
-    return binary(current)
+        rename = {key: a if val == b else val for key, val in rename.items()}
+    edges = {edge_key(rename[u], rename[v]) for u, v in topology.edges if rename[u] != rename[v]}
+    return _rebuild(topology.leaves, edges)[0]
 
 
 def _implied_weight_ratio(

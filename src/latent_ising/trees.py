@@ -8,7 +8,9 @@ surgery, induced subtrees, and the edge-disjoint pair matching.  The
 matching is computed once, batched over leaf subsets, and is the one the
 closed-form leaf distribution multiplies correlations along.  Batched path
 questions (which edges a pair's path uses, whether two topologies agree)
-are answered from one table of edge bipartitions, ``_edge_splits``.
+are answered from one table of edge bipartitions, ``_edge_splits``.  Every
+surgery ends in the one constructor ``_rebuild``, which splices out
+degree-2 nodes, renumbers internal nodes canonically and validates once.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -343,71 +345,54 @@ def _path_incidence(topology: TreeTopology) -> np.ndarray:
 # normalization
 
 
-def _renumber(leaves: Sequence[int], edges: Iterable[Edge]) -> List[Tuple[Edge, Edge]]:
-    """Map internal node ids to max(leaf)+1.. in BFS order from the smallest leaf.
+def _rebuild(
+    leaves: Iterable[int], edges: Iterable[Edge], theta: Optional[Mapping[Edge, float]] = None
+) -> Tuple[TreeTopology, Dict[Edge, float]]:
+    """Bring a tree's edge list to canonical form and build it once.
 
-    Returns (old_edge, new_edge) pairs so weight maps can follow along.
+    Every degree-2 internal node is spliced out (the two weights multiply;
+    ``theta`` defaults to 1 on every edge), internal nodes are renumbered
+    ``max(leaf)+1..`` in BFS order from the smallest leaf over sorted
+    neighbours, and the result is validated.  Returns the topology and its
+    weights keyed by the renumbered edges.
     """
-    leaves = sorted(leaves)
-    adjacency: Dict[int, List[int]] = {}
+    leaves = sorted(set(leaves))
+    edges = sorted(edge_key(u, v) for u, v in edges)
+    weights = dict(theta) if theta is not None else dict.fromkeys(edges, 1.0)
+    adjacency: Dict[int, List[int]] = {v: [] for v in leaves}
     for u, v in edges:
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
+    leaf_set = set(leaves)
+    # a splice leaves every other degree alone, so one ascending pass finds all
+    for v in sorted(adjacency):
+        if v in leaf_set or len(adjacency[v]) != 2:
+            continue
+        a, b = adjacency.pop(v)
+        adjacency[a].remove(v)
+        adjacency[b].remove(v)
+        if b in adjacency[a]:
+            raise MalformedTree("contraction produced a parallel edge")
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+        weights[edge_key(a, b)] = weights.pop(edge_key(a, v)) * weights.pop(edge_key(v, b))
+    order = [leaves[0]]
+    seen = {leaves[0]}
+    for v in order:  # BFS over a growing list
+        for w in sorted(adjacency[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
     mapping = {leaf: leaf for leaf in leaves}
-    if adjacency:
-        nxt = leaves[-1] + 1
-        leaf_set = set(leaves)
-        seen = {leaves[0]}
-        queue = deque([leaves[0]])
-        while queue:
-            v = queue.popleft()
-            if v not in leaf_set and v not in mapping:
-                mapping[v] = nxt
-                nxt += 1
-            for w in sorted(adjacency[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return [
-        (edge_key(u, v), edge_key(mapping[u], mapping[v])) for u, v in edges
-    ]
+    internal = [v for v in order if v not in leaf_set]
+    mapping.update(zip(internal, itertools.count(leaves[-1] + 1)))
+    new_weights = {edge_key(mapping[u], mapping[v]): w for (u, v), w in weights.items()}
+    return TreeTopology(leaves, new_weights.keys()), new_weights
 
 
 def binary(topology: TreeTopology) -> TreeTopology:
     """Contract every maximal chain of degree-2 internal nodes to one edge."""
-    contracted, _ = _contract_degree_two(topology, None)
-    return contracted
-
-
-def _contract_degree_two(
-    topology: TreeTopology, theta: Optional[Mapping[Edge, float]]
-) -> Tuple[TreeTopology, Dict[Edge, float]]:
-    adjacency = {v: list(ns) for v, ns in topology._adjacency.items()}
-    weights = dict(theta) if theta is not None else {e: 1.0 for e in topology.edges}
-    leaf_set = set(topology.leaves)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adjacency):
-            if v in leaf_set or len(adjacency[v]) != 2:
-                continue
-            a, b = adjacency[v]
-            w = weights.pop(edge_key(a, v)) * weights.pop(edge_key(v, b))
-            del adjacency[v]
-            adjacency[a].remove(v)
-            adjacency[b].remove(v)
-            if b in adjacency[a]:
-                raise MalformedTree("contraction produced a parallel edge")
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-            weights[edge_key(a, b)] = w
-            changed = True
-            break
-    edges = {edge_key(u, v) for u, ns in adjacency.items() for v in ns}
-    relabel = dict(_renumber(sorted(leaf_set), edges))
-    new_topology = TreeTopology(leaf_set, relabel.values())
-    new_weights = {relabel[e]: weights[e] for e in edges}
-    return new_topology, new_weights
+    return _rebuild(topology.leaves, topology.edges)[0]
 
 
 def normalize(tree: WeightedTree) -> WeightedTree:
@@ -419,38 +404,30 @@ def normalize(tree: WeightedTree) -> WeightedTree:
     """
     if tree.topology.leaf_count < 2:
         raise MalformedTree("normalization needs at least two leaves")
-    topology, weights = _contract_degree_two(tree.topology, tree.theta)
-
+    topology, weights = _rebuild(tree.leaves, tree.topology.edges, tree.theta)
     adjacency = {v: list(ns) for v, ns in topology._adjacency.items()}
-    leaf_set = set(topology.leaves)
-    next_id = max(adjacency) + 1 if adjacency else topology.leaves[-1] + 1
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adjacency):
-            if v in leaf_set or len(adjacency[v]) <= 3:
-                continue
-            moved = sorted(adjacency[v])[2:]
-            w = next_id
-            next_id += 1
-            adjacency[w] = []
-            for u in moved:
-                adjacency[v].remove(u)
-                adjacency[u].remove(v)
-                adjacency[u].append(w)
-                adjacency[w].append(u)
-                weights[edge_key(u, w)] = weights.pop(edge_key(u, v))
-            adjacency[v].append(w)
-            adjacency[w].append(v)
-            weights[edge_key(v, w)] = 1.0
-            changed = True
-            break
-    edges = {edge_key(u, v) for u, ns in adjacency.items() for v in ns}
-    relabel = dict(_renumber(sorted(leaf_set), edges))
-    new_topology = TreeTopology(leaf_set, relabel.values())
+    # a split changes only the degrees of the node and of its new node, whose
+    # id tops every other, so one pass over the growing id list splits them all
+    ids = sorted(adjacency)
+    for v in ids:
+        if topology.is_leaf(v) or len(adjacency[v]) <= 3:
+            continue
+        w = ids[-1] + 1
+        ids.append(w)
+        adjacency[w] = []
+        for u in sorted(adjacency[v])[2:]:
+            adjacency[v].remove(u)
+            adjacency[u].remove(v)
+            adjacency[u].append(w)
+            adjacency[w].append(u)
+            weights[edge_key(u, w)] = weights.pop(edge_key(u, v))
+        adjacency[v].append(w)
+        adjacency[w].append(v)
+        weights[edge_key(v, w)] = 1.0
+    new_topology, new_weights = _rebuild(topology.leaves, weights.keys(), weights)
     if not new_topology.is_binary():
         raise MalformedTree("normalization failed to reach internal degree 3")
-    return WeightedTree(new_topology, {relabel[e]: weights[e] for e in edges})
+    return WeightedTree(new_topology, new_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +609,8 @@ def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopol
 
     The edges (u, v) and target = (r, s) are deleted, a fresh node ``t`` is
     added with edges to u, r and s, and degree-2 leftovers are contracted.
-    The target edge must lie in v's component once (u, v) is removed.
+    The target edge must lie in v's component once (u, v) is removed, and
+    ``v`` must not be a degree-2 node, which the cut would leave dangling.
     """
     if not topology.has_edge(u, v):
         raise InvalidCut(f"({u}, {v}) is not an edge")
@@ -642,13 +620,14 @@ def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopol
     v_side = component_nodes(topology, v, [(u, v)])
     if r not in v_side or s not in v_side:
         raise InvalidCut(f"target ({r}, {s}) lies in the component being moved")
+    if topology.degree(v) == 2:
+        raise InvalidCut(f"cutting ({u}, {v}) leaves node {v} dangling")
     t = max(topology.nodes) + 1
     edges = set(topology.edges)
     edges.discard(edge_key(u, v))
     edges.discard(edge_key(r, s))
     edges.update({edge_key(t, u), edge_key(t, r), edge_key(t, s)})
-    glued = TreeTopology(topology.leaves, edges)
-    return binary(glued)
+    return _rebuild(topology.leaves, edges)[0]
 
 
 def induced_subtree(topology: TreeTopology, subset: Iterable[int]) -> TreeTopology:
@@ -672,8 +651,7 @@ def induced_subtree(topology: TreeTopology, subset: Iterable[int]) -> TreeTopolo
             if len(adjacency[w]) <= 1 and w not in member_set:
                 fringe.append(w)
     edges = {edge_key(a, b) for a, ns in adjacency.items() for b in ns}
-    pruned = TreeTopology(members, edges)
-    return binary(pruned)
+    return _rebuild(members, edges)[0]
 
 
 def contract_edge(tree, edge: Edge):
@@ -730,8 +708,7 @@ def random_topology(n: int, rng: np.random.Generator) -> TreeTopology:
         edges.remove(edge_key(a, b))
         edges.extend([edge_key(a, t), edge_key(b, t), edge_key(leaf, t)])
         edges.sort()
-    relabel = dict(_renumber(range(1, n + 1), edges))
-    return TreeTopology(range(1, n + 1), relabel.values())
+    return _rebuild(range(1, n + 1), edges)[0]
 
 
 def random_weighted_tree(

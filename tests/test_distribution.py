@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latent_ising import (
+    BadParameter,
     CorrelationVector,
     DimensionMismatch,
     EmptySample,
@@ -22,6 +23,7 @@ from latent_ising import (
     TreeTopology,
     WeightedForest,
     WeightedTree,
+    as_forest,
     closed_form_distribution,
     closed_form_prob,
     correlations,
@@ -457,3 +459,18 @@ class TestPathRemoved:
 def test_config_index_orders_by_sorted_leaf():
     topo = TreeTopology([2, 5, 9], [(2, 10), (5, 10), (9, 10)])
     assert config_index(topo, (1, -1, 1)) == 0b101
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda wt: sample((wt.topology, correlations(wt)), 10, 1),
+        lambda wt: exact_tv(wt, 3),
+        lambda wt: LeafDistribution.from_model(3),
+        lambda wt: as_forest((wt.topology, correlations(wt))),
+    ],
+    ids=["sample", "exact_tv", "model_table", "as_forest"],
+)
+def test_unsupported_model_is_a_domain_error(call):
+    with pytest.raises(BadParameter):
+        call(four_leaf_example())

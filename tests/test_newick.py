@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from latent_ising import (
     MalformedTree,
+    TreeTopology,
+    WeightedTree,
     WeightedForest,
     correlations,
     normalize,
@@ -54,6 +56,16 @@ def test_two_leaf_and_singleton():
     single = parse_tree("7;")
     assert single.topology.leaves == (7,)
     assert serialize_tree(single) == "7;"
+
+
+def test_two_leaf_chain_round_trips():
+    # the leaves meet through degree-2 nodes, not through one edge
+    for edges in ([(1, 3), (2, 3)], [(1, 3), (3, 4), (4, 5), (2, 5)]):
+        weights = dict(zip(edges, [0.5, -0.5, 0.25, 0.5]))
+        chain = WeightedTree(TreeTopology([1, 2], edges), weights)
+        again = parse_tree(serialize_tree(chain))
+        assert again.topology.edges == ((1, 2),)
+        assert again.theta[(1, 2)] == correlations(chain).get(1, 2)
 
 
 def test_malformed_inputs():

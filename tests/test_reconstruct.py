@@ -12,11 +12,14 @@ from latent_ising import (
     TreeTopology,
     WeightedTree,
     binary,
+    contract_edge,
     correlations,
     fit_known,
+    random_topology,
     reconstruct_forest,
     topologies_equal,
 )
+from latent_ising.reconstruct import _contract_high_implied
 
 from conftest import caterpillar, check_contract, philox, random_model
 
@@ -53,6 +56,36 @@ class TestReconstruction:
         component = rec.components[0]
         assert not component.is_binary()  # the tie collapsed to a higher-degree node
         check_contract(rec, truth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_cluster_contraction_matches_edge_by_edge(self, seed):
+        # unit weights on 2-4 adjacent internal edges (a cluster of >= 3 nodes),
+        # plus up to two more anywhere: merging each cluster at once must equal
+        # contracting the edges one at a time, then removing degree-2 nodes
+        rng = philox(seed)
+        topo = random_topology(int(rng.integers(6, 13)), rng)
+        internal = [e for e in topo.edges if not (topo.is_leaf(e[0]) or topo.is_leaf(e[1]))]
+        flagged = {internal[int(rng.integers(len(internal)))]}
+        for _ in range(int(rng.integers(1, 4))):
+            touched = set(itertools.chain.from_iterable(flagged))
+            nearby = [e for e in internal if e not in flagged and touched.intersection(e)]
+            if nearby:
+                flagged.add(nearby[int(rng.integers(len(nearby)))])
+        assert len(flagged) >= 2
+        for _ in range(int(rng.integers(0, 3))):
+            flagged.add(internal[int(rng.integers(len(internal)))])
+        theta = {e: 1.0 if e in flagged else float(rng.uniform(0.3, 0.8)) for e in topo.edges}
+        strength = correlations(WeightedTree(topo, theta)).abs()
+
+        current, rename = topo, {v: v for v in topo.nodes}
+        for u, v in sorted(flagged):
+            a, b = sorted((rename[u], rename[v]))
+            current = contract_edge(current, (a, b))
+            rename = {key: a if val == b else val for key, val in rename.items()}
+        got = _contract_high_implied(topo, strength, 0.05)
+        assert len(got.edges) == len(topo.edges) - len(flagged)
+        assert got.edges == binary(current).edges
 
     def test_bad_parameters(self):
         alpha = correlations(random_model(4, philox(1)))

@@ -1,6 +1,7 @@
 """Topology representation, normalization, surgery, and quartet machinery."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from latent_ising import (
     topologies_equal,
 )
 from latent_ising.distribution import marginal_distribution
-from latent_ising.trees import TIE_TOLERANCE, _path_incidence, _quartet_products
+from latent_ising.trees import (
+    TIE_TOLERANCE,
+    _path_incidence,
+    _quartet_products,
+    component_nodes,
+    edge_key,
+)
 
 from conftest import caterpillar, four_leaf_example, philox, three_leaf_star
 
@@ -50,6 +57,172 @@ def reshaped(topo: TreeTopology, rng, contractions: int, subdivisions: int) -> T
         t = max(topo.nodes) + 1
         topo = TreeTopology(topo.leaves, [e for e in topo.edges if e != (u, v)] + [(u, t), (t, v)])
     return topo
+
+
+def chained_and_contracted(rng, n: int) -> TreeTopology:
+    """A random topology with internal edges contracted into nodes of degree
+    4-6, edges subdivided into chains of 1-3 degree-2 nodes, and internal ids
+    shuffled (with gaps) so id order and tree order disagree."""
+    topo = random_topology(n, rng)
+    for _ in range(int(rng.integers(0, 4))):
+        internal = [
+            (u, v)
+            for u, v in topo.edges
+            if not (topo.is_leaf(u) or topo.is_leaf(v)) and topo.degree(u) + topo.degree(v) <= 8
+        ]
+        if internal:
+            topo = contract_edge(topo, internal[int(rng.integers(len(internal)))])
+    for _ in range(int(rng.integers(0, 4))):
+        u, v = topo.edges[int(rng.integers(len(topo.edges)))]
+        start = max(topo.nodes) + 1
+        chain = [u, *range(start, start + int(rng.integers(1, 4))), v]
+        kept = [e for e in topo.edges if e != (u, v)]
+        topo = TreeTopology(topo.leaves, kept + list(zip(chain, chain[1:])))
+    internal = sorted(v for v in topo.nodes if not topo.is_leaf(v))
+    ids = n + 1 + 2 * rng.permutation(len(internal))
+    rename = {**{leaf: leaf for leaf in topo.leaves}, **dict(zip(internal, ids.tolist()))}
+    return TreeTopology(topo.leaves, [(rename[u], rename[v]) for u, v in topo.edges])
+
+
+# ---------------------------------------------------------------------------
+# reference: restart-scan contraction, renumbering and splitting, each tree
+# built and validated before the next step; ``_rebuild`` must match it exactly
+
+
+def _reference_renumber(leaves, edges):
+    leaves = sorted(leaves)
+    adjacency = {}
+    for u, v in edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    mapping = {leaf: leaf for leaf in leaves}
+    if adjacency:
+        nxt = leaves[-1] + 1
+        leaf_set = set(leaves)
+        seen = {leaves[0]}
+        queue = deque([leaves[0]])
+        while queue:
+            v = queue.popleft()
+            if v not in leaf_set and v not in mapping:
+                mapping[v] = nxt
+                nxt += 1
+            for w in sorted(adjacency[v]):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return [(edge_key(u, v), edge_key(mapping[u], mapping[v])) for u, v in edges]
+
+
+def _reference_contract_degree_two(topology, theta):
+    adjacency = {v: list(topology.neighbors(v)) for v in topology.nodes}
+    weights = dict(theta) if theta is not None else {e: 1.0 for e in topology.edges}
+    leaf_set = set(topology.leaves)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adjacency):
+            if v in leaf_set or len(adjacency[v]) != 2:
+                continue
+            a, b = adjacency[v]
+            w = weights.pop(edge_key(a, v)) * weights.pop(edge_key(v, b))
+            del adjacency[v]
+            adjacency[a].remove(v)
+            adjacency[b].remove(v)
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+            weights[edge_key(a, b)] = w
+            changed = True
+            break
+    edges = {edge_key(u, v) for u, ns in adjacency.items() for v in ns}
+    relabel = dict(_reference_renumber(sorted(leaf_set), edges))
+    return TreeTopology(leaf_set, relabel.values()), {relabel[e]: weights[e] for e in edges}
+
+
+def _reference_normalize(tree):
+    topology, weights = _reference_contract_degree_two(tree.topology, tree.theta)
+    adjacency = {v: list(topology.neighbors(v)) for v in topology.nodes}
+    leaf_set = set(topology.leaves)
+    next_id = max(adjacency) + 1
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adjacency):
+            if v in leaf_set or len(adjacency[v]) <= 3:
+                continue
+            moved = sorted(adjacency[v])[2:]
+            w = next_id
+            next_id += 1
+            adjacency[w] = []
+            for u in moved:
+                adjacency[v].remove(u)
+                adjacency[u].remove(v)
+                adjacency[u].append(w)
+                adjacency[w].append(u)
+                weights[edge_key(u, w)] = weights.pop(edge_key(u, v))
+            adjacency[v].append(w)
+            adjacency[w].append(v)
+            weights[edge_key(v, w)] = 1.0
+            changed = True
+            break
+    edges = {edge_key(u, v) for u, ns in adjacency.items() for v in ns}
+    relabel = dict(_reference_renumber(sorted(leaf_set), edges))
+    return WeightedTree(
+        TreeTopology(leaf_set, relabel.values()), {relabel[e]: weights[e] for e in edges}
+    )
+
+
+def _reference_binary(topology):
+    return _reference_contract_degree_two(topology, None)[0]
+
+
+def _reference_cut_paste(topology, u, v, target):
+    t = max(topology.nodes) + 1
+    edges = set(topology.edges) - {edge_key(u, v), edge_key(*target)}
+    edges |= {edge_key(t, u), edge_key(t, target[0]), edge_key(t, target[1])}
+    return _reference_binary(TreeTopology(topology.leaves, edges))
+
+
+def _reference_induced_subtree(topology, members):
+    adjacency = {v: set(topology.neighbors(v)) for v in topology.nodes}
+    fringe = deque(v for v, ns in adjacency.items() if len(ns) <= 1 and v not in members)
+    while fringe:
+        v = fringe.popleft()
+        if v not in adjacency:
+            continue
+        for w in adjacency.pop(v):
+            adjacency[w].discard(v)
+            if len(adjacency[w]) <= 1 and w not in members:
+                fringe.append(w)
+    edges = {edge_key(a, b) for a, ns in adjacency.items() for b in ns}
+    return _reference_binary(TreeTopology(members, edges))
+
+
+class TestRebuild:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_surgery_matches_restart_scan_reference(self, seed):
+        rng = philox(seed)
+        n = int(rng.integers(2, 13))
+        topo = chained_and_contracted(rng, n)
+        wt = WeightedTree(topo, dict(zip(topo.edges, rng.uniform(-1, 1, len(topo.edges)))))
+        assert binary(topo).edges == _reference_binary(topo).edges
+        got, want = normalize(wt), _reference_normalize(wt)
+        assert got.topology.edges == want.topology.edges
+        assert [repr(got.theta[e]) for e in got.topology.edges] == [
+            repr(want.theta[e]) for e in want.topology.edges
+        ]
+        members = sorted(rng.choice(range(1, n + 1), int(rng.integers(2, n + 1)), False).tolist())
+        assert (
+            induced_subtree(topo, members).edges
+            == _reference_induced_subtree(topo, members).edges
+        )
+        u, v = topo.edges[int(rng.integers(len(topo.edges)))][:: int(rng.choice([-1, 1]))]
+        v_side = component_nodes(topo, v, [(u, v)])
+        targets = [e for e in topo.edges if e[0] in v_side and e[1] in v_side]
+        if targets and topo.degree(v) != 2:
+            target = targets[int(rng.integers(len(targets)))]
+            want = _reference_cut_paste(topo, u, v, target)
+            assert cut_paste(topo, u, v, target).edges == want.edges
 
 
 class TestValidation:
@@ -270,6 +443,11 @@ class TestCutPaste:
             [(1, 7), (4, 7), (7, 8), (8, 9), (2, 9), (3, 9), (8, 10), (5, 10), (6, 10)],
         )
         assert topologies_equal(moved, expected)
+
+    def test_cut_leaving_a_dangling_node_rejected(self):
+        chain = TreeTopology([1, 2], [(1, 3), (2, 3)])
+        with pytest.raises(InvalidCut):
+            cut_paste(chain, 1, 3, (2, 3))
 
     def test_target_in_moved_component_rejected(self):
         topo = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
