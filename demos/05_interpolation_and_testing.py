@@ -2,8 +2,9 @@
 
 The interpolation rewrites one tree into another cherry by cherry, moving
 the weaker side of each future cherry along its path.  Per move it records
-the quartets whose split flips; between models with close correlations,
-only near-tie quartets ever flip, which is what localizes total variation.
+the quartets whose split flips, as four leaf blocks whose product they are;
+between models with close correlations, only near-tie quartets ever flip,
+which is what localizes total variation.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ print(f"interpolating an 8-leaf pair: {trace.epochs} epochs over {trace.rounds} 
 for move in trace.moves:
     print(
         f"  round {move.round} epoch {move.epoch}: block {sorted(move.block)} moved, "
-        f"{len(move.changed_quartets)} quartets changed, max gap {move.max_gap:.4f}"
+        f"{move.quartet_count} quartets changed, max gap {move.max_gap:.4f}"
     )
 print("summary:", trace_to_json(trace)["total_changed_quartets"], "quartet changes in total")
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import LatentIsingError
+from .errors import BadParameter, LatentIsingError
 from .estimation import empirical_correlations, report_to_json, require_unit_labels
 from .distribution import exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
@@ -39,6 +39,8 @@ from .trees import correlations, diameter, normalize, random_weighted_tree
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise BadParameter("seed must be non-negative")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -212,6 +214,8 @@ def bench_sweep(
     tree, m_values: List[int], trials: int, delta: float, seed: int
 ) -> List[Dict]:
     """TV against the truth for each (sample count, trial) pair."""
+    if trials < 1:
+        raise BadParameter(f"need at least one trial, got {trials}")
     truth = normalize(tree)
     rows = []
     for k, m in enumerate(m_values):
@@ -228,6 +232,8 @@ def fitted_decay_exponent(rows: List[Dict]) -> float:
     for row in rows:
         by_m.setdefault(row["m"], []).append(row["tv"])
     ms = sorted(by_m)
+    if len(ms) < 2:
+        raise BadParameter(f"a slope needs at least two distinct m values, got {ms}")
     logs = [math.log(sum(by_m[m]) / len(by_m[m])) for m in ms]
     slope = np.polyfit(np.log(ms), logs, 1)[0]
     return float(slope)
@@ -235,8 +241,7 @@ def fitted_decay_exponent(rows: List[Dict]) -> float:
 
 def _cmd_bench(args) -> Dict:
     tree = _read_tree(args.tree)
-    m_values = [int(tok) for tok in args.m_list.split(",")]
-    rows = bench_sweep(tree, m_values, args.trials, args.delta, args.seed)
+    rows = bench_sweep(tree, args.m_list, args.trials, args.delta, args.seed)
     slope = fitted_decay_exponent(rows)
     if args.format == "csv":
         lines = ["m,trial,tv"]
@@ -250,7 +255,7 @@ def _cmd_bench(args) -> Dict:
         "bench",
         {
             "tree": args.tree,
-            "m_list": args.m_list,
+            "m_list": ",".join(map(str, args.m_list)),
             "trials": args.trials,
             "delta": args.delta,
             "seed": args.seed,
@@ -263,6 +268,14 @@ def _cmd_bench(args) -> Dict:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _int_list(text: str) -> List[int]:
+    """Comma-separated integers, for ``--m-list``."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
 @functools.cache
@@ -321,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep sample counts, reporting TV vs m")
     p.add_argument("--tree", required=True)
-    p.add_argument("--m-list", default="1000,4000,16000")
+    p.add_argument("--m-list", type=_int_list, default="1000,4000,16000")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

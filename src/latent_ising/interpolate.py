@@ -6,7 +6,8 @@ node (with its already-finished block) along the path to its partner until
 the two become a cherry; each round sweeps the current working set of
 blocks.  Per move it records the set of quartets whose induced split
 changes, which is exactly the combinatorial quantity the total-variation
-localization arguments charge against.
+localization arguments charge against.  That set is the product of four
+disjoint leaf blocks, each read from the working tree's edge-split table.
 
 The weaker of the two candidate nodes moves: the side whose strongest
 correlation to the future common neighbor is smaller.  That choice is what
@@ -17,8 +18,9 @@ correlation vectors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,11 +36,10 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     WeightedTree,
+    _SPLIT_ORDER,
     _edge_splits,
-    _quartet_products,
-    component_leaves,
+    _side,
     cut_paste,
-    edge_key,
     path_nodes,
 )
 
@@ -54,8 +55,17 @@ class Move:
     moved: int  # target-tree node whose block slides
     block: FrozenSet[int]  # leaves carried by the moved block
     anchor: FrozenSet[int]  # leaves of the stationary partner block
-    changed_quartets: FrozenSet[Quartet]
+    blocks: Tuple[Tuple[int, ...], ...]  # four sorted leaf blocks; see _epoch_moves
     max_gap: float  # largest product gap among the changed quartets
+
+    @property
+    def changed_quartets(self) -> FrozenSet[Quartet]:
+        """The changed quartets as ascending tuples, enumerated on demand."""
+        return frozenset(tuple(sorted(q)) for q in itertools.product(*self.blocks))
+
+    @property
+    def quartet_count(self) -> int:
+        return math.prod(len(b) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,10 @@ def interpolate(
     rounds = 0
     n = source.leaf_count
     if n >= 4:
+        magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
+        a, b = np.triu_indices(n, 1)
+        magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+        splits = _edge_splits(current)
         working = set(source.leaves)
         block: Dict[int, FrozenSet[int]] = {leaf: frozenset([leaf]) for leaf in source.leaves}
         while len(working) >= 4:
@@ -138,23 +152,19 @@ def interpolate(
                 p = _common_neighbor(target_topology, i, j)
                 if p is None:
                     continue
-                roots = dict(zip((i, j), _block_roots(current, block[i], block[j])))
+                roots = dict(zip((i, j), _block_roots(current, splits, block[i], block[j])))
                 if _common_neighbor(current, roots[i], roots[j]) is None:
                     mover, anchor = _pick_weaker(target, block, i, j, p)
                     epochs += 1
-                    current = _run_epoch(
-                        current,
-                        block[mover],
-                        block[anchor],
-                        roots[mover],
-                        roots[anchor],
-                        alpha,
-                        epochs,
-                        rounds,
-                        mover,
-                        topologies,
-                        moves,
-                    )
+                    for blocks, max_gap, pasted in _epoch_moves(
+                        current, splits, roots[mover], roots[anchor], magnitudes
+                    ):
+                        moves.append(
+                            Move(epochs, rounds, mover, block[mover], block[anchor], blocks, max_gap)
+                        )
+                        topologies.append(pasted)
+                    current = topologies[-1]
+                    splits = _edge_splits(current)
                 working.discard(i)
                 working.discard(j)
                 working.add(p)
@@ -192,10 +202,9 @@ def _pick_weaker(
     return i, j
 
 
-def _block_roots(topology: TreeTopology, *blocks: FrozenSet[int]) -> List[int]:
+def _block_roots(topology: TreeTopology, splits: np.ndarray, *blocks: FrozenSet[int]) -> List[int]:
     """For each block, the node whose detached component holds exactly its
-    leaves; the edge-split table is built at most once per call."""
-    splits = _edge_splits(topology) if any(len(b) > 1 for b in blocks) else None
+    leaves, found in the topology's edge-split table ``splits``."""
     roots = []
     for leaves in blocks:
         if len(leaves) == 1:
@@ -211,55 +220,33 @@ def _block_roots(topology: TreeTopology, *blocks: FrozenSet[int]) -> List[int]:
     return roots
 
 
-def _run_epoch(
-    current: TreeTopology,
-    mover_block: FrozenSet[int],
-    anchor_block: FrozenSet[int],
-    ra: int,
-    rb: int,
-    alpha: CorrelationVector,
-    epoch: int,
-    round_: int,
-    mover: int,
-    topologies: List[TreeTopology],
-    moves: List[Move],
-) -> TreeTopology:
+def _epoch_moves(
+    current: TreeTopology, splits: np.ndarray, ra: int, rb: int, magnitudes: np.ndarray
+) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], float, TreeTopology]]:
+    """(blocks, max_gap, topology) of each paste of ``ra`` along its path to ``rb``.
+
+    Paste k changes exactly the quartets with one leaf in each block: ra's
+    side, the subtrees hanging off path nodes 1..k, the one off node k+1,
+    and everything beyond.  ``splits`` is the edge-split table of ``current``
+    and ``magnitudes`` the dense |alpha| matrix over its sorted leaves.
+    """
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
-    path_edges = [edge_key(a, b) for a, b in zip(nodes, nodes[1:])]
-    side_i = component_leaves(current, ra, [path_edges[0]])
-    side_j = component_leaves(current, rb, [path_edges[-1]])
-    hanging = {
-        q: sorted(component_leaves(current, nodes[q], path_edges))
-        for q in range(1, length)
-    }
+    # toward[q]: the leaves beyond path edge q, seen from ra; the sets shrink
+    toward = [_side(current, splits, a, b) for a, b in zip(nodes, nodes[1:])]
+    labels = np.array(current.leaves)
     for k in range(1, length - 1):
-        left = [u for q in range(1, k + 1) for u in hanging[q]]
-        middle = hanging[k + 1]
-        right = [u for q in range(k + 2, length) for u in hanging[q]]
-        right.extend(sorted(side_j))
-        changed = frozenset(
-            tuple(sorted((w, z, y, u)))
-            for w in sorted(side_i)
-            for z in left
-            for y in middle
-            for u in right
+        masks = (~toward[0], toward[0] & ~toward[k], toward[k] & ~toward[k + 1], toward[k + 1])
+        grid = np.ix_(*(np.flatnonzero(m) for m in masks))
+        products = [
+            magnitudes[grid[ia], grid[ib]] * magnitudes[grid[ic], grid[id_]]
+            for ia, ib, ic, id_ in _SPLIT_ORDER
+        ]
+        yield (
+            tuple(tuple(labels[m].tolist()) for m in masks),
+            float(np.ptp(np.stack(products), axis=0).max(initial=0.0)),
+            cut_paste(current, ra, nodes[1], (nodes[k + 1], nodes[k + 2])),
         )
-        products = _quartet_products(alpha, np.array(list(changed)).reshape(-1, 4))
-        max_gap = float(np.ptp(products, axis=1).max(initial=0.0))
-        moves.append(
-            Move(
-                epoch=epoch,
-                round=round_,
-                moved=mover,
-                block=mover_block,
-                anchor=anchor_block,
-                changed_quartets=changed,
-                max_gap=max_gap,
-            )
-        )
-        topologies.append(cut_paste(current, ra, nodes[1], (nodes[k + 1], nodes[k + 2])))
-    return topologies[-1]
 
 
 def trace_to_json(trace: InterpolationTrace) -> dict:
@@ -273,10 +260,10 @@ def trace_to_json(trace: InterpolationTrace) -> dict:
                 "round": m.round,
                 "moved": m.moved,
                 "block": sorted(m.block),
-                "changed_quartets": len(m.changed_quartets),
+                "changed_quartets": m.quartet_count,
                 "max_gap": m.max_gap,
             }
             for m in trace.moves
         ],
-        "total_changed_quartets": sum(len(m.changed_quartets) for m in trace.moves),
+        "total_changed_quartets": sum(m.quartet_count for m in trace.moves),
     }

@@ -20,8 +20,9 @@ from .errors import BadParameter
 from .trees import (
     CorrelationVector,
     TreeTopology,
+    _edge_splits,
     _rebuild,
-    component_leaves,
+    _side,
     edge_key,
 )
 
@@ -178,11 +179,12 @@ def _leaves_beyond(adj: Dict[int, List[int]], blocked: int, start: int) -> List[
 def _contract_high_implied(
     topology: TreeTopology, strength: CorrelationVector, xi: float
 ) -> TreeTopology:
+    splits = _edge_splits(topology)
     flagged = []
     for u, v in topology.edges:
         if topology.is_leaf(u) or topology.is_leaf(v):
             continue
-        ratio = _implied_weight_ratio(topology, strength, u, v)
+        ratio = _implied_weight_ratio(topology, splits, strength, u, v)
         if ratio is not None and ratio > 1.0 - xi:
             flagged.append((u, v))
     # each cluster of flagged edges merges into its smallest node id
@@ -195,18 +197,21 @@ def _contract_high_implied(
 
 
 def _implied_weight_ratio(
-    topology: TreeTopology, strength: CorrelationVector, u: int, v: int
+    topology: TreeTopology, splits: np.ndarray, strength: CorrelationVector, u: int, v: int
 ):
     """Median, over witness quartets, of the squared weight implied for (u, v).
 
     For leaves a1, a2 behind u's two other branches and b1, b2 behind v's,
     the induced correlations satisfy
-    ``a(a1,b1) * a(a2,b2) = a(a1,a2) * a(b1,b2) * theta^2``.
+    ``a(a1,b1) * a(a2,b2) = a(a1,a2) * a(b1,b2) * theta^2``.  Each branch
+    contributes its two smallest leaves, read from ``splits``.
     """
-    u_dirs = [d for d in topology.neighbors(u) if d != v]
-    v_dirs = [d for d in topology.neighbors(v) if d != u]
-    u_groups = [sorted(component_leaves(topology, d, [(u, d)]))[:2] for d in u_dirs]
-    v_groups = [sorted(component_leaves(topology, d, [(v, d)]))[:2] for d in v_dirs]
+
+    def smallest_two(a: int, d: int) -> List[int]:
+        return [topology.leaves[k] for k in np.flatnonzero(_side(topology, splits, a, d))[:2]]
+
+    u_groups = [smallest_two(u, d) for d in topology.neighbors(u) if d != v]
+    v_groups = [smallest_two(v, d) for d in topology.neighbors(v) if d != u]
     ratios = []
     for a1, a2, b1, b2 in itertools.product(u_groups[0], u_groups[1], v_groups[0], v_groups[1]):
         denom = strength.get(a1, a2) * strength.get(b1, b2)

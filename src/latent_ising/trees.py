@@ -7,10 +7,11 @@ as path products of edge weights, quartet classification, cut-and-paste
 surgery, induced subtrees, and the edge-disjoint pair matching.  The
 matching is computed once, batched over leaf subsets, and is the one the
 closed-form leaf distribution multiplies correlations along.  Batched path
-questions (which edges a pair's path uses, whether two topologies agree)
-are answered from one table of edge bipartitions, ``_edge_splits``.  Every
-surgery ends in the one constructor ``_rebuild``, which splices out
-degree-2 nodes, renumbers internal nodes canonically and validates once.
+questions (which edges a pair's path uses, whether two topologies agree,
+which leaves lie beyond an edge, through ``_side``) are answered from one
+table of edge bipartitions, ``_edge_splits``.  Every surgery ends in the one
+constructor ``_rebuild``, which splices out degree-2 nodes, renumbers
+internal nodes canonically and validates once.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -26,6 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    BadParameter,
     InvalidCut,
     MalformedTree,
     OddSubset,
@@ -201,13 +203,9 @@ class CorrelationVector:
 
     @classmethod
     def from_pairs(cls, labels: Iterable[int], pairs: Mapping[Edge, float]) -> "CorrelationVector":
-        labels = tuple(sorted(labels))
-        out = np.zeros(len(labels) * (len(labels) - 1) // 2)
-        pos = {lab: k for k, lab in enumerate(labels)}
-        for (i, j), v in pairs.items():
-            a, b = sorted((pos[i], pos[j]))
-            out[_pair_offset(len(labels), a, b)] = v
-        return cls(labels, out)
+        """The given pair values, 0 elsewhere; pairs are placed by :meth:`index`."""
+        labels = tuple(labels)
+        return cls(labels, np.zeros(len(labels) * (len(labels) - 1) // 2)).replace(pairs)
 
     @property
     def n(self) -> int:
@@ -309,10 +307,6 @@ def component_nodes(topology: TreeTopology, start: int, blocked: Iterable[Edge])
     return frozenset(seen)
 
 
-def component_leaves(topology: TreeTopology, start: int, blocked: Iterable[Edge]) -> frozenset:
-    return frozenset(v for v in component_nodes(topology, start, blocked) if topology.is_leaf(v))
-
-
 def diameter(topology: TreeTopology) -> int:
     """Longest leaf-to-leaf path length in edges (0 for a single leaf)."""
     return int(_path_incidence(topology).sum(axis=1).max(initial=0))
@@ -331,6 +325,14 @@ def _edge_splits(topology: TreeTopology) -> np.ndarray:
             below[p] |= below[v]
             splits[edge_index[edge_key(v, p)]] = below[v] if v > p else ~below[v]
     return splits
+
+
+def _side(topology: TreeTopology, splits: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(n,) boolean mask of the sorted leaves on b's side of the edge (a, b),
+    read from ``splits = _edge_splits(topology)``, whose row marks the side
+    of the edge's larger endpoint."""
+    row = splits[topology.edges.index(edge_key(a, b))]
+    return row if b > a else ~row
 
 
 def _path_incidence(topology: TreeTopology) -> np.ndarray:
@@ -468,35 +470,20 @@ def quartet_split(alpha: CorrelationVector, quartet: Sequence[int]) -> QuartetSp
     if len(set(quartet)) != 4:
         raise UnknownPair(f"quartet needs four distinct leaves, got {tuple(quartet)}")
     q = tuple(sorted(quartet))
-    products = _quartet_products(alpha, np.array([q]))[0]
-    best = products.max()
-    chosen = int(np.argmax(products >= best - TIE_TOLERANCE))
+    products = [
+        abs(alpha.get(q[ia], q[ib])) * abs(alpha.get(q[ic], q[id_]))
+        for ia, ib, ic, id_ in _SPLIT_ORDER
+    ]
+    best = max(products)
+    chosen = next(k for k, p in enumerate(products) if p >= best - TIE_TOLERANCE)
     ia, ib, ic, id_ = _SPLIT_ORDER[chosen]
     split = ((q[ia], q[ib]), (q[ic], q[id_]))
-    return QuartetSplit(q, split, float(best - products.min()))
+    return QuartetSplit(q, split, best - min(products))
 
 
 def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:
     """Max minus min of the three |correlation| cross-products."""
     return quartet_split(alpha, quartet).gap
-
-
-def _quartet_products(alpha: CorrelationVector, quartets: np.ndarray) -> np.ndarray:
-    """(k, 3) |correlation| cross-products in ``_SPLIT_ORDER`` of a (k, 4)
-    array of ascending leaf-label quartets."""
-    missing = ~np.isin(quartets, alpha.labels)
-    if missing.any():
-        raise UnknownLeaf(f"leaf {quartets[missing][0]} not covered by this vector")
-    pos = np.searchsorted(alpha.labels, quartets)
-    magnitudes = np.abs(alpha.values)
-    return np.stack(
-        [
-            magnitudes[_pair_offset(alpha.n, pos[:, ia], pos[:, ib])]
-            * magnitudes[_pair_offset(alpha.n, pos[:, ic], pos[:, id_])]
-            for ia, ib, ic, id_ in _SPLIT_ORDER
-        ],
-        axis=1,
-    )
 
 
 def canonical_splits(topology: TreeTopology) -> frozenset:
@@ -718,6 +705,8 @@ def random_weighted_tree(
     high: float = 1.0,
 ) -> WeightedTree:
     """Random binary topology with i.i.d. uniform edge weights in [low, high]."""
+    if not -1.0 <= low <= high <= 1.0:  # NaN fails the test too
+        raise BadParameter(f"need -1 <= low <= high <= 1, got low={low}, high={high}")
     topology = random_topology(n, rng)
     draws = rng.uniform(low, high, size=len(topology.edges))
     return WeightedTree(topology, dict(zip(topology.edges, draws)))

@@ -173,6 +173,55 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--low", "0.5", "--high", "0.2"], "need -1 <= low <= high <= 1, got low=0.5, high=0.2"),
+        (["--low", "nan"], "need -1 <= low <= high <= 1, got low=nan, high=1.0"),
+        (["--high", "1.5"], "need -1 <= low <= high <= 1, got low=-1.0, high=1.5"),
+        (["--seed", "-1"], "seed must be non-negative"),
+    ],
+    ids=["low-above-high", "nan-low", "high-above-one", "negative-seed"],
+)
+def test_gen_bad_parameter_is_a_domain_error(tmp_path, capsys, flags, message):
+    out_file = tmp_path / "t.nwk"
+    code, out, err = run_cli(capsys, "gen", "--n", "5", *flags, "--out", str(out_file))
+    assert code == 1
+    assert json.loads(err) == {"error": "BadParameter", "message": message}
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("m_list", ["100,abc", ",", "", "1.5"], ids=["word", "comma", "empty", "float"])
+def test_bench_malformed_m_list_is_a_usage_error(tmp_path, capsys, model_file, m_list):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--tree", str(model_file), "--m-list", m_list,
+              "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    assert "--m-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "0"], "need at least one trial, got 0"),
+        (["--m-list", "100"], "a slope needs at least two distinct m values, got [100]"),
+        (["--m-list", "100,100"], "a slope needs at least two distinct m values, got [100]"),
+    ],
+    ids=["zero-trials", "one-m", "repeated-m"],
+)
+def test_bench_without_a_slope_is_a_domain_error(tmp_path, capsys, model_file, flags, message):
+    out_file = tmp_path / "b.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--tree", str(model_file), "--trials", "1", *flags,
+        "--out", str(out_file),
+    )
+    assert code == 1
+    assert json.loads(err) == {"error": "BadParameter", "message": message}
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_repeated_main_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     steps = [
         ["gen", "--n", "15", "--seed", "1", "--out", "big.nwk"],

@@ -12,6 +12,7 @@ from latent_ising import (
     BadParameter,
     BadSpinValue,
     EmptySample,
+    UnknownLeaf,
     UnknownPair,
     confidence_radius,
     correlations,
@@ -95,6 +96,14 @@ class TestEmpiricalCorrelations:
             '"alpha": [[1, 2, NaN], [1, 3, 0.5], [2, 3, 0.5]]}'
         )
         with pytest.raises(UnknownPair):
+            report_from_json(text)
+
+    def test_report_json_naming_an_unknown_leaf_rejected(self):
+        text = (
+            '{"n": 3, "m": 10, "delta": 0.1, "eta": 0.5, '
+            '"alpha": [[1, 2, 0.5], [1, 4, 0.5], [2, 3, 0.5]]}'
+        )
+        with pytest.raises(UnknownLeaf):
             report_from_json(text)
 
 

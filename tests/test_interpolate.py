@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latent_ising import (
     AlreadyCherry,
@@ -21,6 +23,7 @@ from latent_ising import (
     interpolate,
     is_cherry,
     path_removed,
+    quartet_gap,
     random_topology,
     sequence,
     topologies_equal,
@@ -225,3 +228,26 @@ class TestInterpolate:
         trace = interpolate(CAT4, target, alpha)
         for move in trace.moves:
             assert move.max_gap <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 14), st.integers(0, 10**6))
+    def test_moves_are_four_block_products(self, n, seed):
+        rng = philox(seed)
+        source = random_topology(n, rng)
+        # magnitudes from a set closed under exact products, so gaps tie exactly
+        magnitudes = [0.25, 0.5, 1.0]
+        target_topology = random_topology(n, rng)
+        target = WeightedTree(
+            target_topology,
+            {e: float(rng.choice(magnitudes)) for e in target_topology.edges},
+        )
+        signs = rng.choice([-1.0, 1.0], size=n * (n - 1) // 2)
+        alpha = CorrelationVector(source.leaves, signs * rng.choice(magnitudes, size=signs.size))
+        trace = interpolate(source, target, alpha)
+        for move in trace.moves:
+            assert len(move.blocks) == 4
+            assert all(block and list(block) == sorted(block) for block in move.blocks)
+            assert sorted(leaf for block in move.blocks for leaf in block) == list(source.leaves)
+            changed = move.changed_quartets
+            assert move.quartet_count == len(changed)
+            assert move.max_gap == max(quartet_gap(alpha, q) for q in changed)

@@ -36,8 +36,9 @@ from latent_ising import (
 from latent_ising.distribution import marginal_distribution
 from latent_ising.trees import (
     TIE_TOLERANCE,
+    _edge_splits,
     _path_incidence,
-    _quartet_products,
+    _side,
     component_nodes,
     edge_key,
 )
@@ -356,6 +357,24 @@ class TestCorrelations:
         with pytest.raises(UnknownPair):
             CorrelationVector([1, 2, 3, 4], [np.nan, 0.5, 0.5, 0.5, 0.5, 0.5])
 
+    def test_from_pairs_places_each_pair_by_label(self):
+        alpha = CorrelationVector.from_pairs([3, 1, 2], {(2, 1): 0.1, (3, 2): -0.4})
+        assert (alpha.get(1, 2), alpha.get(1, 3), alpha.get(2, 3)) == (0.1, 0.0, -0.4)
+
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ({(1, 1): 0.5}, UnknownPair),
+            ({(1, 3): 0.1, (2, 2): 0.5}, UnknownPair),
+            ({(1, 4): 0.5}, UnknownLeaf),
+            ({(0, 2): 0.5}, UnknownLeaf),
+        ],
+        ids=["self-pair", "self-pair-after-a-pair", "unknown-label", "unknown-first-label"],
+    )
+    def test_from_pairs_rejects_self_and_unknown_pairs(self, pairs, error):
+        with pytest.raises(error):
+            CorrelationVector.from_pairs([1, 2, 3], pairs)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_two_smaller_cross_products_tie(self, seed):
@@ -608,21 +627,30 @@ class TestCanonicalForm:
                 assert {topo.edges[k] for k in np.flatnonzero(row)} == set(path(topo, i, j))
 
 
+class TestSide:
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_side_is_the_component_beyond_the_edge(self, n):
+        rng = philox(n)
+        for topo in (random_topology(n, rng), reshaped(random_topology(n, rng), rng, 2, 2)):
+            splits = _edge_splits(topo)
+            for a, b in itertools.chain(topo.edges, ((v, u) for u, v in topo.edges)):
+                beyond = component_nodes(topo, b, [(a, b)])
+                want = [leaf in beyond for leaf in topo.leaves]
+                assert _side(topo, splits, a, b).tolist() == want
+
+
 class TestQuartetProducts:
     def test_rows_match_scalar_products_and_split_on_exact_ties(self):
         rng = philox(8)
         labels = list(range(1, 8))
         # magnitudes from a set closed under exact products, so many splits tie exactly
         alpha = CorrelationVector(labels, rng.choice([0.25, -0.5, 0.5, 1.0], size=21))
-        quartets = list(itertools.combinations(labels, 4))
-        rows = _quartet_products(alpha, np.array(quartets))
         ties = 0
-        for q, row in zip(quartets, rows):
+        for q in itertools.combinations(labels, 4):
             want = [
                 abs(alpha.get(q[a], q[b])) * abs(alpha.get(q[c], q[d]))
                 for a, b, c, d in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
             ]
-            assert row.tolist() == want
             first = next(k for k, p in enumerate(want) if p >= max(want) - TIE_TOLERANCE)
             split = quartet_split(alpha, q)
             assert split.split == (
