@@ -61,8 +61,8 @@ def test_identity(
     a model eps-far in total variation must disagree on some pair by more
     than eps / (C * n^5 * D), which the threshold leaves room to detect.
     """
-    if eps <= 0.0:
-        raise BadParameter(f"eps must be positive, got {eps}")
+    if not 0.0 < eps <= 1.0:
+        raise BadParameter(f"eps must be in (0, 1], got {eps}")
     ref = as_forest(reference)
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] != ref.n:

@@ -54,15 +54,17 @@ def build_interval_lp(
     """Interval program on log-magnitudes, one constraint per leaf pair over
     its ascending path-edge indices; a magnitude below eta drops its lower
     bound (log of a non-positive number reads as -inf)."""
-    constraints = []
     pairs = list(itertools.combinations(topology.leaves, 2))
-    for (i, j), on_path in zip(pairs, _path_incidence(topology)):
-        a = abs(alpha_hat.get(i, j))
+    magnitudes = np.abs(alpha_hat.restrict(topology.leaves).values).tolist()
+    incidence = _path_incidence(topology)
+    # Python ints: gf2_solve builds bitsets by shifting 1 << edge index
+    edge_ids = incidence.nonzero()[1].tolist()
+    ends = np.cumsum(incidence.sum(axis=1)).tolist()
+    constraints = []
+    for a, start, end in zip(magnitudes, [0] + ends, ends):
         upper = math.log(a + eta)
         lower = math.log(a - eta) if a - eta > 0.0 else None
-        # Python ints: gf2_solve builds bitsets by shifting 1 << edge index
-        edge_ids = tuple(np.flatnonzero(on_path).tolist())
-        constraints.append(PathConstraint(variables=edge_ids, lower=lower, upper=upper))
+        constraints.append(PathConstraint(tuple(edge_ids[start:end]), lower, upper))
     return IntervalPathLP(len(topology.edges), tuple(constraints)), pairs
 
 
@@ -75,11 +77,12 @@ def fit_known(
     eta-close to the targets (LP infeasible) or the requested signs are
     contradictory (parity system inconsistent).
     """
-    if eta <= 0.0:
-        raise BadParameter(f"eta must be positive, got {eta}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise BadParameter(f"eta must be finite and positive, got {eta}")
     if topology.leaf_count < 2:
         return KnownTopologyFit(WeightedTree(topology, {}), eta, 0)
 
+    alpha_hat = alpha_hat.restrict(topology.leaves)  # pair order of the LP rows
     lp, pairs = build_interval_lp(topology, alpha_hat, eta)
     solved = lp_feasible(lp)
     if isinstance(solved, Infeasible):
@@ -92,8 +95,7 @@ def fit_known(
 
     equations = []
     strong_pairs = []
-    for (i, j), con in zip(pairs, lp.constraints):
-        value = alpha_hat.get(i, j)
+    for (i, j), con, value in zip(pairs, lp.constraints, alpha_hat.values.tolist()):
         if abs(value) > eta:
             equations.append(
                 Gf2Equation(variables=con.variables, rhs=0 if value > 0 else 1)

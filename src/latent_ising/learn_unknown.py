@@ -8,6 +8,7 @@ n^{2/3}, xi = eta^{1/3} n^{-2/3}, whose product is exactly eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class UnknownLearnConfig:
 
 def choose_params(eta: float, n: int) -> UnknownLearnConfig:
     """Split a correlation radius eta into reconstruction parameters."""
-    if eta <= 0.0:
-        raise BadParameter(f"eta must be positive, got {eta}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise BadParameter(f"eta must be finite and positive, got {eta}")
     if n < 2:
         raise BadParameter(f"need at least two leaves, got {n}")
     xi = eta ** (1.0 / 3.0) * n ** (-2.0 / 3.0)

@@ -1,14 +1,22 @@
 """In-repo feasibility solvers: a bounded-log-weight interval LP and GF(2).
 
-Both solvers are deliberately small and dependency-free.  Problem sizes are
-tiny (one variable per tree edge, one constraint pair per leaf pair), so a
-dense one-phase simplex with Bland's rule is plenty: shifting the maximized
-slack by a constant makes the origin a feasible start, so no artificial
-columns are needed.  Determinism matters more than speed.
+Both solvers are deliberately small and dependency-free.  The interval LP
+has one variable per tree edge and up to two rows per leaf pair, and a
+one-phase simplex with Bland's rule solves it: shifting the maximized slack
+by a constant makes the origin a feasible start, so no artificial columns
+are needed.  A path row touches few edges, so a pivot row is mostly zero
+(about 4% non-zero at 16 leaves); each pivot updates only the columns where
+its row is non-zero, in a column-major tableau, and reads the reduced costs
+from the maximized variable's row instead of multiplying out a cost vector.
+Both shortcuts skip only arithmetic that leaves a finite entry unchanged, so
+the pivots and the result equal the dense update's bit for bit.
+Determinism matters more than speed.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -42,6 +50,10 @@ class IntervalPathLP:
             for v in con.variables:
                 if not 0 <= v < self.n_vars:
                     raise BadParameter(f"constraint {k} references unknown variable {v}")
+            if not math.isfinite(con.upper) or not (
+                con.lower is None or math.isfinite(con.lower)
+            ):
+                raise BadParameter(f"constraint {k} has a bound that is not finite")
             if con.lower is not None and con.upper < con.lower - 1e-15:
                 raise BadParameter(f"constraint {k} has upper < lower")
 
@@ -67,38 +79,41 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     Farkas certificate of infeasibility.
     """
     nv = lp.n_vars
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    origin: List[Tuple[int, str]] = []
-    t = np.zeros(nv + 1)
-    t[nv] = 1.0
-    for k, con in enumerate(lp.constraints):
-        path = np.zeros(nv + 1)
-        path[list(con.variables)] = 1.0
-        rows.append(t - path)  # -sum(x) + t <= upper
-        rhs.append(con.upper)
-        origin.append((k, "upper"))
-        if con.lower is not None:
-            rows.append(t + path)  # sum(x) + t <= -lower
-            rhs.append(-con.lower)
-            origin.append((k, "lower"))
-    rows.append(t)  # t <= cap
-    rhs.append(_SLACK_CAP)
+    cons = lp.constraints
+    has_lower = np.fromiter((con.lower is not None for con in cons), bool, len(cons))
+    # rows: each constraint's upper bound, then its lower bound if any, then
+    # the cap on tau; columns: x, tau, one slack per row, right-hand side
+    upper_row = np.arange(len(cons)) + np.cumsum(has_lower) - has_lower
+    lower_row = upper_row[has_lower] + 1
+    m = len(cons) + lower_row.size + 1
+    rhs = np.empty(m)
+    rhs[upper_row] = [con.upper for con in cons]
+    rhs[lower_row] = [-con.lower for con in cons if con.lower is not None]
+    rhs[-1] = _SLACK_CAP
+    t0 = min(0.0, rhs.min())
 
-    m = len(rows)
-    t0 = min(0.0, min(rhs))
-    T = np.hstack([np.array(rows), np.eye(m), np.array(rhs)[:, None] - t0])
+    sizes = [len(con.variables) for con in cons]
+    path_row = np.repeat(upper_row, sizes)
+    path_var = np.fromiter(
+        itertools.chain.from_iterable(con.variables for con in cons), np.intp, sum(sizes)
+    )
+    T = np.zeros((m, nv + m + 2), order="F")
+    T[path_row, path_var] = -1.0  # -sum(x) + tau <= upper - t0
+    on_lower = np.repeat(has_lower, sizes)
+    T[path_row[on_lower] + 1, path_var[on_lower]] = 1.0  # sum(x) + tau <= -lower - t0
+    T[:, nv] = 1.0
+    T[np.arange(m), np.arange(nv + 1, nv + m + 1)] = 1.0
+    T[:, -1] = rhs - t0
     basis = np.arange(nv + 1, nv + 1 + m)
-    cost = np.zeros(nv + 1 + m)
-    cost[nv] = 1.0
-    _simplex_iterate(T, basis, cost)
+    tau_row = _simplex_iterate(T, basis, nv)
 
     x = np.zeros(nv + 1 + m)
     x[basis] = T[:, -1]
     if t0 + x[nv] < -_TOL:
-        duals = cost[basis] @ T[:, nv + 1 : nv + m]
-        k, side = origin[int(np.argmax(duals))]
-        con = lp.constraints[k]
+        bound = int(np.argmax(T[tau_row, nv + 1 : nv + m]))  # dual weights
+        k = int(np.repeat(np.arange(len(cons)), 1 + has_lower)[bound])
+        side = "upper" if upper_row[k] == bound else "lower"
+        con = cons[k]
         return Infeasible(
             constraint=k,
             side=side,
@@ -108,29 +123,50 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     return -x[:nv]
 
 
-def _simplex_iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    """Maximize cost.x over the tableau T = [A | b] from a feasible basis.
+def _simplex_iterate(T: np.ndarray, basis: np.ndarray, objective: int) -> int:
+    """Maximize the variable ``objective`` over the tableau T = [A | b] from a
+    feasible basis that leaves it non-basic, in place, and return the row
+    where it is basic at the optimum; T is column-major so a pivot's columns
+    are contiguous.
 
     Bland's rule: the first improving column enters; among rows whose ratio
     is within _TOL of the smallest, the one with the smallest basic column
-    leaves.
+    leaves.  With a single unit cost the reduced costs are e_objective minus
+    the objective's row when it is basic, and e_objective otherwise, so the
+    objective enters first and is basic whenever the loop stops.  A pivot
+    updates only the columns where its row is non-zero: on every other column
+    the dense rank-1 update subtracts col * 0 from finite entries, which
+    changes none of them.
     """
+    objective_row = -1
     for _ in range(_MAX_PIVOTS):
-        reduced = cost - cost[basis] @ T[:, :-1]
-        improving = np.flatnonzero(reduced > _TOL)
-        if improving.size == 0:
-            return
-        col = T[:, improving[0]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(col > _TOL, T[:, -1] / col, np.inf)
-        if np.isinf(ratios.min()):  # pragma: no cover - the slack cap bounds t
+        entering = objective
+        if objective_row >= 0:
+            reduced = -T[objective_row, :-1]
+            reduced[objective] += 1.0
+            entering = int((reduced > _TOL).argmax())
+            if not reduced[entering] > _TOL:
+                return objective_row
+        col = T[:, entering].copy()  # the pivot below overwrites this column
+        candidates = (col > _TOL).nonzero()[0]
+        if candidates.size == 0:  # pragma: no cover - the slack cap bounds t
             raise NoConsistentModel("simplex found an unbounded ray")
-        ties = np.flatnonzero(ratios <= ratios.min() + _TOL)
-        row = ties[np.argmin(basis[ties])]
+        ratios = T[candidates, -1] / col[candidates]
+        ties = candidates[ratios <= ratios.min() + _TOL]
+        row = int(ties[basis[ties].argmin()])
         pivot_row = T[row] / col[row]
-        T -= np.outer(col, pivot_row)
+        nz = pivot_row.nonzero()[0]
+        # column by column: a fancy-indexed T[:, nz] update copies the columns
+        # out and scatters them back, several times slower on large tableaux
+        for j, factor in zip(nz.tolist(), pivot_row[nz].tolist()):
+            column = T[:, j]
+            column -= col * factor
         T[row] = pivot_row
-        basis[row] = improving[0]
+        basis[row] = entering
+        if entering == objective:
+            objective_row = row
+        elif row == objective_row:
+            objective_row = -1
     raise NoConsistentModel(f"simplex did not finish within {_MAX_PIVOTS} pivots")
 
 

@@ -227,6 +227,18 @@ class CorrelationVector:
         for a, b in itertools.combinations(range(self.n), 2):
             yield self.labels[a], self.labels[b], float(self.values[_pair_offset(self.n, a, b)])
 
+    def restrict(self, leaves: Iterable[int]) -> "CorrelationVector":
+        """The vector over a subset of the labels, in its own pair order."""
+        leaves = tuple(sorted(leaves))
+        if leaves == self.labels:
+            return self
+        missing = [v for v in leaves if v not in self._pos]
+        if missing:
+            raise UnknownLeaf(f"leaf {missing[0]} not covered by this vector")
+        pos = np.array([self._pos[v] for v in leaves], dtype=np.intp)
+        a, b = np.triu_indices(len(leaves), 1)
+        return CorrelationVector(leaves, self.values[_pair_offset(self.n, pos[a], pos[b])])
+
     def abs(self) -> "CorrelationVector":
         return CorrelationVector(self.labels, np.abs(self.values))
 

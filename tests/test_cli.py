@@ -103,6 +103,22 @@ def test_learn_unknown_and_identity(tmp_path, capsys, model_file):
     assert json.loads(out)["metrics"]["decision"] in ("accept", "reject")
 
 
+@pytest.mark.parametrize("eps", ["nan", "1.5", "0"])
+def test_identity_eps_outside_unit_interval_is_a_domain_error(tmp_path, capsys, model_file, eps):
+    samples = tmp_path / "draws.dat"
+    run_cli(capsys, "sample", "--tree", str(model_file), "--m", "200",
+            "--seed", "3", "--out", str(samples))
+    code, out, err = run_cli(
+        capsys, "test-identity", "--samples", str(samples), "--tree", str(model_file),
+        "--eps", eps, "--delta", "0.05",
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "BadParameter", "message": f"eps must be in (0, 1], got {float(eps)}"
+    }
+    assert out == ""
+
+
 def test_interpolate_emits_trace(tmp_path, capsys, model_file):
     other = tmp_path / "other.nwk"
     run_cli(capsys, "gen", "--n", "6", "--low", "0.3", "--high", "0.8",

@@ -60,6 +60,13 @@ class TestVerdicts:
         verdict = run_identity_test(draws, truth, eps=0.2, delta=0.1)
         assert (verdict.statistic > verdict.threshold) == (verdict.decision == "reject")
 
+    @pytest.mark.parametrize("eps", [float("nan"), 1.5, float("inf"), 0.0, -0.1])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        truth = random_model(4, philox(62))
+        draws = sample(truth, 100, 1)
+        with pytest.raises(BadParameter, match=r"eps must be in \(0, 1\]"):
+            run_identity_test(draws, truth, eps=eps, delta=0.1)
+
     def test_dimension_mismatch(self):
         truth = random_model(5, philox(62))
         draws = sample(truth, 100, 1)

@@ -16,8 +16,10 @@ from latent_ising import (
     fit_known,
     fit_report,
     learn_from_samples_known,
+    random_weighted_tree,
     sample,
 )
+from latent_ising.errors import BadParameter
 from latent_ising.learn_known import build_interval_lp
 from latent_ising.solvers import Gf2Equation, Gf2System, gf2_solve
 
@@ -75,6 +77,26 @@ class TestFitKnown:
             assert abs(abs(induced.get(i, j)) - abs(target)) <= eta + 1e-9
             if abs(target) > eta:
                 assert induced.get(i, j) * target > 0
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        alpha = correlations(three_leaf_star(0.5, 0.5, 0.5))
+        with pytest.raises(BadParameter, match="eta must be finite and positive"):
+            fit_known(STAR, alpha, eta)
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_noisy_exact_targets_fit_at_large_n(self, n):
+        """Exact correlations plus uniform noise within eta are realizable, so
+        the fit must land within eta of every target with consistent signs."""
+        rng = philox(n)
+        truth = random_weighted_tree(n, rng, -0.9, 0.9)
+        alpha = correlations(truth)
+        noisy = CorrelationVector(
+            alpha.labels, alpha.values + rng.uniform(-1e-3, 1e-3, alpha.values.size)
+        )
+        report = fit_report(fit_known(truth.topology, noisy, 1e-3), noisy)
+        assert report["max_magnitude_error"] <= 1e-3
+        assert report["signs_consistent"]
 
     def test_report_fields(self):
         truth = three_leaf_star(0.5, 0.5, 1.0)

@@ -48,6 +48,11 @@ class TestChooseParams:
         with pytest.raises(BadParameter):
             choose_params(0.0, 5)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(BadParameter, match="eta must be finite and positive"):
+            choose_params(eta, 5)
+
 
 class TestLearnUnknown:
     def test_exact_correlations_recover_model(self):

@@ -19,6 +19,7 @@ from latent_ising import (
     lp_feasible,
     solvers,
 )
+from latent_ising.errors import BadParameter
 from latent_ising.trees import CorrelationVector, TreeTopology
 
 from conftest import philox, random_model
@@ -33,6 +34,91 @@ def assert_satisfies(lp: IntervalPathLP, w: np.ndarray, tol: float = 1e-9):
         assert total <= con.upper + tol
         if con.lower is not None:
             assert total >= con.lower - tol
+
+
+def _reference_lp_feasible(lp: IntervalPathLP):
+    """The dense solver the sparse one must reproduce bit for bit: the same
+    program and Bland's rule, with the tableau assembled row by row, a dense
+    cost vector, the reduced costs recomputed as cost[basis] @ T and a full
+    rank-1 update on every pivot."""
+    nv = lp.n_vars
+    rows, rhs, origin = [], [], []
+    t = np.zeros(nv + 1)
+    t[nv] = 1.0
+    for k, con in enumerate(lp.constraints):
+        path = np.zeros(nv + 1)
+        path[list(con.variables)] = 1.0
+        rows.append(t - path)
+        rhs.append(con.upper)
+        origin.append((k, "upper"))
+        if con.lower is not None:
+            rows.append(t + path)
+            rhs.append(-con.lower)
+            origin.append((k, "lower"))
+    rows.append(t)
+    rhs.append(solvers._SLACK_CAP)
+
+    m = len(rows)
+    t0 = min(0.0, min(rhs))
+    T = np.hstack([np.array(rows), np.eye(m), np.array(rhs)[:, None] - t0])
+    basis = np.arange(nv + 1, nv + 1 + m)
+    cost = np.zeros(nv + 1 + m)
+    cost[nv] = 1.0
+    for _ in range(solvers._MAX_PIVOTS):
+        reduced = cost - cost[basis] @ T[:, :-1]
+        improving = np.flatnonzero(reduced > solvers._TOL)
+        if improving.size == 0:
+            break
+        col = T[:, improving[0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(col > solvers._TOL, T[:, -1] / col, np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + solvers._TOL)
+        row = ties[np.argmin(basis[ties])]
+        pivot_row = T[row] / col[row]
+        T -= np.outer(col, pivot_row)
+        T[row] = pivot_row
+        basis[row] = improving[0]
+
+    x = np.zeros(nv + 1 + m)
+    x[basis] = T[:, -1]
+    if t0 + x[nv] < -solvers._TOL:
+        duals = cost[basis] @ T[:, nv + 1 : nv + m]
+        k, side = origin[int(np.argmax(duals))]
+        con = lp.constraints[k]
+        return Infeasible(
+            constraint=k,
+            side=side,
+            message=f"no assignment satisfies the {side} bound of constraint {k} "
+            f"(interval [{con.lower}, {con.upper}])",
+        )
+    return -x[:nv]
+
+
+def _random_interval_lp(rng: np.random.Generator, shape: str) -> IntervalPathLP:
+    """Up to 30 variables and 60 constraints.  "planted" programs hold a
+    point w <= 0 (feasible, often with equal bounds); "grid" bounds sit on
+    multiples of 1/4 so ratio ties are exact; "uniform" bounds are mostly
+    infeasible."""
+    n_vars = int(rng.integers(1, 31))
+    planted = -0.25 * rng.integers(0, 9, n_vars)
+    constraints = []
+    for _ in range(int(rng.integers(1, 61))):
+        size = int(rng.integers(0, n_vars + 1))
+        variables = tuple(sorted(rng.choice(n_vars, size=size, replace=False).tolist()))
+        if shape == "planted":
+            total = float(planted[list(variables)].sum())
+            upper = total + 0.25 * int(rng.integers(0, 3))
+            lower = total - 0.25 * int(rng.integers(0, 3))
+        elif shape == "grid":
+            upper = 0.25 * int(rng.integers(-16, 3))
+            lower = upper - 0.25 * int(rng.integers(0, 5))
+        else:
+            upper = float(rng.uniform(-5, 0.5))
+            lower = upper - float(rng.uniform(0.0, 3.0))
+        if rng.random() < 0.3:
+            lower = None
+        constraints.append(PathConstraint(variables, lower, upper))
+    return IntervalPathLP(n_vars, tuple(constraints))
 
 
 class TestIntervalLp:
@@ -89,6 +175,28 @@ class TestIntervalLp:
 
         with pytest.raises(BadParameter):
             IntervalPathLP(2, (PathConstraint((0, 1), lower=0.5, upper=-0.5),))
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(None, float("nan")), (float("nan"), 0.0), (None, float("inf")),
+         (None, -float("inf")), (-float("inf"), 0.0)],
+        ids=["upper-nan", "lower-nan", "upper-inf", "upper-minus-inf", "lower-minus-inf"],
+    )
+    def test_non_finite_bound_rejected(self, lower, upper):
+        with pytest.raises(BadParameter, match="not finite"):
+            IntervalPathLP(1, (PathConstraint((0,), lower, upper),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["planted", "grid", "uniform"]))
+    def test_sparse_pivots_match_dense_reference(self, seed, shape):
+        lp = _random_interval_lp(philox(seed), shape)
+        want = _reference_lp_feasible(lp)
+        got = lp_feasible(lp)
+        if isinstance(want, Infeasible):
+            assert got == want
+        else:
+            assert not isinstance(got, Infeasible)
+            assert np.array_equal(got, want)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

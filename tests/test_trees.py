@@ -357,6 +357,16 @@ class TestCorrelations:
         with pytest.raises(UnknownPair):
             CorrelationVector([1, 2, 3, 4], [np.nan, 0.5, 0.5, 0.5, 0.5, 0.5])
 
+    def test_restrict_keeps_each_pair_value(self):
+        alpha = correlations(random_weighted_tree(9, philox(5), -0.9, 0.9))
+        sub = alpha.restrict([8, 2, 5, 3])
+        assert sub.labels == (2, 3, 5, 8)
+        for i, j, value in sub.pairs():
+            assert value == alpha.get(i, j)
+        assert alpha.restrict(range(1, 10)) is alpha
+        with pytest.raises(UnknownLeaf, match="leaf 10 not covered"):
+            alpha.restrict([2, 10, 11])
+
     def test_from_pairs_places_each_pair_by_label(self):
         alpha = CorrelationVector.from_pairs([3, 1, 2], {(2, 1): 0.1, (3, 2): -0.4})
         assert (alpha.get(1, 2), alpha.get(1, 3), alpha.get(2, 3)) == (0.1, 0.0, -0.4)
