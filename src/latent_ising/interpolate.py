@@ -37,9 +37,10 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     _SPLIT_ORDER,
+    _attach,
+    _detach,
     _edge_splits,
     _side,
-    cut_paste,
     path_nodes,
 )
 
@@ -101,14 +102,14 @@ def sequence(topology: TreeTopology, i: int, j: int) -> List[TreeTopology]:
 
     The first element re-pastes ``i`` next to its current position and so
     equals the input up to isomorphism; the last has i and j as a cherry.
+    ``i`` is cut from the path once; every path edge beyond it lies on the
+    far side of that cut, so each step is one paste.
     """
     nodes = path_nodes(topology, i, j)
     if len(nodes) - 1 < 3:
         raise AlreadyCherry(f"nodes {i} and {j} are already adjacent or a cherry")
-    return [
-        cut_paste(topology, i, nodes[1], (nodes[r], nodes[r + 1]))
-        for r in range(1, len(nodes) - 1)
-    ]
+    cut = _detach(topology, i, nodes[1])
+    return [_attach(cut, (nodes[r], nodes[r + 1])) for r in range(1, len(nodes) - 1)]
 
 
 def interpolate(
@@ -228,13 +229,16 @@ def _epoch_moves(
     Paste k changes exactly the quartets with one leaf in each block: ra's
     side, the subtrees hanging off path nodes 1..k, the one off node k+1,
     and everything beyond.  ``splits`` is the edge-split table of ``current``
-    and ``magnitudes`` the dense |alpha| matrix over its sorted leaves.
+    and ``magnitudes`` the dense |alpha| matrix over its sorted leaves.  ra
+    is cut once; every target is a path edge beyond nodes[1], on the far
+    side of the cut, so each paste only attaches.
     """
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
     # toward[q]: the leaves beyond path edge q, seen from ra; the sets shrink
     toward = [_side(current, splits, a, b) for a, b in zip(nodes, nodes[1:])]
     labels = np.array(current.leaves)
+    cut = _detach(current, ra, nodes[1])
     for k in range(1, length - 1):
         masks = (~toward[0], toward[0] & ~toward[k], toward[k] & ~toward[k + 1], toward[k + 1])
         grid = np.ix_(*(np.flatnonzero(m) for m in masks))
@@ -245,7 +249,7 @@ def _epoch_moves(
         yield (
             tuple(tuple(labels[m].tolist()) for m in masks),
             float(np.ptp(np.stack(products), axis=0).max(initial=0.0)),
-            cut_paste(current, ra, nodes[1], (nodes[k + 1], nodes[k + 2])),
+            _attach(cut, (nodes[k + 1], nodes[k + 2])),
         )
 
 

@@ -56,6 +56,18 @@ class IntervalPathLP:
                 raise BadParameter(f"constraint {k} has a bound that is not finite")
             if con.lower is not None and con.upper < con.lower - 1e-15:
                 raise BadParameter(f"constraint {k} has upper < lower")
+        # lp_feasible shifts every right-hand side by t0, the smallest of them
+        # (or 0); the shifted tableau must stay finite
+        sides = [(k, "upper", float(con.upper)) for k, con in enumerate(self.constraints)]
+        sides += [(k, "lower", -float(con.lower)) for k, con in enumerate(self.constraints)
+                  if con.lower is not None]
+        t0 = min(0.0, _SLACK_CAP, *(rhs for _, _, rhs in sides))
+        for k, side, rhs in sides:
+            if not math.isfinite(rhs - t0):
+                raise BadParameter(
+                    f"the {side} bound of constraint {k} is too far from the smallest "
+                    "bound for the solver's shift to stay finite"
+                )
 
 
 @dataclass(frozen=True)

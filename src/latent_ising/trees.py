@@ -9,9 +9,13 @@ matching is computed once, batched over leaf subsets, and is the one the
 closed-form leaf distribution multiplies correlations along.  Batched path
 questions (which edges a pair's path uses, whether two topologies agree,
 which leaves lie beyond an edge, through ``_side``) are answered from one
-table of edge bipartitions, ``_edge_splits``.  Every surgery ends in the one
-constructor ``_rebuild``, which splices out degree-2 nodes, renumbers
-internal nodes canonically and validates once.
+table of edge bipartitions, ``_edge_splits``.  A tree reaches canonical form
+through two steps, each written once: ``_splice`` splices out degree-2
+nodes, and ``_renumber`` renumbers internal nodes canonically and builds
+and validates the tree once.  ``_rebuild`` is the two in a row, and every
+surgery but cut-and-paste ends in it.  Cut-and-paste splits them: ``_detach``
+cuts the moved side off and splices once, and each ``_attach`` pastes it
+onto one target edge and renumbers, so many pastes of one cut share it.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +70,9 @@ class TreeTopology:
         self.leaves: Tuple[int, ...] = tuple(sorted(set(leaves)))
         if not self.leaves:
             raise MalformedTree("a tree needs at least one leaf")
-        self.edges: Tuple[Edge, ...] = tuple(sorted(edge_key(u, v) for u, v in edges))
+        keyed = [(u, v) if u < v else (v, u) for u, v in edges]  # edge_key, inlined
+        keyed.sort()
+        self.edges: Tuple[Edge, ...] = tuple(keyed)
         self._leaf_set = frozenset(self.leaves)
 
         adjacency: Dict[int, List[int]] = {v: [] for v in self.leaves}
@@ -77,7 +83,9 @@ class TreeTopology:
             adjacency.setdefault(v, []).append(u)
         if len(set(self.edges)) != len(self.edges):
             raise MalformedTree("duplicate edge")
-        self._adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        # sorted edges give each node its smaller neighbours, then its larger
+        # ones, both ascending, so every list is already sorted
+        self._adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -327,15 +335,18 @@ def diameter(topology: TreeTopology) -> int:
 def _edge_splits(topology: TreeTopology) -> np.ndarray:
     """(|E|, n) boolean, one postorder pass: row k marks the sorted leaves on
     v's side of ``topology.edges[k] = (u, v)``."""
-    edge_index = {e: k for k, e in enumerate(topology.edges)}
-    splits = np.zeros((len(topology.edges), topology.leaf_count), dtype=bool)
     order, parent = _postorder(topology, topology.leaves[0])
-    below = {v: np.equal(topology.leaves, v) for v in order}
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            below[p] |= below[v]
-            splits[edge_index[edge_key(v, p)]] = below[v] if v > p else ~below[v]
+    row = {v: k for k, v in enumerate(order)}
+    n = topology.leaf_count
+    below = np.zeros((len(order), n), dtype=bool)  # row k: the leaves below order[k]
+    below[[row[leaf] for leaf in topology.leaves], np.arange(n)] = True
+    children = order[:-1]  # the root comes last
+    for k, v in enumerate(children):
+        below[row[parent[v]]] |= below[k]
+    edge_index = {e: k for k, e in enumerate(topology.edges)}
+    splits = np.empty((len(topology.edges), n), dtype=bool)
+    flip = np.array([v < parent[v] for v in children], dtype=bool)  # v is the edge's u
+    splits[[edge_index[edge_key(v, parent[v])] for v in children]] = below[:-1] ^ flip[:, None]
     return splits
 
 
@@ -359,26 +370,14 @@ def _path_incidence(topology: TreeTopology) -> np.ndarray:
 # normalization
 
 
-def _rebuild(
-    leaves: Iterable[int], edges: Iterable[Edge], theta: Optional[Mapping[Edge, float]] = None
-) -> Tuple[TreeTopology, Dict[Edge, float]]:
-    """Bring a tree's edge list to canonical form and build it once.
+def _splice(adjacency: Dict[int, List[int]], leaf_set) -> List[Tuple[int, int, int]]:
+    """Splice out every degree-2 internal node of ``adjacency``, in place.
 
-    Every degree-2 internal node is spliced out (the two weights multiply;
-    ``theta`` defaults to 1 on every edge), internal nodes are renumbered
-    ``max(leaf)+1..`` in BFS order from the smallest leaf over sorted
-    neighbours, and the result is validated.  Returns the topology and its
-    weights keyed by the renumbered edges.
+    A splice leaves every other degree alone, so one ascending pass finds
+    them all.  Returns each spliced node with the two neighbours it joined,
+    ``(node, a, b)``, in splice order.
     """
-    leaves = sorted(set(leaves))
-    edges = sorted(edge_key(u, v) for u, v in edges)
-    weights = dict(theta) if theta is not None else dict.fromkeys(edges, 1.0)
-    adjacency: Dict[int, List[int]] = {v: [] for v in leaves}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    leaf_set = set(leaves)
-    # a splice leaves every other degree alone, so one ascending pass finds all
+    spliced = []
     for v in sorted(adjacency):
         if v in leaf_set or len(adjacency[v]) != 2:
             continue
@@ -389,7 +388,16 @@ def _rebuild(
             raise MalformedTree("contraction produced a parallel edge")
         adjacency[a].append(b)
         adjacency[b].append(a)
-        weights[edge_key(a, b)] = weights.pop(edge_key(a, v)) * weights.pop(edge_key(v, b))
+        spliced.append((v, a, b))
+    return spliced
+
+
+def _renumber(
+    leaves: Sequence[int], adjacency: Mapping[int, Sequence[int]]
+) -> Tuple[TreeTopology, Dict[int, int]]:
+    """Renumber internal nodes ``max(leaf)+1..`` in BFS order from the
+    smallest of the sorted ``leaves`` over sorted neighbours, and build and
+    validate the tree once.  Returns it with the renumbering."""
     order = [leaves[0]]
     seen = {leaves[0]}
     for v in order:  # BFS over a growing list
@@ -398,10 +406,35 @@ def _rebuild(
                 seen.add(w)
                 order.append(w)
     mapping = {leaf: leaf for leaf in leaves}
-    internal = [v for v in order if v not in leaf_set]
+    internal = [v for v in order if v not in mapping]
     mapping.update(zip(internal, itertools.count(leaves[-1] + 1)))
-    new_weights = {edge_key(mapping[u], mapping[v]): w for (u, v), w in weights.items()}
-    return TreeTopology(leaves, new_weights.keys()), new_weights
+    edges = [(mapping[a], mapping[b]) for a, ns in adjacency.items() for b in ns if a < b]
+    return TreeTopology(leaves, edges), mapping
+
+
+def _rebuild(
+    leaves: Iterable[int], edges: Iterable[Edge], theta: Optional[Mapping[Edge, float]] = None
+) -> Tuple[TreeTopology, Optional[Dict[Edge, float]]]:
+    """Bring a tree's edge list to canonical form and build it once.
+
+    Every degree-2 internal node is spliced out (:func:`_splice`; the two
+    weights multiply), and internal nodes are renumbered canonically
+    (:func:`_renumber`).  Returns the topology and, when ``theta`` is given,
+    its weights keyed by the renumbered edges.
+    """
+    leaves = sorted(set(leaves))
+    adjacency: Dict[int, List[int]] = {v: [] for v in leaves}
+    for u, v in sorted(edge_key(u, v) for u, v in edges):
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    spliced = _splice(adjacency, set(leaves))
+    topology, mapping = _renumber(leaves, adjacency)
+    if theta is None:
+        return topology, None
+    weights = dict(theta)
+    for v, a, b in spliced:
+        weights[edge_key(a, b)] = weights.pop(edge_key(a, v)) * weights.pop(edge_key(v, b))
+    return topology, {edge_key(mapping[u], mapping[v]): w for (u, v), w in weights.items()}
 
 
 def binary(topology: TreeTopology) -> TreeTopology:
@@ -602,6 +635,51 @@ def _postorder(topology: TreeTopology, root: int) -> Tuple[List[int], Dict[int, 
 # surgery
 
 
+class _Cut(NamedTuple):
+    """A tree with the edge (u, v) cut, ready for :func:`_attach`: ``u`` hangs
+    from the fresh node ``t``, one above every node, and the degree-2 nodes
+    the cut leaves are spliced out, each recorded as ``(node, a, b)``."""
+
+    leaves: Tuple[int, ...]
+    adjacency: Dict[int, List[int]]
+    t: int
+    spliced: List[Tuple[int, int, int]]
+
+
+def _detach(topology: TreeTopology, u: int, v: int) -> _Cut:
+    """Cut the edge (u, v) once for any number of pastes of u's side.
+
+    ``v`` must not be a degree-2 node, which the cut would leave dangling.
+    """
+    if topology.degree(v) == 2:
+        raise InvalidCut(f"cutting ({u}, {v}) leaves node {v} dangling")
+    t = max(topology._adjacency) + 1
+    adjacency = {x: list(ns) for x, ns in topology._adjacency.items()}
+    adjacency[u][adjacency[u].index(v)] = t
+    adjacency[v].remove(u)
+    adjacency[t] = [u]
+    return _Cut(topology.leaves, adjacency, t, _splice(adjacency, topology._leaf_set))
+
+
+def _attach(cut: _Cut, target: Edge) -> TreeTopology:
+    """Paste the cut-off side into the middle of ``target``, an edge of the
+    uncut tree on v's side: ``t`` joins it, and the result is renumbered and
+    built once.  Bringing the target edge through the splices first makes
+    this the tree that splicing after the paste would give."""
+    r, s = target
+    for x, a, b in cut.spliced:  # an edge through x now runs from a to b
+        if x == r or x == s:
+            r, s = a, b
+    adjacency, t = cut.adjacency, cut.t
+    pasted = {
+        **adjacency,
+        t: [*adjacency[t], r, s],
+        r: [t if w == s else w for w in adjacency[r]],
+        s: [t if w == r else w for w in adjacency[s]],
+    }
+    return _renumber(cut.leaves, pasted)[0]
+
+
 def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopology:
     """Detach ``u`` (with its side of the tree) from ``v`` and re-attach it
     in the middle of ``target``.
@@ -619,14 +697,7 @@ def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopol
     v_side = component_nodes(topology, v, [(u, v)])
     if r not in v_side or s not in v_side:
         raise InvalidCut(f"target ({r}, {s}) lies in the component being moved")
-    if topology.degree(v) == 2:
-        raise InvalidCut(f"cutting ({u}, {v}) leaves node {v} dangling")
-    t = max(topology.nodes) + 1
-    edges = set(topology.edges)
-    edges.discard(edge_key(u, v))
-    edges.discard(edge_key(r, s))
-    edges.update({edge_key(t, u), edge_key(t, r), edge_key(t, s)})
-    return _rebuild(topology.leaves, edges)[0]
+    return _attach(_detach(topology, u, v), target)
 
 
 def induced_subtree(topology: TreeTopology, subset: Iterable[int]) -> TreeTopology:

@@ -122,8 +122,8 @@ class TestInterpolate:
     def test_one_paste_per_recorded_move(self, monkeypatch):
         module = importlib.import_module("latent_ising.interpolate")
         pastes = []
-        real = module.cut_paste
-        monkeypatch.setattr(module, "cut_paste", lambda *args: pastes.append(args) or real(*args))
+        real = module._attach
+        monkeypatch.setattr(module, "_attach", lambda *args: pastes.append(args) or real(*args))
         rng = philox(51)
         source = random_topology(12, rng)
         target = random_model(12, rng, magnitude=(0.25, 0.85))

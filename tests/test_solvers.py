@@ -186,6 +186,12 @@ class TestIntervalLp:
         with pytest.raises(BadParameter, match="not finite"):
             IntervalPathLP(1, (PathConstraint((0,), lower, upper),))
 
+    def test_bound_spread_that_overflows_rejected(self):
+        # each bound is finite, but 1e308 - (-1.7e308) is not
+        constraints = (PathConstraint((0,), None, 1e308), PathConstraint((1,), -1.7e308, -1e308))
+        with pytest.raises(BadParameter, match="upper bound of constraint 0 is too far"):
+            IntervalPathLP(2, constraints)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["planted", "grid", "uniform"]))
     def test_sparse_pivots_match_dense_reference(self, seed, shape):

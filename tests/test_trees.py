@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latent_ising import (
+    AlreadyCherry,
     CorrelationVector,
     InvalidCut,
     MalformedTree,
@@ -31,11 +32,14 @@ from latent_ising import (
     quartet_split,
     random_topology,
     random_weighted_tree,
+    sequence,
     topologies_equal,
 )
 from latent_ising.distribution import marginal_distribution
 from latent_ising.trees import (
     TIE_TOLERANCE,
+    _attach,
+    _detach,
     _edge_splits,
     _path_incidence,
     _side,
@@ -504,6 +508,57 @@ class TestCutPaste:
         # surgery renumbers internal ids back to a contiguous block
         internals = sorted(v for v in moved.nodes if not moved.is_leaf(v))
         assert internals == list(range(n + 1, n + 1 + len(internals)))
+
+
+def same_tree(a: TreeTopology, b: TreeTopology) -> bool:
+    return a.edges == b.edges and list(a._adjacency.items()) == list(b._adjacency.items())
+
+
+class TestDetachAttach:
+    """One cut, many pastes: detach + attach is cut_paste, target by target."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(4, 24), st.integers(0, 10**6), st.booleans())
+    def test_every_paste_of_one_cut_matches_cut_paste(self, n, seed, plain):
+        rng = philox(seed)
+        topo = random_topology(n, rng) if plain else chained_and_contracted(rng, n)
+        u, v = topo.edges[int(rng.integers(len(topo.edges)))][:: int(rng.choice([-1, 1]))]
+        if topo.degree(v) == 2:
+            with pytest.raises(InvalidCut, match="dangling"):
+                _detach(topo, u, v)
+            return
+        cut = _detach(topo, u, v)
+        v_side = component_nodes(topo, v, [(u, v)])
+        for r, s in topo.edges:
+            target = (r, s) if rng.random() < 0.5 else (s, r)
+            if r in v_side and s in v_side:
+                pasted = _attach(cut, target)
+                assert same_tree(pasted, cut_paste(topo, u, v, target))
+                assert same_tree(pasted, _reference_cut_paste(topo, u, v, target))
+            else:
+                with pytest.raises(InvalidCut, match="component being moved"):
+                    cut_paste(topo, u, v, target)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(4, 24), st.integers(0, 10**6), st.booleans())
+    def test_sequence_is_one_cut_paste_per_path_edge(self, n, seed, plain):
+        rng = philox(seed)
+        topo = random_topology(n, rng) if plain else chained_and_contracted(rng, n)
+        i, j = sorted(rng.choice(topo.leaves, 2, replace=False).tolist())
+        edges = path(topo, i, j)
+        if len(edges) < 3:
+            with pytest.raises(AlreadyCherry):
+                sequence(topo, i, j)
+            return
+        hub = edges[0][0] if edges[0][1] == i else edges[0][1]
+        if topo.degree(hub) == 2:
+            with pytest.raises(InvalidCut, match="dangling"):
+                sequence(topo, i, j)
+            return
+        steps = sequence(topo, i, j)
+        want = [cut_paste(topo, i, hub, e) for e in edges[1:]]
+        assert len(steps) == len(want)
+        assert all(same_tree(a, b) for a, b in zip(steps, want))
 
 
 class TestInducedSubtree:
