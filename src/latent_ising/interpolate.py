@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,22 +30,25 @@ from .errors import (
     DimensionMismatch,
     LeafSetMismatch,
     MalformedTree,
-    UnknownLeaf,
     UnknownPair,
 )
 from .trees import (
     CorrelationVector,
+    Edge,
     TreeTopology,
     WeightedTree,
+    _Cut,
     _SPLIT_ORDER,
     _attach,
     _detach,
     _edge_splits,
+    _postorder,
     _side,
     path_nodes,
 )
 
 Quartet = Tuple[int, int, int, int]
+Paste = Tuple[_Cut, Edge]  # a step not yet built: ``_attach(*paste)``
 
 
 @dataclass(frozen=True)
@@ -69,27 +73,38 @@ class Move:
         return math.prod(len(b) for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the cuts hold dicts: compare and hash by identity
 class InterpolationTrace:
-    topologies: Tuple[TreeTopology, ...]
+    """The moves of an interpolation and the trees between them.
+
+    ``steps`` holds the source and then one entry per move.  The tree that
+    ends each epoch is built; every other step is a paste record
+    ``(cut, target_edge)`` that shares its epoch's cut, which no paste
+    mutates.  ``topologies`` pastes, renumbers and validates those records
+    on first read and caches the tuple.
+    """
+
+    steps: Tuple[Union[TreeTopology, Paste], ...]
     moves: Tuple[Move, ...]
     epochs: int
     rounds: int
 
+    @cached_property
+    def topologies(self) -> Tuple[TreeTopology, ...]:
+        return tuple(
+            step if isinstance(step, TreeTopology) else _attach(*step) for step in self.steps
+        )
+
     @property
     def final(self) -> TreeTopology:
-        return self.topologies[-1]
+        return self.steps[-1]  # the source, or the tree that ends the last epoch
 
 
 def is_cherry(topology: TreeTopology, i: int, j: int) -> bool:
     """True when the two nodes share a common neighbor."""
     if i == j:
         raise UnknownPair(f"cherry query with identical nodes {i}")
-    if i not in topology.nodes:
-        raise UnknownLeaf(f"node {i} not in tree")
-    if j not in topology.nodes:
-        raise UnknownLeaf(f"node {j} not in tree")
-    return _common_neighbor(topology, i, j) is not None
+    return _common_neighbor(topology, i, j) is not None  # neighbors raises UnknownLeaf
 
 
 def _common_neighbor(topology: TreeTopology, i: int, j: int) -> Optional[int]:
@@ -131,7 +146,7 @@ def interpolate(
     if tuple(sorted(alpha.labels)) != source.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
 
-    topologies: List[TreeTopology] = [source]
+    steps: List[Union[TreeTopology, Paste]] = [source]
     moves: List[Move] = []
     current = source
     epochs = 0
@@ -157,35 +172,34 @@ def interpolate(
                 if _common_neighbor(current, roots[i], roots[j]) is None:
                     mover, anchor = _pick_weaker(target, block, i, j, p)
                     epochs += 1
-                    for blocks, max_gap, pasted in _epoch_moves(
+                    for blocks, max_gap, paste in _epoch_moves(
                         current, splits, roots[mover], roots[anchor], magnitudes
                     ):
                         moves.append(
                             Move(epochs, rounds, mover, block[mover], block[anchor], blocks, max_gap)
                         )
-                        topologies.append(pasted)
-                    current = topologies[-1]
+                        steps.append(paste)
+                    current = steps[-1] = _attach(*steps[-1])
                     splits = _edge_splits(current)
                 working.discard(i)
                 working.discard(j)
                 working.add(p)
                 block[p] = block[i] | block[j]
     return InterpolationTrace(
-        topologies=tuple(topologies),
+        steps=tuple(steps),
         moves=tuple(moves),
         epochs=epochs,
         rounds=rounds,
     )
 
 
-def _signal(target: WeightedTree, u: int, p: int) -> float:
-    """|product of target weights| along the path from u to p."""
-    if u == p:
-        return 1.0
-    nodes = path_nodes(target.topology, u, p)
+def _signal(target: WeightedTree, parent: Dict[int, Optional[int]], u: int) -> float:
+    """|product of target weights| along the path from u to the root of the
+    parent pointers ``parent``, multiplied in that order."""
     out = 1.0
-    for a, b in zip(nodes, nodes[1:]):
-        out *= abs(target.weight(a, b))
+    while parent[u] is not None:
+        out *= abs(target.weight(u, parent[u]))
+        u = parent[u]
     return out
 
 
@@ -196,8 +210,9 @@ def _pick_weaker(
 
     Ties do not switch, so the lexicographically first candidate moves.
     """
-    peak_i = max(_signal(target, u, p) for u in sorted(block[i]))
-    peak_j = max(_signal(target, u, p) for u in sorted(block[j]))
+    parent = _postorder(target.topology, p)[1]
+    peak_i = max(_signal(target, parent, u) for u in sorted(block[i]))
+    peak_j = max(_signal(target, parent, u) for u in sorted(block[j]))
     if peak_i > peak_j:
         return j, i
     return i, j
@@ -223,15 +238,17 @@ def _block_roots(topology: TreeTopology, splits: np.ndarray, *blocks: FrozenSet[
 
 def _epoch_moves(
     current: TreeTopology, splits: np.ndarray, ra: int, rb: int, magnitudes: np.ndarray
-) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], float, TreeTopology]]:
-    """(blocks, max_gap, topology) of each paste of ``ra`` along its path to ``rb``.
+) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], float, Paste]]:
+    """(blocks, max_gap, paste record) of each paste of ``ra`` along its path
+    to ``rb``.
 
     Paste k changes exactly the quartets with one leaf in each block: ra's
     side, the subtrees hanging off path nodes 1..k, the one off node k+1,
     and everything beyond.  ``splits`` is the edge-split table of ``current``
     and ``magnitudes`` the dense |alpha| matrix over its sorted leaves.  ra
     is cut once; every target is a path edge beyond nodes[1], on the far
-    side of the cut, so each paste only attaches.
+    side of the cut, so each paste is the shared cut and its target edge,
+    built only by :func:`_attach`.
     """
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
@@ -242,14 +259,24 @@ def _epoch_moves(
     for k in range(1, length - 1):
         masks = (~toward[0], toward[0] & ~toward[k], toward[k] & ~toward[k + 1], toward[k + 1])
         grid = np.ix_(*(np.flatnonzero(m) for m in masks))
-        products = [
-            magnitudes[grid[ia], grid[ib]] * magnitudes[grid[ic], grid[id_]]
+        first, second, third = (
+            (magnitudes[grid[ia], grid[ib]], magnitudes[grid[ic], grid[id_]])
             for ia, ib, ic, id_ in _SPLIT_ORDER
-        ]
+        )
+        # the largest minus the smallest of the three products; max and min
+        # are exact, so this is np.ptp over them, without stacking
+        low = np.multiply(*first)
+        other = np.multiply(*second)
+        high = np.maximum(low, other)
+        np.minimum(low, other, out=low)
+        np.multiply(*third, out=other)
+        np.maximum(high, other, out=high)
+        np.minimum(low, other, out=low)
+        high -= low
         yield (
             tuple(tuple(labels[m].tolist()) for m in masks),
-            float(np.ptp(np.stack(products), axis=0).max(initial=0.0)),
-            _attach(cut, (nodes[k + 1], nodes[k + 2])),
+            float(high.max(initial=0.0)),
+            (cut, (nodes[k + 1], nodes[k + 2])),
         )
 
 

@@ -286,9 +286,9 @@ def path_nodes(topology: TreeTopology, a: int, b: int) -> List[int]:
     """Node sequence of the unique simple path from a to b (inclusive)."""
     if a == b:
         raise UnknownPair(f"path endpoints coincide: {a}")
-    if a not in topology.nodes:
+    if a not in topology._adjacency:
         raise UnknownLeaf(f"node {a} not in tree")
-    if b not in topology.nodes:
+    if b not in topology._adjacency:
         raise UnknownLeaf(f"node {b} not in tree")
     parent = {a: a}
     queue = deque([a])

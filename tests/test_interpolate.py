@@ -30,6 +30,7 @@ from latent_ising import (
     trace_to_json,
 )
 from latent_ising.distribution import _parity, closed_form_distribution
+from latent_ising.trees import _attach
 
 from conftest import caterpillar, philox, random_model
 
@@ -120,6 +121,8 @@ class TestInterpolate:
         assert topologies_equal(trace.final, FLIP4)
 
     def test_one_paste_per_recorded_move(self, monkeypatch):
+        # interpolate builds the tree that ends each epoch; the first read of
+        # trace.topologies pastes every other move once, and later reads none
         module = importlib.import_module("latent_ising.interpolate")
         pastes = []
         real = module._attach
@@ -128,8 +131,37 @@ class TestInterpolate:
         source = random_topology(12, rng)
         target = random_model(12, rng, magnitude=(0.25, 0.85))
         trace = interpolate(source, target, correlations(random_model(12, rng)))
-        assert trace.epochs > 0
-        assert len(pastes) == len(trace.moves) == len(trace.topologies) - 1
+        assert 0 < trace.epochs < len(trace.moves)
+        assert len(pastes) == trace.epochs
+        topologies = trace.topologies  # pastes the other moves - epochs steps
+        assert len(pastes) == len(trace.moves)
+        assert trace.topologies is topologies  # a second read pastes nothing
+        assert len(pastes) == len(trace.moves)
+        assert len(topologies) == len(trace.moves) + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 24), st.integers(0, 10**6))
+    def test_materialized_steps_are_valid_and_independent(self, n, seed):
+        def run():
+            rng = philox(seed)
+            source = random_topology(n, rng)
+            target = random_model(n, rng, magnitude=(0.25, 0.85))
+            return interpolate(source, target, correlations(random_model(n, rng)))
+
+        trace = run()
+        for topology in trace.topologies:
+            assert TreeTopology(topology.leaves, topology.edges).edges == topology.edges
+            assert topology.is_binary()
+        # pasting in reverse order first shows no paste mutates the shared cut
+        fresh = run()
+        backwards = [
+            step if isinstance(step, TreeTopology) else _attach(*step)
+            for step in reversed(fresh.steps)
+        ]
+        want = [topology.edges for topology in trace.topologies]
+        assert [topology.edges for topology in reversed(backwards)] == want
+        assert [topology.edges for topology in fresh.topologies] == want
+        assert trace.final.edges == trace.topologies[-1].edges
 
     def test_leaf_set_mismatch(self):
         other = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
