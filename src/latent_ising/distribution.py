@@ -210,7 +210,7 @@ def _marginalize(tree: WeightedTree, spins: np.ndarray) -> np.ndarray:
         return np.full(len(spins), 0.5)
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     root = topology.leaves[0]
-    order, parent = _postorder(topology, root)
+    order, parent = _postorder(topology._adjacency, root)
     below: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for v in order:
         if topology.is_leaf(v) and v != root:
@@ -275,7 +275,7 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     for tree in components:
         topology = tree.topology
         root = topology.leaves[0]
-        order, parent = _postorder(topology, root)
+        order, parent = _postorder(topology._adjacency, root)
         order = order[::-1]  # root first
         row = {v: k for k, v in enumerate(order)}
         parents = [(k, row[parent[v]]) for k, v in enumerate(order[1:], start=1)]

@@ -210,7 +210,7 @@ def _pick_weaker(
 
     Ties do not switch, so the lexicographically first candidate moves.
     """
-    parent = _postorder(target.topology, p)[1]
+    parent = _postorder(target.topology._adjacency, p)[1]
     peak_i = max(_signal(target, parent, u) for u in sorted(block[i]))
     peak_j = max(_signal(target, parent, u) for u in sorted(block[j]))
     if peak_i > peak_j:

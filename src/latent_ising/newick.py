@@ -13,11 +13,11 @@ tree per line; a singleton component is a bare label line like ``7;``.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import MalformedTree
 from .forest import WeightedForest
-from .trees import TreeTopology, WeightedTree, _rebuild, edge_key
+from .trees import TreeTopology, WeightedTree, _postorder, _rebuild, edge_key
 
 
 def serialize_tree(tree: WeightedTree) -> str:
@@ -29,24 +29,20 @@ def serialize_tree(tree: WeightedTree) -> str:
     if topology.is_leaf(root):  # a single edge; longer chains render generically
         return f"({leaves[0]}:{tree.weight(leaves[0], root)!r},{root}:1.0);"
 
-    def min_leaf(v: int, parent: int) -> int:
+    # bottom-up, each subtree keeps its smallest leaf, which orders it among
+    # its siblings, and its text
+    order, parent = _postorder(topology._adjacency, root)
+    low: Dict[int, int] = {}
+    text: Dict[int, str] = {}
+    for v in order:
+        weight = "" if parent[v] is None else f":{tree.weight(parent[v], v)!r}"
         if topology.is_leaf(v):
-            return v
-        return min(min_leaf(w, v) for w in topology.neighbors(v) if w != parent)
-
-    def render(v: int, parent: int) -> str:
-        theta = tree.weight(parent, v)
-        if topology.is_leaf(v):
-            return f"{v}:{theta!r}"
-        kids = sorted(
-            (w for w in topology.neighbors(v) if w != parent),
-            key=lambda w: min_leaf(w, v),
-        )
-        inner = ",".join(render(w, v) for w in kids)
-        return f"({inner}):{theta!r}"
-
-    kids = sorted(topology.neighbors(root), key=lambda w: min_leaf(w, root))
-    return "(" + ",".join(render(w, root) for w in kids) + ");"
+            low[v], text[v] = v, f"{v}{weight}"
+            continue
+        kids = sorted((w for w in topology.neighbors(v) if w != parent[v]), key=low.__getitem__)
+        low[v] = low[kids[0]]
+        text[v] = "(" + ",".join(text.pop(w) for w in kids) + f"){weight}"
+    return text[root] + ";"
 
 
 def parse_tree(text: str) -> WeightedTree:
@@ -62,31 +58,26 @@ def parse_tree(text: str) -> WeightedTree:
     parser = _Parser(text[:-1])
     edges: List[Tuple[int, int, float]] = []
     leaves: List[int] = []
-    next_internal = [0]  # placeholder ids (negative), relabeled below
-
-    def fresh() -> int:
-        next_internal[0] -= 1
-        return next_internal[0]
-
-    def parse_node() -> Tuple[int, float]:
+    groups: List[int] = []  # the open groups, innermost last, as placeholder ids
+    opened = 0  # placeholder ids are negative, relabeled below
+    while True:
         if parser.peek() == "(":
             parser.expect("(")
-            me = fresh()
-            while True:
-                child, weight = parse_node()
-                edges.append((me, child, weight))
-                if parser.peek() == ",":
-                    parser.expect(",")
-                    continue
+            opened += 1
+            groups.append(-opened)
+            continue
+        node = parser.read_label()
+        leaves.append(node)
+        weight = parser.maybe_weight()
+        while groups:  # close every group that ends here
+            edges.append((groups[-1], node, weight))
+            if parser.peek() == ",":
                 break
             parser.expect(")")
-            weight = parser.maybe_weight()
-            return me, weight
-        label = parser.read_label()
-        leaves.append(label)
-        return label, parser.maybe_weight()
-
-    root, _ = parse_node()
+            node, weight = groups.pop(), parser.maybe_weight()
+        if not groups:
+            break
+        parser.expect(",")
     if not parser.done():
         raise MalformedTree(f"trailing characters near position {parser.pos}")
     if not leaves:

@@ -11,6 +11,7 @@ leaves; components need not be binary once contractions fire.
 from __future__ import annotations
 
 import itertools
+import statistics
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -21,6 +22,7 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     _edge_splits,
+    _postorder,
     _rebuild,
     _side,
     edge_key,
@@ -133,18 +135,25 @@ def _build_component(strength: CorrelationVector, members: Sequence[int]) -> Tre
 def _attachment_edge(
     adj: Dict[int, List[int]], strength: CorrelationVector, x: int
 ) -> Tuple[int, int]:
-    """Walk the partial tree, steering by quartet tests toward x's side."""
-    leaves = [v for v in adj if len(adj[v]) == 1]
-    prev = min(leaves)
-    cur = adj[prev][0]
+    """Walk the partial tree from its smallest leaf, steering by quartet tests
+    toward x's side.
+
+    Each direction from the current node is represented by its leaf most
+    strongly correlated with x.  One postorder pass gives every node that
+    leaf among the leaves below it; the walk only moves away from the root,
+    so the representative behind it is carried along.
+    """
+    rank = {u: (strength.get(x, u), -u) for u in adj if len(adj[u]) == 1}
+    root = min(rank)
+    order, parent = _postorder(adj, root)
+    top = {}  # the strongest leaf below each node
+    for v in order[:-1]:  # the root comes last
+        below = [top[w] for w in adj[v] if w != parent[v]]
+        top[v] = max(below, key=rank.__getitem__) if below else v
+    prev, cur, back = root, adj[root][0], root
     while True:
         directions = sorted(adj[cur])
-        reps = []
-        for d in directions:
-            group = _leaves_beyond(adj, cur, d)
-            reps.append(
-                max(group, key=lambda u: (strength.get(x, u), -u))
-            )
+        reps = [back if d == prev else top[d] for d in directions]
         products = []
         for k in range(3):
             other = [reps[i] for i in range(3) if i != k]
@@ -154,22 +163,8 @@ def _attachment_edge(
         nxt = directions[k]
         if nxt == prev or len(adj[nxt]) == 1:
             return (cur, nxt)
+        back = max((r for d, r in zip(directions, reps) if d != nxt), key=rank.__getitem__)
         prev, cur = cur, nxt
-
-
-def _leaves_beyond(adj: Dict[int, List[int]], blocked: int, start: int) -> List[int]:
-    seen = {blocked, start}
-    stack = [start]
-    out = []
-    while stack:
-        v = stack.pop()
-        if len(adj[v]) == 1:
-            out.append(v)
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,4 +217,4 @@ def _implied_weight_ratio(
             break
     if not ratios:
         return None
-    return float(np.median(ratios))
+    return float(statistics.median(ratios))

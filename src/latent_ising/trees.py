@@ -6,16 +6,22 @@ combinatorial operations: degree normalization, path queries, correlations
 as path products of edge weights, quartet classification, cut-and-paste
 surgery, induced subtrees, and the edge-disjoint pair matching.  The
 matching is computed once, batched over leaf subsets, and is the one the
-closed-form leaf distribution multiplies correlations along.  Batched path
-questions (which edges a pair's path uses, whether two topologies agree,
-which leaves lie beyond an edge, through ``_side``) are answered from one
-table of edge bipartitions, ``_edge_splits``.  A tree reaches canonical form
-through two steps, each written once: ``_splice`` splices out degree-2
-nodes, and ``_renumber`` renumbers internal nodes canonically and builds
-and validates the tree once.  ``_rebuild`` is the two in a row, and every
-surgery but cut-and-paste ends in it.  Cut-and-paste splits them: ``_detach``
-cuts the moved side off and splices once, and each ``_attach`` pastes it
-onto one target edge and renumbers, so many pastes of one cut share it.
+closed-form leaf distribution multiplies correlations along.  Every
+parent-pointer traversal reads one walk over an adjacency mapping,
+``_postorder``.  Batched path questions (which edges a pair's path uses,
+whether two topologies agree, which leaves lie beyond an edge, through
+``_side``, and which edges an induced subtree keeps) are answered from one
+table of edge bipartitions, ``_edge_splits``, built in one such walk.  Two
+loops walk on their own: ``_renumber``'s BFS, whose order is the canonical
+numbering, and ``component_nodes``, the plain reachability check that
+cut-and-paste validates its target with and the tests hold ``_side`` to.
+A tree reaches canonical form through two steps, each written once:
+``_splice`` splices out degree-2 nodes, and ``_renumber`` renumbers
+internal nodes canonically and builds and validates the tree once.
+``_rebuild`` is the two in a row, and every surgery but cut-and-paste ends
+in it.  Cut-and-paste splits them: ``_detach`` cuts the moved side off and
+splices once, and each ``_attach`` pastes it onto one target edge and
+renumbers, so many pastes of one cut share it.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.
@@ -98,16 +104,7 @@ class TreeTopology:
             return
         if len(self.edges) != len(nodes) - 1:
             raise MalformedTree("edge count does not match a tree")
-        # connectivity
-        seen = {self.leaves[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(nodes):
+        if len(_postorder(self._adjacency, self.leaves[0])[0]) != len(nodes):
             raise MalformedTree("graph is disconnected")
         max_leaf = self.leaves[-1]
         for v in nodes:
@@ -290,20 +287,10 @@ def path_nodes(topology: TreeTopology, a: int, b: int) -> List[int]:
         raise UnknownLeaf(f"node {a} not in tree")
     if b not in topology._adjacency:
         raise UnknownLeaf(f"node {b} not in tree")
-    parent = {a: a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w in topology.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    nodes = [b]
-    while nodes[-1] != a:
+    parent = _postorder(topology._adjacency, b)[1]
+    nodes = [a]
+    while nodes[-1] != b:
         nodes.append(parent[nodes[-1]])
-    nodes.reverse()
     return nodes
 
 
@@ -335,7 +322,7 @@ def diameter(topology: TreeTopology) -> int:
 def _edge_splits(topology: TreeTopology) -> np.ndarray:
     """(|E|, n) boolean, one postorder pass: row k marks the sorted leaves on
     v's side of ``topology.edges[k] = (u, v)``."""
-    order, parent = _postorder(topology, topology.leaves[0])
+    order, parent = _postorder(topology._adjacency, topology.leaves[0])
     row = {v: k for k, v in enumerate(order)}
     n = topology.leaf_count
     below = np.zeros((len(order), n), dtype=bool)  # row k: the leaves below order[k]
@@ -488,15 +475,13 @@ def correlations(tree: WeightedTree) -> CorrelationVector:
     n = len(labels)
     values = np.zeros(n * (n - 1) // 2)
     pos = {lab: k for k, lab in enumerate(labels)}
+    theta = tree.theta
     for a in labels:
+        order, parent = _postorder(topo._adjacency, a)
         prod = {a: 1.0}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            for w in topo.neighbors(v):
-                if w not in prod:
-                    prod[w] = prod[v] * tree.weight(v, w)
-                    queue.append(w)
+        for w in reversed(order[:-1]):  # root first, so each product runs from a
+            v = parent[w]
+            prod[w] = prod[v] * theta[(v, w) if v < w else (w, v)]  # edge_key, inlined
         for b in labels:
             if b > a:
                 values[_pair_offset(n, pos[a], pos[b])] = prod[b]
@@ -597,7 +582,7 @@ def _matching_offsets(topology: TreeTopology, members: np.ndarray) -> np.ndarray
     out = np.full((len(members), max(n // 2, 1)), n * (n - 1) // 2, dtype=np.int64)
     col = np.zeros(len(members), dtype=np.int64)
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
-    order, parent = _postorder(topology, topology.leaves[0])
+    order, parent = _postorder(topology._adjacency, topology.leaves[0])
     pending: Dict[int, np.ndarray] = {}
     for v in order:
         carried = np.full(len(members), -1, dtype=np.int64)
@@ -616,14 +601,19 @@ def _matching_offsets(topology: TreeTopology, members: np.ndarray) -> np.ndarray
     return out
 
 
-def _postorder(topology: TreeTopology, root: int) -> Tuple[List[int], Dict[int, Optional[int]]]:
+def _postorder(
+    adjacency: Mapping[int, Sequence[int]], root: int
+) -> Tuple[List[int], Dict[int, Optional[int]]]:
+    """The one parent-pointer walk: every node reachable from ``root``, each
+    after all the nodes below it (so ``root`` comes last), and each node's
+    parent, ``None`` at the root."""
     parent: Dict[int, Optional[int]] = {root: None}
     order: List[int] = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in topology.neighbors(v):
+        for w in adjacency[v]:
             if w not in parent:
                 parent[w] = v
                 stack.append(w)
@@ -708,20 +698,10 @@ def induced_subtree(topology: TreeTopology, subset: Iterable[int]) -> TreeTopolo
     for v in members:
         if not topology.is_leaf(v):
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
-    member_set = set(members)
-    adjacency = {v: set(ns) for v, ns in topology._adjacency.items()}
-    # repeatedly strip non-member fringe nodes
-    fringe = deque(v for v, ns in adjacency.items() if len(ns) <= 1 and v not in member_set)
-    while fringe:
-        v = fringe.popleft()
-        if v not in adjacency:
-            continue
-        for w in adjacency.pop(v):
-            adjacency[w].discard(v)
-            if len(adjacency[w]) <= 1 and w not in member_set:
-                fringe.append(w)
-    edges = {edge_key(a, b) for a, ns in adjacency.items() for b in ns}
-    return _rebuild(members, edges)[0]
+    # the spanning subtree's edges are those with members on both sides
+    sides = _edge_splits(topology)[:, np.isin(topology.leaves, members)]
+    keep = sides.any(axis=1) & ~sides.all(axis=1)
+    return _rebuild(members, itertools.compress(topology.edges, keep))[0]
 
 
 def contract_edge(tree, edge: Edge):

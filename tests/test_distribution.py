@@ -187,7 +187,7 @@ def _reference_sample(model, m: int, seed: int) -> np.ndarray:
     for tree in components:
         topology = tree.topology
         root = topology.leaves[0]
-        order, parent = _postorder(topology, root)
+        order, parent = _postorder(topology._adjacency, root)
         order = order[::-1]  # root first
         uniform = rng.random((m, len(order)))
         spins = {root: np.where(uniform[:, 0] < 0.5, 1, -1).astype(np.int8)}

@@ -1,5 +1,8 @@
 """Extended-Newick round trips."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from latent_ising import (
     TreeTopology,
     WeightedTree,
     WeightedForest,
+    contract_edge,
     correlations,
     normalize,
     parse_forest,
@@ -21,7 +25,9 @@ from latent_ising import (
     topologies_equal,
 )
 
-from conftest import philox
+from latent_ising.cli import main
+
+from conftest import caterpillar, philox
 
 
 def test_documented_example_parses_to_middle_edge_tree():
@@ -113,3 +119,69 @@ def test_forest_round_trip():
     assert again.leaves == (1, 2, 3, 4, 5, 6, 7)
     assert isinstance(parse_model(text), WeightedForest)
     assert parse_model(serialize_tree(a)).topology.leaves == (1, 2, 3, 4)
+
+
+def _recursive_serialize(tree):
+    """The top-down recursive rendering: the reference for the bottom-up one."""
+    topology = tree.topology
+    leaves = topology.leaves
+    if len(leaves) == 1:
+        return f"{leaves[0]};"
+    root = topology.neighbors(leaves[0])[0]
+    if topology.is_leaf(root):
+        return f"({leaves[0]}:{tree.weight(leaves[0], root)!r},{root}:1.0);"
+
+    def min_leaf(v, parent):
+        if topology.is_leaf(v):
+            return v
+        return min(min_leaf(w, v) for w in topology.neighbors(v) if w != parent)
+
+    def render(v, parent):
+        theta = tree.weight(parent, v)
+        if topology.is_leaf(v):
+            return f"{v}:{theta!r}"
+        kids = sorted(
+            (w for w in topology.neighbors(v) if w != parent), key=lambda w: min_leaf(w, v)
+        )
+        return "(" + ",".join(render(w, v) for w in kids) + f"):{theta!r}"
+
+    kids = sorted(topology.neighbors(root), key=lambda w: min_leaf(w, root))
+    return "(" + ",".join(render(w, root) for w in kids) + ");"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_serializer_matches_recursive_reference(seed):
+    rng = philox(seed)
+    wt = random_weighted_tree(int(rng.integers(1, 20)), rng, -0.95, 0.95)
+    trees = [wt]
+    internal = [e for e in wt.topology.edges if not any(map(wt.topology.is_leaf, e))]
+    if internal:
+        contracted = wt
+        for e in internal[: int(rng.integers(1, len(internal) + 1))]:
+            if contracted.topology.has_edge(*e):  # an earlier contraction may merge it
+                contracted = contract_edge(contracted, e)
+        trees += [contracted, normalize(contracted)]
+    for tree in trees:
+        assert serialize_tree(tree) == _recursive_serialize(tree)
+
+
+def test_deep_caterpillar_round_trips_and_samples(tmp_path, capsys):
+    # nested deeper than the default recursion limit, in both directions
+    topo = caterpillar(1500)
+    rng = philox(12)
+    wt = WeightedTree(topo, {e: float(rng.uniform(0.2, 0.9)) for e in topo.edges})
+    text = serialize_tree(wt)
+    assert text.count("(") > sys.getrecursionlimit()
+    again = parse_tree(text)
+    assert again.topology.edges == topo.edges
+    assert again.theta == wt.theta
+    assert serialize_tree(again) == text
+
+    path = tmp_path / "deep.nwk"
+    path.write_text(text + "\n")
+    draws = tmp_path / "draws.txt"
+    assert main(["sample", "--tree", str(path), "--m", "20", "--out", str(draws)]) == 0
+    # exact TV refuses 1500 leaves with the JSON error, not a traceback
+    assert main(["eval-tv", str(path), str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]

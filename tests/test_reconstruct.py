@@ -19,7 +19,8 @@ from latent_ising import (
     reconstruct_forest,
     topologies_equal,
 )
-from latent_ising.reconstruct import _contract_high_implied
+from latent_ising import reconstruct
+from latent_ising.reconstruct import _build_component, _contract_high_implied
 
 from conftest import caterpillar, check_contract, philox, random_model
 
@@ -125,3 +126,63 @@ class TestReconstruction:
         assert all(
             topologies_equal(x, y) for x, y in zip(a.components, b.components)
         )
+
+
+def _reference_attachment_edge(adj, strength, x):
+    """The insertion walk with each direction's leaves gathered afresh at
+    every step: the per-direction reference for the one-pass walk."""
+
+    def leaves_beyond(blocked, start):
+        seen = {blocked, start}
+        stack = [start]
+        out = []
+        while stack:
+            v = stack.pop()
+            if len(adj[v]) == 1:
+                out.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return sorted(out)
+
+    prev = min(v for v in adj if len(adj[v]) == 1)
+    cur = adj[prev][0]
+    while True:
+        directions = sorted(adj[cur])
+        reps = [
+            max(leaves_beyond(cur, d), key=lambda u: (strength.get(x, u), -u))
+            for d in directions
+        ]
+        products = []
+        for k in range(3):
+            other = [reps[i] for i in range(3) if i != k]
+            products.append(strength.get(x, reps[k]) * strength.get(other[0], other[1]))
+        best = max(products)
+        k = next(i for i, p in enumerate(products) if p >= best - 1e-12)
+        nxt = directions[k]
+        if nxt == prev or len(adj[nxt]) == 1:
+            return (cur, nxt)
+        prev, cur = cur, nxt
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_insertion_walk_matches_per_direction_reference(monkeypatch, tie_heavy):
+    # arbitrary strength vectors, so the walk meets every branch order; the
+    # tie-heavy ones make the leaf-number tie break decide most representatives
+    rng = philox(41 + tie_heavy)
+    cases = []
+    for n in range(4, 25):
+        for _ in range(3):
+            labels = range(1, n + 4)
+            size = len(labels) * (len(labels) - 1) // 2
+            if tie_heavy:
+                values = rng.choice([0.0, 0.25, 0.5, 1.0], size)
+            else:
+                values = rng.uniform(0.0, 1.0, size)
+            members = sorted(int(v) for v in rng.choice(labels, n, replace=False))
+            cases.append((CorrelationVector(labels, values), members))
+    got = [_build_component(strength, members).edges for strength, members in cases]
+    monkeypatch.setattr(reconstruct, "_attachment_edge", _reference_attachment_edge)
+    want = [_build_component(strength, members).edges for strength, members in cases]
+    assert got == want
