@@ -45,14 +45,14 @@ two_stars = TreeTopology(range(1, 7), star_edges)
 theta = {e: 0.6 for e in star_edges}
 theta[(7, 8)] = 0.01
 bridged = WeightedTree(two_stars, theta)
-rec = reconstruct_forest(correlations(bridged), xi=0.08, delta=0.25, eta=0.02)
+rec = reconstruct_forest(correlations(bridged), xi=0.08, eta=0.02)
 print(f"  components: {[sorted(s) for s in rec.leaf_sets()]}")
 
 print("\na near-unit internal edge is contracted rather than guessed:")
 theta = {e: float(rng.uniform(0.4, 0.6)) for e in topo.edges}
 theta[(8, 9)] = 0.999
 tied = WeightedTree(topo, theta)
-rec = reconstruct_forest(correlations(tied), xi=0.05, delta=0.01, eta=1e-6)
+rec = reconstruct_forest(correlations(tied), xi=0.05, eta=1e-6)
 component = rec.components[0]
 print(f"  component is binary: {component.is_binary()} "
       f"(a degree-4 junction marks the unresolved tie)")

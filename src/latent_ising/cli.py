@@ -149,7 +149,6 @@ def _cmd_learn_unknown(args) -> Dict:
             "component_detail": per_component,
             "eta": estimate.eta,
             "xi": config.xi,
-            "delta_split": config.delta_split,
             "eta_prime": config.eta_prime,
             "clamped": config.clamped,
         },

@@ -122,25 +122,16 @@ class LeafDistribution:
 # even-subset coefficients and the closed form
 
 
-def _matching_pair_offsets(topology: TreeTopology) -> Tuple[np.ndarray, np.ndarray]:
-    """Every even leaf subset (as a bitmask) with the pair offsets of its matching.
-
-    Unused matrix slots point one past the last pair offset so a 1.0
-    sentinel can be gathered.
-    """
-    masks, bits = _configurations(topology.leaf_count)
-    even = _parity(masks) == 0
-    return masks[even], _matching_offsets(topology, bits[even])
-
-
 def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -> np.ndarray:
     """Full-length (2^n) coefficient vector: matching products on even subsets."""
     if tuple(sorted(alpha.labels)) != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
-    masks, idx = _matching_pair_offsets(topology)
-    values = np.append(alpha.values, 1.0)
+    masks, bits = _configurations(topology.leaf_count)
+    even = np.bitwise_count(masks) & 1 == 0
+    idx = _matching_offsets(topology, bits[even])
+    values = np.append(alpha.values, 1.0)  # the sentinel gathered by unused matching slots
     coef = np.zeros(2 ** topology.leaf_count)
-    coef[masks] = values[idx].prod(axis=1)
+    coef[masks[even]] = values[idx].prod(axis=1)
     return coef
 
 
@@ -176,13 +167,6 @@ def closed_form_prob(topology: TreeTopology, alpha: CorrelationVector, x: Sequen
     """The multilinear leaf form at one configuration."""
     index = config_index(topology, x)
     return float(closed_form_distribution(topology, alpha)[index])
-
-
-def _parity(m: np.ndarray) -> np.ndarray:
-    m = m.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        m ^= m >> shift
-    return (m & 1).astype(float)
 
 
 def _as_binary(topology: TreeTopology) -> TreeTopology:

@@ -138,17 +138,13 @@ def learn_from_samples_known(
 
 def fit_report(fit: KnownTopologyFit, alpha_hat: CorrelationVector) -> Dict:
     """Feasibility margins of a fit against its target correlations."""
-    induced = correlations(fit.tree)
-    worst = 0.0
-    sign_ok = True
-    for i, j, target in alpha_hat.pairs():
-        got = induced.get(i, j)
-        worst = max(worst, abs(abs(got) - abs(target)))
-        if abs(target) > fit.eta_used and got * target < 0:
-            sign_ok = False
+    got = correlations(fit.tree).restrict(alpha_hat.labels).values
+    target = alpha_hat.values
+    worst = np.max(np.abs(np.abs(got) - np.abs(target)), initial=0.0)
+    flipped = (np.abs(target) > fit.eta_used) & (got * target < 0)
     return {
         "eta": fit.eta_used,
         "sign_equations": fit.sign_equations_used,
-        "max_magnitude_error": worst,
-        "signs_consistent": sign_ok,
+        "max_magnitude_error": float(worst),
+        "signs_consistent": not flipped.any(),
     }

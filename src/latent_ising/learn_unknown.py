@@ -3,7 +3,9 @@
 Reconstruction runs on |correlations| (the ferromagnetic view); the sign
 structure is restored per component by the known-topology fitter's parity
 stage.  Parameters follow the radius-splitting recipe delta = eta^{2/3}
-n^{2/3}, xi = eta^{1/3} n^{-2/3}, whose product is exactly eta.
+n^{2/3}, xi = eta^{1/3} n^{-2/3}.  Reconstruction splits components at
+2*eta and does not take delta; the ratio delta = eta / xi only decides
+whether the working radius is clamped.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ class UnknownLearnConfig:
     """Radii and split parameters for one unknown-topology run.
 
     ``clamped`` flags inputs outside the eta <= O(1/n) regime; the stored
-    eta is then lowered to keep xi * delta_split >= eta true.
+    eta is then lowered to at most 0.9 * xi when eta / xi >= 1.
     """
 
     eta: float
     xi: float
-    delta_split: float
     eta_prime: float
     clamped: bool
 
@@ -56,15 +57,14 @@ def choose_params(eta: float, n: int) -> UnknownLearnConfig:
     if eta > min(1.0, C1 ** 3 / n):
         clamped = True
         xi = min(xi, C1 / n, 0.9)
-    delta_split = eta / xi  # equals eta^{2/3} n^{2/3} in the nominal regime
-    if delta_split >= 1.0:
+    delta = eta / xi  # equals eta^{2/3} n^{2/3} in the nominal regime
+    if delta >= 1.0:
         clamped = True
-        delta_split = 0.9
-    eta_eff = min(eta, xi * delta_split)
+        delta = 0.9
+    eta_eff = min(eta, xi * delta)
     return UnknownLearnConfig(
         eta=eta_eff,
         xi=xi,
-        delta_split=delta_split,
         eta_prime=C2 * n * xi + eta_eff,
         clamped=clamped,
     )
@@ -90,7 +90,7 @@ def _fit_component(
 def learn_unknown_from_correlations(alpha_hat: CorrelationVector, eta: float) -> WeightedForest:
     """Reconstruct and fit a weighted forest from estimated correlations."""
     cfg = choose_params(eta, alpha_hat.n)
-    rec = reconstruct_forest(alpha_hat, xi=cfg.xi, delta=cfg.delta_split, eta=cfg.eta)
+    rec = reconstruct_forest(alpha_hat, xi=cfg.xi, eta=cfg.eta)
     components = [
         _fit_component(t, alpha_hat, cfg.eta, cfg.eta_prime) for t in rec.components
     ]

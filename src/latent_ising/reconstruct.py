@@ -31,41 +31,34 @@ from .trees import (
 #: witnesses sampled per internal edge when estimating its implied weight
 MAX_WITNESS_QUARTETS = 16
 
-#: the constant C of the guarantees below, recorded with every reconstruction
+#: the constant C of the contraction guarantee below
 CONTRACTION_CONSTANT = 4.0
 
 
 @dataclass(frozen=True)
 class ReconstructedForest:
-    """Components plus the parameters the reconstruction ran with."""
+    """Components plus the radii the reconstruction ran with."""
 
     components: Tuple[TreeTopology, ...]
     xi: float
-    delta: float
     eta: float
-    contraction_constant: float
 
     def leaf_sets(self) -> Tuple[FrozenSet[int], ...]:
         return tuple(frozenset(c.leaves) for c in self.components)
 
 
-def reconstruct_forest(
-    alpha_hat: CorrelationVector,
-    xi: float,
-    delta: float,
-    eta: float,
-) -> ReconstructedForest:
+def reconstruct_forest(alpha_hat: CorrelationVector, xi: float, eta: float) -> ReconstructedForest:
     """Recover a forest compatible with the correlations up to radius eta.
 
-    Guarantees aimed for (and asserted against ground truth in tests): the
-    component leaf sets always partition the input leaves; any contracted
-    edge carries true weight >= 1 - C*xi; leaves placed in different
-    components have true |correlation| <= C*sqrt(delta).
+    Guarantees (asserted in tests): the component leaf sets always partition
+    the input leaves; every pair placed in different components has
+    |alpha_hat| <= 2*eta; and, against ground truth, any contracted edge
+    carries true weight >= 1 - C*xi.
     """
-    if not (0.0 < xi < 1.0 and 0.0 < delta < 1.0):
-        raise BadParameter(f"xi and delta must lie in (0, 1), got xi={xi}, delta={delta}")
-    if eta < 0.0 or xi * delta < eta - 1e-15:
-        raise BadParameter(f"need xi*delta >= eta, got {xi * delta} < {eta}")
+    if not 0.0 < xi < 1.0:
+        raise BadParameter(f"xi must lie in (0, 1), got {xi}")
+    if not eta >= 0.0:  # NaN fails the test too
+        raise BadParameter(f"eta must be non-negative, got {eta}")
     strength = alpha_hat.abs()
     split_floor = 2.0 * eta  # pairs below twice the radius are pure noise
     groups = _split_components(strength, split_floor)
@@ -76,13 +69,7 @@ def reconstruct_forest(
             topology = _contract_high_implied(topology, strength, xi)
         components.append(topology)
     components.sort(key=lambda t: t.leaves[0])
-    return ReconstructedForest(
-        components=tuple(components),
-        xi=xi,
-        delta=delta,
-        eta=eta,
-        contraction_constant=CONTRACTION_CONSTANT,
-    )
+    return ReconstructedForest(components=tuple(components), xi=xi, eta=eta)
 
 
 def _split_components(strength: CorrelationVector, floor: float) -> List[List[int]]:

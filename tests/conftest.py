@@ -19,6 +19,7 @@ from latent_ising import (
     random_topology,
     topologies_equal,
 )
+from latent_ising import reconstruct
 
 
 #: edge weights for property tests: anywhere in [-1, 1], often exactly 0 or +-1
@@ -114,9 +115,10 @@ def obtainable_by_unit_contractions(component, sub: WeightedTree, max_weight_gap
     return False
 
 
-def check_contract(rec, truth: WeightedTree):
-    """Assert the reconstruction guarantees against the generating model."""
-    constant = rec.contraction_constant
+def check_contract(rec, alpha_hat, truth: WeightedTree):
+    """Assert the reconstruction guarantees of ``rec``, run on ``alpha_hat``,
+    against the generating model."""
+    constant = reconstruct.CONTRACTION_CONSTANT
     all_leaves = sorted(itertools.chain.from_iterable(rec.leaf_sets()))
     assert all_leaves == sorted(truth.topology.leaves)
     for component in rec.components:
@@ -124,8 +126,11 @@ def check_contract(rec, truth: WeightedTree):
             continue
         sub = weighted_induced_subtree(truth, component.leaves)
         assert obtainable_by_unit_contractions(component, sub, constant * rec.xi)
+    # a split pair has |alpha_hat| <= 2*eta, so by the triangle inequality the
+    # truth is within the estimate's worst error of that
     alpha = correlations(truth)
+    bound = 2 * rec.eta + alpha_hat.max_abs_difference(alpha)
     for set_a, set_b in itertools.combinations(rec.leaf_sets(), 2):
         for i in set_a:
             for j in set_b:
-                assert abs(alpha.get(i, j)) <= constant * np.sqrt(rec.delta)
+                assert abs(alpha.get(i, j)) <= bound

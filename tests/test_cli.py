@@ -89,7 +89,7 @@ def test_learn_unknown_and_identity(tmp_path, capsys, model_file):
     assert code == 0
     metrics = json.loads(out)["metrics"]
     assert metrics["components"] >= 1
-    assert metrics["xi"] * metrics["delta_split"] >= metrics["eta"] - 1e-12
+    assert set(metrics) == {"components", "component_detail", "eta", "xi", "eta_prime", "clamped"}
     covered = sorted(
         leaf for comp in metrics["component_detail"] for leaf in comp["leaves"]
     )

@@ -38,7 +38,7 @@ from latent_ising import (
     sample,
     write_samples,
 )
-from latent_ising.distribution import _BLOCK_ROWS, _parity, config_index
+from latent_ising.distribution import _BLOCK_ROWS, config_index
 from latent_ising.estimation import confidence_radius, empirical_correlations
 from latent_ising.trees import _postorder
 
@@ -450,7 +450,7 @@ class TestPathRemoved:
         masks = np.arange(2 ** n)
         pos = {leaf: k for k, leaf in enumerate(topo.leaves)}
         pair_mask = (1 << pos[i]) | (1 << pos[j])
-        chi = 1.0 - 2.0 * _parity(~masks & pair_mask)
+        chi = 1.0 - 2.0 * (np.bitwise_count(~masks & pair_mask) & 1)
         np.testing.assert_allclose(
             fa - fb, chi * (alpha.get(i, j) - beta.get(i, j)) * fg, atol=1e-12
         )

@@ -25,24 +25,24 @@ class TestChooseParams:
     def test_reference_values(self):
         cfg = choose_params(1e-6, 10)
         assert cfg.xi == pytest.approx(1e-2 * 10 ** (-2 / 3))
-        assert cfg.delta_split == pytest.approx(1e-4 * 10 ** (2 / 3), rel=1e-9)
-        assert cfg.xi * cfg.delta_split == pytest.approx(1e-6, rel=1e-12)
         assert not cfg.clamped
         assert cfg.eta_prime == pytest.approx(4 * 10 * cfg.xi + 1e-6)
 
     def test_regime_violation_clamps_with_warning(self):
         cfg = choose_params(1.0, 8)
         assert cfg.clamped
-        assert cfg.xi * cfg.delta_split >= cfg.eta - 1e-12
-        assert 0 < cfg.xi < 1 and 0 < cfg.delta_split < 1
+        assert 0 < cfg.xi < 1
+        assert cfg.eta == cfg.xi * 0.9
 
-    def test_product_dominates_radius_everywhere(self):
+    def test_working_radius_never_exceeds_eta(self):
         rng = philox(40)
         for _ in range(200):
             eta = float(10 ** rng.uniform(-9, 0))
             n = int(rng.integers(2, 40))
             cfg = choose_params(eta, n)
-            assert cfg.xi * cfg.delta_split >= cfg.eta - 1e-12
+            assert cfg.eta <= eta and cfg.eta < cfg.xi
+            if not cfg.clamped:
+                assert cfg.eta == pytest.approx(eta, rel=1e-15)
 
     def test_bad_eta(self):
         with pytest.raises(BadParameter):

@@ -30,10 +30,11 @@ class TestReconstruction:
         topo = caterpillar(6)
         rng = philox(31)
         truth = WeightedTree(topo, {e: float(rng.uniform(0.4, 0.6)) for e in topo.edges})
-        rec = reconstruct_forest(correlations(truth), xi=0.05, delta=0.01, eta=1e-6)
+        alpha = correlations(truth)
+        rec = reconstruct_forest(alpha, xi=0.05, eta=1e-6)
         assert len(rec.components) == 1
         assert topologies_equal(rec.components[0], binary(topo))
-        check_contract(rec, truth)
+        check_contract(rec, alpha, truth)
 
     def test_weak_bridge_splits_two_stars(self):
         edges = [(1, 7), (2, 7), (3, 7), (7, 8), (4, 8), (5, 8), (6, 8)]
@@ -41,9 +42,10 @@ class TestReconstruction:
         theta = {e: 0.6 for e in topo.edges}
         theta[(7, 8)] = 0.01
         truth = WeightedTree(topo, theta)
-        rec = reconstruct_forest(correlations(truth), xi=0.08, delta=0.25, eta=0.02)
+        alpha = correlations(truth)
+        rec = reconstruct_forest(alpha, xi=0.08, eta=0.02)
         assert rec.leaf_sets() == (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
-        check_contract(rec, truth)
+        check_contract(rec, alpha, truth)
 
     def test_near_unit_edge_may_contract(self):
         topo = caterpillar(6)
@@ -52,11 +54,12 @@ class TestReconstruction:
         near_unit = (8, 9)  # middle spine edge
         theta[near_unit] = 0.999
         truth = WeightedTree(topo, theta)
-        rec = reconstruct_forest(correlations(truth), xi=0.05, delta=0.01, eta=1e-6)
+        alpha = correlations(truth)
+        rec = reconstruct_forest(alpha, xi=0.05, eta=1e-6)
         assert len(rec.components) == 1
         component = rec.components[0]
         assert not component.is_binary()  # the tie collapsed to a higher-degree node
-        check_contract(rec, truth)
+        check_contract(rec, alpha, truth)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
@@ -90,10 +93,17 @@ class TestReconstruction:
 
     def test_bad_parameters(self):
         alpha = correlations(random_model(4, philox(1)))
+        for eta in (-0.01, float("nan")):
+            with pytest.raises(BadParameter):
+                reconstruct_forest(alpha, xi=0.1, eta=eta)
         with pytest.raises(BadParameter):
-            reconstruct_forest(alpha, xi=0.1, delta=0.001, eta=0.05)
-        with pytest.raises(BadParameter):
-            reconstruct_forest(alpha, xi=1.5, delta=0.5, eta=0.01)
+            reconstruct_forest(alpha, xi=1.5, eta=0.01)
+
+    def test_split_floor_is_twice_eta(self):
+        # a pair joins one component exactly when its |alpha_hat| exceeds 2*eta
+        for value, parts in ((0.1, 2), (-0.1, 2), (0.1 + 1e-12, 1), (-0.1 - 1e-12, 1)):
+            rec = reconstruct_forest(CorrelationVector([1, 2], [value]), xi=0.2, eta=0.05)
+            assert len(rec.components) == parts
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -101,9 +111,11 @@ class TestReconstruction:
         rng = philox(seed)
         n = int(rng.integers(2, 10))
         alpha = CorrelationVector(range(1, n + 1), rng.uniform(-1, 1, n * (n - 1) // 2))
-        rec = reconstruct_forest(alpha, xi=0.2, delta=0.3, eta=0.05)
+        rec = reconstruct_forest(alpha, xi=0.2, eta=0.05)
         scattered = sorted(itertools.chain.from_iterable(rec.leaf_sets()))
         assert scattered == list(range(1, n + 1))
+        for set_a, set_b in itertools.combinations(rec.leaf_sets(), 2):
+            assert all(abs(alpha.get(i, j)) <= 2 * 0.05 for i in set_a for j in set_b)
         for component in rec.components:
             internal = [v for v in component.nodes if not component.is_leaf(v)]
             assert all(component.degree(v) >= 3 for v in internal)
@@ -111,18 +123,18 @@ class TestReconstruction:
     def test_idempotent_on_own_output(self):
         truth = random_model(7, philox(33), magnitude=(0.35, 0.75))
         alpha = correlations(truth)
-        rec = reconstruct_forest(alpha, xi=0.05, delta=0.01, eta=1e-6)
+        rec = reconstruct_forest(alpha, xi=0.05, eta=1e-6)
         assert len(rec.components) == 1
         fitted = fit_known(rec.components[0], alpha, 1e-6).tree
-        again = reconstruct_forest(correlations(fitted), xi=0.05, delta=0.01, eta=1e-6)
+        again = reconstruct_forest(correlations(fitted), xi=0.05, eta=1e-6)
         assert len(again.components) == 1
         assert topologies_equal(again.components[0], rec.components[0])
 
     def test_deterministic(self):
         truth = random_model(8, philox(34), magnitude=(0.3, 0.8))
         alpha = correlations(truth)
-        a = reconstruct_forest(alpha, xi=0.05, delta=0.02, eta=1e-4)
-        b = reconstruct_forest(alpha, xi=0.05, delta=0.02, eta=1e-4)
+        a = reconstruct_forest(alpha, xi=0.05, eta=1e-4)
+        b = reconstruct_forest(alpha, xi=0.05, eta=1e-4)
         assert all(
             topologies_equal(x, y) for x, y in zip(a.components, b.components)
         )
