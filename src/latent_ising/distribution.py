@@ -99,6 +99,8 @@ class LeafDistribution:
 
     def __init__(self, labels: Iterable[int], probabilities: np.ndarray):
         self.labels = tuple(sorted(labels))
+        if len(set(self.labels)) != len(self.labels):
+            raise DimensionMismatch(f"repeated leaf labels in {self.labels}")
         probabilities = np.asarray(probabilities, dtype=float)
         if probabilities.shape != (2 ** len(self.labels),):
             raise DimensionMismatch("probability vector length is not 2^n")

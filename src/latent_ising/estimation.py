@@ -69,7 +69,7 @@ def require_unit_labels(leaves, what: str) -> None:
 
 def samples_for_radius(n: int, delta: float, eta: float) -> int:
     """Smallest m whose confidence radius is at most ``eta``."""
-    if eta <= 0.0:
+    if not eta > 0.0:  # NaN fails the test too
         raise BadParameter(f"radius must be positive, got {eta}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")

@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Tuple
 
+import numpy as np
+
 from .errors import BadParameter, LeafSetMismatch
-from .trees import CorrelationVector, WeightedTree, correlations, diameter
+from .trees import CorrelationVector, WeightedTree, _path_products, diameter
 
 
 class WeightedForest:
@@ -58,12 +60,12 @@ def as_forest(model) -> WeightedForest:
 def forest_correlations(forest: WeightedForest) -> CorrelationVector:
     """Pairwise correlations of the forest; pairs across components are 0."""
     labels = forest.leaves
-    pairs = {}
+    dense = np.zeros((len(labels), len(labels)))
     for comp in forest.components:
-        comp_alpha = correlations(comp)
-        for i, j, v in comp_alpha.pairs():
-            pairs[(i, j)] = v
-    return CorrelationVector.from_pairs(labels, pairs)
+        at = np.searchsorted(labels, comp.leaves)
+        row, products = _path_products(comp)
+        dense[np.ix_(at, at)] = products[[row[leaf] for leaf in comp.leaves]].T
+    return CorrelationVector(labels, dense[np.triu_indices(len(labels), 1)])  # [a, b]: a to b
 
 
 def forest_diameter(forest: WeightedForest) -> int:

@@ -10,9 +10,9 @@ localization arguments charge against.  That set is the product of four
 disjoint leaf blocks, each read from the working tree's edge-split table.
 
 The weaker of the two candidate nodes moves: the side whose strongest
-correlation to the future common neighbor is smaller.  That choice is what
-keeps every changed quartet close to a tie when the two models have close
-correlation vectors.
+correlation to the future common neighbor, read from the target's path
+products (``trees._path_products``), is smaller.  That choice keeps every
+changed quartet close to a tie when the two models have close correlations.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .trees import (
     _attach,
     _detach,
     _edge_splits,
-    _postorder,
+    _path_products,
     _side,
     path_nodes,
 )
@@ -156,6 +156,8 @@ def interpolate(
         magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
         a, b = np.triu_indices(n, 1)
         magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+        row, signal = _path_products(target)
+        np.abs(signal, out=signal)
         splits = _edge_splits(current)
         working = set(source.leaves)
         block: Dict[int, FrozenSet[int]] = {leaf: frozenset([leaf]) for leaf in source.leaves}
@@ -170,7 +172,7 @@ def interpolate(
                     continue
                 roots = dict(zip((i, j), _block_roots(current, splits, block[i], block[j])))
                 if _common_neighbor(current, roots[i], roots[j]) is None:
-                    mover, anchor = _pick_weaker(target, block, i, j, p)
+                    mover, anchor = _pick_weaker(signal[row[p]], source.leaves, block, i, j)
                     epochs += 1
                     for blocks, max_gap, paste in _epoch_moves(
                         current, splits, roots[mover], roots[anchor], magnitudes
@@ -185,37 +187,17 @@ def interpolate(
                 working.discard(j)
                 working.add(p)
                 block[p] = block[i] | block[j]
-    return InterpolationTrace(
-        steps=tuple(steps),
-        moves=tuple(moves),
-        epochs=epochs,
-        rounds=rounds,
-    )
-
-
-def _signal(target: WeightedTree, parent: Dict[int, Optional[int]], u: int) -> float:
-    """|product of target weights| along the path from u to the root of the
-    parent pointers ``parent``, multiplied in that order."""
-    out = 1.0
-    while parent[u] is not None:
-        out *= abs(target.weight(u, parent[u]))
-        u = parent[u]
-    return out
+    return InterpolationTrace(tuple(steps), tuple(moves), epochs, rounds)
 
 
 def _pick_weaker(
-    target: WeightedTree, block: Dict[int, FrozenSet[int]], i: int, j: int, p: int
+    signal: np.ndarray, leaves: Tuple[int, ...], block: Dict[int, FrozenSet[int]], i: int, j: int
 ) -> Tuple[int, int]:
-    """Return (mover, anchor): the side with the weaker peak signal to p moves.
-
-    Ties do not switch, so the lexicographically first candidate moves.
-    """
-    parent = _postorder(target.topology._adjacency, p)[1]
-    peak_i = max(_signal(target, parent, u) for u in sorted(block[i]))
-    peak_j = max(_signal(target, parent, u) for u in sorted(block[j]))
-    if peak_i > peak_j:
-        return j, i
-    return i, j
+    """(mover, anchor): the side with the weaker peak ``signal``, the |product of
+    target weights| from each sorted leaf to the future common neighbor, moves.
+    Ties do not switch, so the lexicographically first candidate moves."""
+    peak_i, peak_j = (signal[np.searchsorted(leaves, list(block[k]))].max() for k in (i, j))
+    return (j, i) if peak_i > peak_j else (i, j)
 
 
 def _block_roots(topology: TreeTopology, splits: np.ndarray, *blocks: FrozenSet[int]) -> List[int]:

@@ -2,24 +2,25 @@
 
 A tree Ising model lives on an unrooted tree whose observed nodes are the
 leaves.  This module holds the topology representation plus the purely
-combinatorial operations: degree normalization, path queries, correlations
-as path products of edge weights, quartet classification, cut-and-paste
-surgery, induced subtrees, and the edge-disjoint pair matching.  The
-matching is computed once, batched over leaf subsets, and is the one the
-closed-form leaf distribution multiplies correlations along.  Every
-parent-pointer traversal reads one walk over an adjacency mapping,
-``_postorder``.  Batched path questions (which edges a pair's path uses,
-whether two topologies agree, which leaves lie beyond an edge, through
-``_side``, and which edges an induced subtree keeps) are answered from one
-table of edge bipartitions, ``_edge_splits``, built in one such walk.  Two
-loops walk on their own: ``_renumber``'s BFS, whose order is the canonical
-numbering, and ``component_nodes``, the plain reachability check that
-cut-and-paste validates its target with and the tests hold ``_side`` to.
-A tree reaches canonical form through two steps, each written once:
-``_splice`` splices out degree-2 nodes, and ``_renumber`` renumbers
-internal nodes canonically and builds and validates the tree once.
-``_rebuild`` is the two in a row, and every surgery but cut-and-paste ends
-in it.  Cut-and-paste splits them: ``_detach`` cuts the moved side off and
+combinatorial operations: degree normalization, path queries, correlations as
+path products of edge weights, quartet classification, cut-and-paste surgery,
+induced subtrees, and the edge-disjoint pair matching.  The matching is
+computed once, batched over leaf subsets, and is the one the closed-form leaf
+distribution multiplies correlations along.  Every parent-pointer traversal
+reads one walk over an adjacency mapping, ``_postorder``.  Batched path
+questions (which edges a pair's path uses, whether two topologies agree,
+which leaves lie beyond an edge, through ``_side``, and which edges an
+induced subtree keeps) are answered from one table of edge bipartitions,
+``_edge_splits``, built in one such walk, and every path product
+(correlations, interpolation's signal peaks) from the leaf-to-node products
+of another, ``_path_products``.  Two loops walk on their own: ``_renumber``'s
+BFS, whose order is the canonical numbering, and ``component_nodes``, the
+plain reachability check that cut-and-paste validates its target with and the
+tests hold ``_side`` to.  A tree reaches canonical form through two steps,
+each written once: ``_splice`` splices out degree-2 nodes, and ``_renumber``
+renumbers internal nodes canonically and builds and validates the tree once.
+``_rebuild`` is the two in a row, and every surgery but cut-and-paste ends in
+it.  Cut-and-paste splits them: ``_detach`` cuts the moved side off and
 splices once, and each ``_attach`` pastes it onto one target edge and
 renumbers, so many pastes of one cut share it.
 
@@ -205,6 +206,8 @@ class CorrelationVector:
         self.values = np.clip(values, -1.0, 1.0)
         self.values.flags.writeable = False
         self._pos = {lab: k for k, lab in enumerate(self.labels)}
+        if len(self._pos) != n:
+            raise UnknownPair(f"repeated leaf labels in {self.labels}")
 
     @classmethod
     def from_pairs(cls, labels: Iterable[int], pairs: Mapping[Edge, float]) -> "CorrelationVector":
@@ -468,24 +471,34 @@ def normalize(tree: WeightedTree) -> WeightedTree:
 # correlations and quartets
 
 
+def _path_products(tree: WeightedTree) -> Tuple[Dict[int, int], np.ndarray]:
+    """The one path-product walk: ``(row, products)``, where ``row`` maps each
+    node to its walk position and ``products[row[v], i]`` is the product of the
+    weights from sorted leaf i to node v, multiplied from the leaf.  An upward
+    pass fills each row at the nodes below it, a slice of walk positions, and
+    a downward pass fills the rest."""
+    topology = tree.topology
+    order, parent = _postorder(topology._adjacency, topology.leaves[0])
+    row = {v: k for k, v in enumerate(order)}
+    up = [row[parent[v]] for v in order[:-1]]  # the root comes last
+    weight = [tree.weight(v, parent[v]) for v in order[:-1]]
+    first = list(range(len(order)))  # the nodes below order[k] are order[first[k]:k + 1]
+    products = np.ones((len(order), len(order)))  # [r, c]: from order[c] to order[r]
+    for k, u in enumerate(up):
+        first[u] = min(first[u], first[k])
+        products[u, first[k] : k + 1] = products[k, first[k] : k + 1] * weight[k]
+    for k in reversed(range(len(up))):
+        products[k, : first[k]] = products[up[k], : first[k]] * weight[k]
+        products[k, k + 1 :] = products[up[k], k + 1 :] * weight[k]
+    return row, products[:, [row[leaf] for leaf in topology.leaves]]
+
+
 def correlations(tree: WeightedTree) -> CorrelationVector:
-    """Pairwise leaf correlations: the product of edge weights along each path."""
-    topo = tree.topology
-    labels = topo.leaves
-    n = len(labels)
-    values = np.zeros(n * (n - 1) // 2)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    theta = tree.theta
-    for a in labels:
-        order, parent = _postorder(topo._adjacency, a)
-        prod = {a: 1.0}
-        for w in reversed(order[:-1]):  # root first, so each product runs from a
-            v = parent[w]
-            prod[w] = prod[v] * theta[(v, w) if v < w else (w, v)]  # edge_key, inlined
-        for b in labels:
-            if b > a:
-                values[_pair_offset(n, pos[a], pos[b])] = prod[b]
-    return CorrelationVector(labels, values)
+    """Pairwise leaf correlations: each path's weight product, from its smaller leaf."""
+    labels = tree.topology.leaves
+    row, products = _path_products(tree)
+    a, b = np.triu_indices(len(labels), 1)
+    return CorrelationVector(labels, products[[row[leaf] for leaf in labels]][b, a])
 
 
 _SPLIT_ORDER = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))

@@ -126,6 +126,10 @@ class TestMarginalization:
         assert dist.prob((1, 1, 1, 1)) == pytest.approx(0.14765625)
         assert dist.probabilities.sum() == pytest.approx(1.0)
 
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(DimensionMismatch, match="repeated leaf labels"):
+            LeafDistribution([1, 1], np.full(4, 0.25))
+
 
 _SPINS = ["+1", "-1", "1", "+01"]
 _TOKENS = _SPINS + ["2", "+300", "x", "#"]

@@ -119,9 +119,10 @@ class TestSamplesForRadius:
         # 2 log(4/0.5) = 2 log 8 = 4.159 -> 5
         assert samples_for_radius(2, 0.5, 1.0) == 5
 
-    def test_zero_radius_guarded(self):
+    @pytest.mark.parametrize("eta", [0.0, float("nan")])
+    def test_zero_radius_guarded(self, eta):
         with pytest.raises(BadParameter):
-            samples_for_radius(4, 0.1, 0.0)
+            samples_for_radius(4, 0.1, eta)
 
     def test_round_trip_with_radius(self):
         for n, delta, eta in ((4, 0.2, 0.05), (8, 0.01, 0.11), (12, 0.5, 0.008)):

@@ -1,6 +1,7 @@
 """Topology representation, normalization, surgery, and quartet machinery."""
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -18,6 +19,7 @@ from latent_ising import (
     TreeTopology,
     UnknownLeaf,
     UnknownPair,
+    WeightedForest,
     WeightedTree,
     binary,
     canonical_splits,
@@ -26,9 +28,12 @@ from latent_ising import (
     correlations,
     cut_paste,
     diameter,
+    forest_correlations,
     induced_subtree,
     normalize,
+    parse_tree,
     path,
+    path_nodes,
     quartet_split,
     random_topology,
     random_weighted_tree,
@@ -87,6 +92,23 @@ def chained_and_contracted(rng, n: int) -> TreeTopology:
     ids = n + 1 + 2 * rng.permutation(len(internal))
     rename = {**{leaf: leaf for leaf in topo.leaves}, **dict(zip(internal, ids.tolist()))}
     return TreeTopology(topo.leaves, [(rename[u], rename[v]) for u, v in topo.edges])
+
+
+def _reference_correlations(tree: WeightedTree) -> np.ndarray:
+    """Path products in pair order, each multiplied from the smaller leaf a to b."""
+    walks = (path_nodes(tree.topology, a, b) for a, b in itertools.combinations(tree.leaves, 2))
+    return np.array([math.prod(map(tree.weight, nodes, nodes[1:])) for nodes in walks])
+
+
+def relabeled(tree: WeightedTree, labels) -> WeightedTree:
+    """The tree with its sorted leaves renamed to the sorted ``labels``."""
+    mapping = dict(zip(tree.leaves, sorted(labels)))
+    internal = sorted(set(tree.topology.nodes) - set(mapping))
+    mapping.update(zip(internal, itertools.count(max(labels) + 1)))
+    return WeightedTree(
+        TreeTopology(labels, [(mapping[u], mapping[v]) for u, v in tree.topology.edges]),
+        {(mapping[u], mapping[v]): w for (u, v), w in tree.theta.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +382,41 @@ class TestCorrelations:
     def test_nan_correlation_rejected(self):
         with pytest.raises(UnknownPair):
             CorrelationVector([1, 2, 3, 4], [np.nan, 0.5, 0.5, 0.5, 0.5, 0.5])
+
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(UnknownPair, match="repeated leaf labels"):
+            CorrelationVector([1, 1, 2], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            *(random_weighted_tree(n, philox(n), -1.0, 1.0) for n in (1, 2, 3, 7, 40, 128)),
+            parse_tree("((1:0.5,2:-0.3,3:0.7):0.9,(4:0.2,5:0.6,6:-0.8,7:0.4):0.3,8:0.5);"),
+            parse_tree("((3:0.51,10:-0.33):0.9,(250:0.2,11:0.6,12:-0.8):0.3,14:0.5,15:-0.7);"),
+        ],
+        ids=["n1", "n2", "n3", "n7", "n40", "n128", "non-binary", "labels-3-10-250"],
+    )
+    def test_products_pinned_to_path_walk(self, tree):
+        """Bit for bit: each pair's product runs along its path from the smaller leaf."""
+        assert np.array_equal(correlations(tree).values, _reference_correlations(tree))
+
+    def test_forest_products_pinned_per_component(self):
+        forest = WeightedForest(
+            [
+                relabeled(random_weighted_tree(5, philox(1), -1.0, 1.0), [1, 4, 9, 12, 20]),
+                relabeled(random_weighted_tree(6, philox(2), -1.0, 1.0), [2, 3, 10, 11, 15, 30]),
+                WeightedTree(TreeTopology([7], []), {}),
+            ]
+        )
+        alpha = forest_correlations(forest)
+        assert alpha.labels == forest.leaves
+        home = {leaf: k for k, c in enumerate(forest.components) for leaf in c.leaves}
+        for i, j, value in alpha.pairs():
+            if home[i] != home[j]:
+                assert value == 0.0
+        for comp in forest.components:
+            within = CorrelationVector(comp.leaves, _reference_correlations(comp))
+            assert np.array_equal(alpha.restrict(comp.leaves).values, within.values)
 
     def test_restrict_keeps_each_pair_value(self):
         alpha = correlations(random_weighted_tree(9, philox(5), -0.9, 0.9))
