@@ -18,8 +18,9 @@ bitmask: bit ``k`` is set when the ``k``-th smallest leaf has spin +1.
 
 from __future__ import annotations
 
+import io
 import re
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -288,11 +289,25 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
 
 _HEADER = re.compile(r"#\s*n=(?P<n>\d+)\s+m=(?P<m>\d+)")
 
+#: the header ``write_samples`` emits, the only one the byte-grid decoder takes
+_GRID_HEADER = re.compile(rb"# n=(\d+) m=(\d+)\n")
+
 
 def write_samples(path, samples: np.ndarray) -> None:
+    """Write an (m, n) matrix of -1/+1 spins as a sample file.
+
+    The layout is the header ``# n=<n> m=<m>`` and then ``m`` rows of ``n``
+    three-byte cells, ``+1 `` or ``-1 ``, where the last space of each row is
+    the newline.  ``read_samples`` decodes exactly this layout as one byte
+    grid.  Raises ``EmptySample`` unless ``samples`` is 2-D with ``m, n >= 1``
+    and ``BadSpinValue`` unless every entry is -1 or +1.
+    """
     samples = np.asarray(samples)
+    if samples.ndim != 2 or min(samples.shape) < 1:
+        raise EmptySample(f"sample matrix must be (m, n) with m, n >= 1, got {samples.shape}")
+    if not _all_spins(samples):
+        raise BadSpinValue("sample entries must be -1 or +1")
     m, n = samples.shape
-    # each spin is a fixed-width "+1 " / "-1 " cell; the last space is the newline
     buffer = np.full((m, 3 * n), ord(" "), dtype=np.uint8)
     buffer[:, 0::3] = np.where(samples > 0, ord("+"), ord("-"))
     buffer[:, 1::3] = ord("1")
@@ -303,11 +318,54 @@ def write_samples(path, samples: np.ndarray) -> None:
 
 
 def read_samples(path) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            text = fh.read()
-        except ValueError as exc:
-            raise BadSpinValue(f"sample file {path} has a non-integer entry: {exc}") from None
+    """Read a sample file as a C-contiguous (m, n) ``int8`` matrix of -1/+1.
+
+    Grammar: one row of whitespace-separated integer tokens per draw.  Blank
+    lines are skipped and a line that starts with ``#`` is a comment; the
+    first comment of the form ``# n=<n> m=<m>`` is the header.  Rows of
+    unequal length, a header that disagrees with the rows and entries other
+    than -1 and +1 are rejected.
+
+    The file is read from disk once.  The exact layout ``write_samples``
+    emits is decoded as one byte grid.  Every other layout (other spacing,
+    CRLF, comments, ``+01``, no header, and every malformed file) goes
+    through the token reader.  The grid decoder takes only files on which
+    the token reader returns the same array, so results and errors do not
+    depend on which reader ran.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    samples = _decode_grid(raw)
+    return _read_tokens(path, raw) if samples is None else samples
+
+
+def _decode_grid(raw: bytes) -> Optional[np.ndarray]:
+    """The matrix of a file in ``write_samples``' exact layout; None otherwise."""
+    header = _GRID_HEADER.match(raw)
+    if header is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    if n < 1 or m < 1 or len(raw) - header.end() != 3 * n * m:
+        return None
+    cells = np.frombuffer(raw, np.uint8, offset=header.end()).reshape(m, n, 3)
+    sign = cells[:, :, 0]
+    minus = sign == ord("-")
+    if not (
+        np.all(minus | (sign == ord("+")))
+        and np.all(cells[:, :, 1] == ord("1"))
+        and np.all(cells[:, :-1, 2] == ord(" "))
+        and np.all(cells[:, -1, 2] == ord("\n"))
+    ):
+        return None
+    return 1 - 2 * minus.view(np.int8)
+
+
+def _read_tokens(path, raw: bytes) -> np.ndarray:
+    """Parse ``raw`` token by token: any layout the grammar allows."""
+    try:  # decoded as open(path) would: locale encoding, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    except ValueError as exc:
+        raise BadSpinValue(f"sample file {path} has a non-integer entry: {exc}") from None
     rows, header = [], None
     for line in text.split("\n"):
         line = line.strip()

@@ -41,9 +41,6 @@ class WeightedForest:
     def n(self) -> int:
         return len(self.leaves)
 
-    def leaf_sets(self) -> Tuple[frozenset, ...]:
-        return tuple(frozenset(c.topology.leaves) for c in self.components)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightedForest({list(self.components)!r})"
 

@@ -160,6 +160,40 @@ def _fuzz_grid(draw):
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
 
 
+_MUTATION_BYTES = b"+-1 \t\r\n#0x"
+_MUTATIONS = ["replace", "delete", "insert", "n-1", "n+1", "m-1", "m+1", "blank", "crlf"]
+
+
+@st.composite
+def _mutation_cases(draw):
+    """A +-1 matrix and one mutation of the file ``write_samples`` makes of it."""
+    draws = draw(arrays(np.int8, st.tuples(st.integers(1, 60), st.integers(1, 20)),
+                        elements=st.sampled_from([-1, 1])))
+    m, n = draws.shape
+    size = len(f"# n={n} m={m}\n") + 3 * n * m
+    kind = draw(st.sampled_from(_MUTATIONS))
+    return draws, kind, draw(st.integers(0, size - 1)), draw(st.sampled_from(_MUTATION_BYTES))
+
+
+def _mutate(raw: bytes, shape, kind: str, at: int, byte: int) -> bytes:
+    """``raw`` with one byte replaced, deleted or inserted at ``at``, the
+    header's n or m moved by one, a blank line appended, or CRLF line ends."""
+    if kind == "replace":
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    if kind == "delete":
+        return raw[:at] + raw[at + 1:]
+    if kind == "insert":
+        return raw[:at] + bytes([byte]) + raw[at:]
+    if kind == "blank":
+        return raw + b"\n"
+    if kind == "crlf":
+        return raw.replace(b"\n", b"\r\n")
+    m, n = shape
+    step = int(kind[1:])
+    n, m = (n + step, m) if kind[0] == "n" else (n, m + step)
+    return f"# n={n} m={m}\n".encode() + raw.split(b"\n", 1)[1]
+
+
 def _reference_read(path):
     """The per-token int() parse; None where the file must be rejected."""
     rows, header = [], None
@@ -373,6 +407,56 @@ class TestSampling:
         else:
             got = read_samples(path)
             assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutation_cases())
+    @example((np.array([[1, -1]], np.int8), "replace", 9, ord(" ")))  # header's newline
+    @example((np.array([[1, -1]] * 2, np.int8), "replace", 15, ord(" ")))  # a row's newline
+    @example((np.array([[1, -1]], np.int8), "replace", 9, ord("\r")))  # bare CR ends the header
+    @example((np.array([[1, -1]], np.int8), "replace", 10, ord("x")))  # a sign byte
+    def test_mutated_written_file_matches_token_parser(self, tmp_path_factory, case):
+        draws, kind, at, byte = case
+        path = tmp_path_factory.mktemp("codec") / "draws.dat"
+        write_samples(path, draws)
+        path.write_bytes(_mutate(path.read_bytes(), draws.shape, kind, at, byte))
+        expected = _reference_read(path)
+        if expected is None:
+            with pytest.raises(LatentIsingError):
+                read_samples(path)
+        else:
+            got = read_samples(path)
+            assert got.dtype == np.int8 and got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+
+    def test_written_file_decoded_without_token_parser(self, tmp_path, monkeypatch):
+        draws = sample(random_model(7, philox(4)), 300, 5)
+        path = tmp_path / "draws.dat"
+        write_samples(path, draws)
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a written file")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        got = read_samples(path)
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        assert np.array_equal(got, draws)
+
+    @pytest.mark.parametrize(
+        "samples, error",
+        [
+            (np.array([[0, 2, -5]]), BadSpinValue),
+            (np.array([[1.0, np.nan, -1.0]]), BadSpinValue),
+            (np.array([1, -1, 1]), EmptySample),  # 1-D
+            (np.ones((0, 3)), EmptySample),  # no rows
+            (np.ones((3, 0)), EmptySample),  # no columns
+        ],
+        ids=["out-of-range", "nan", "one-dimensional", "no-rows", "no-columns"],
+    )
+    def test_write_rejects_invalid_matrix(self, tmp_path, samples, error):
+        path = tmp_path / "draws.dat"
+        with pytest.raises(error):
+            write_samples(path, samples)
+        assert not path.exists()
 
 
 class TestExactTv:
