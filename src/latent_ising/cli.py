@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParameter, LatentIsingError
 from .estimation import empirical_correlations, report_to_json, require_unit_labels
-from .distribution import exact_tv, read_samples, sample, write_samples
+from .distribution import _generator, exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
 from .identity import test_identity
 from .interpolate import interpolate, trace_to_json
@@ -36,12 +36,6 @@ from .learn_known import (
 from .learn_unknown import choose_params, learn_unknown_from_correlations
 from .newick import parse_model, serialize_forest, serialize_tree
 from .trees import correlations, diameter, normalize, random_weighted_tree
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise BadParameter("seed must be non-negative")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _read_model(path: str):
@@ -70,7 +64,7 @@ def _report(command: str, config: Dict, metrics: Dict, artifacts: List[str]) -> 
 
 
 def _cmd_gen(args) -> Dict:
-    tree = random_weighted_tree(args.n, _rng(args.seed), args.low, args.high)
+    tree = random_weighted_tree(args.n, _generator(args.seed), args.low, args.high)
     text = serialize_tree(tree)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
@@ -149,7 +143,6 @@ def _cmd_learn_unknown(args) -> Dict:
             "component_detail": per_component,
             "eta": estimate.eta,
             "xi": config.xi,
-            "eta_prime": config.eta_prime,
             "clamped": config.clamped,
         },
         [args.out],
@@ -233,7 +226,11 @@ def fitted_decay_exponent(rows: List[Dict]) -> float:
     ms = sorted(by_m)
     if len(ms) < 2:
         raise BadParameter(f"a slope needs at least two distinct m values, got {ms}")
-    logs = [math.log(sum(by_m[m]) / len(by_m[m])) for m in ms]
+    means = [sum(by_m[m]) / len(by_m[m]) for m in ms]
+    for m, mean in zip(ms, means):
+        if mean == 0.0:
+            raise BadParameter(f"mean TV is 0 at m={m}, so log(mean TV) has no slope")
+    logs = [math.log(mean) for mean in means]
     slope = np.polyfit(np.log(ms), logs, 1)[0]
     return float(slope)
 

@@ -237,6 +237,16 @@ def marginal_distribution(tree: WeightedTree) -> np.ndarray:
 # sampling
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The counter-based generator keyed by ``seed``, one of 0 .. 2**128 - 1."""
+    seed = int(seed)
+    if seed < 0:
+        raise BadParameter("seed must be non-negative")
+    if seed >= 2 ** 128:
+        raise BadParameter(f"seed must be below 2**128, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.ndarray:
     """Draw ``m`` i.i.d. leaf configurations as an (m, n) matrix of +-1 spins.
 
@@ -251,14 +261,11 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     """
     if m < 1:
         raise EmptySample(f"need at least one sample, got {m}")
-    seed = int(seed)
-    if seed < 0:
-        raise BadParameter("seed must be non-negative")
+    rng = _generator(seed)
     components = as_forest(model).components
     labels = sorted(leaf for tree in components for leaf in tree.topology.leaves)
     column = {leaf: k for k, leaf in enumerate(labels)}
     out = np.empty((m, len(labels)), dtype=np.int8)
-    rng = np.random.Generator(np.random.Philox(key=seed))
     for tree in components:
         topology = tree.topology
         root = topology.leaves[0]

@@ -90,7 +90,8 @@ def fit_known(
         raise NoConsistentModel(
             f"no weights reach |alpha({i},{j})| within {eta}: {solved.message}"
         )
-    magnitudes = np.exp(solved)
+    # the simplex can leave a log-weight a rounding error above zero
+    magnitudes = np.exp(np.minimum(solved, 0.0))
     magnitudes[magnitudes < ZERO_CLAMP] = 0.0
 
     equations = []

@@ -6,6 +6,13 @@ stage.  Parameters follow the radius-splitting recipe delta = eta^{2/3}
 n^{2/3}, xi = eta^{1/3} n^{-2/3}.  Reconstruction splits components at
 2*eta and does not take delta; the ratio delta = eta / xi only decides
 whether the working radius is clamped.
+
+Each component is fitted at the smallest feasible radius from eta up: at
+eta itself when that fit exists, otherwise at the upper end of a geometric
+bisection between eta and 1 that stops once its bracket is within a factor
+``RADIUS_BRACKET``.  A larger radius loosens every interval and keeps a
+subset of the sign equations, so feasibility only grows with the radius,
+and radius 1 is always feasible.
 """
 
 from __future__ import annotations
@@ -28,21 +35,22 @@ MIN_FIT_RADIUS = 1e-9
 #: the regime eta <= C1^3 / n in which xi is not clamped, and xi <= C1 / n when it is
 C1 = 1.0
 
-#: the widened fitting radius is eta_prime = C2 * n * xi + eta
-C2 = 4.0
+#: the fallback search stops once its radius bracket is within this factor
+RADIUS_BRACKET = 1.05
 
 
 @dataclass(frozen=True)
 class UnknownLearnConfig:
     """Radii and split parameters for one unknown-topology run.
 
-    ``clamped`` flags inputs outside the eta <= O(1/n) regime; the stored
-    eta is then lowered to at most 0.9 * xi when eta / xi >= 1.
+    ``eta`` is the working radius: reconstruction splits components at
+    2 * eta, and each component is fitted at the smallest feasible radius
+    from eta up.  ``clamped`` flags inputs outside the eta <= O(1/n) regime;
+    the stored eta is then lowered to at most 0.9 * xi when eta / xi >= 1.
     """
 
     eta: float
     xi: float
-    eta_prime: float
     clamped: bool
 
 
@@ -62,38 +70,36 @@ def choose_params(eta: float, n: int) -> UnknownLearnConfig:
         clamped = True
         delta = 0.9
     eta_eff = min(eta, xi * delta)
-    return UnknownLearnConfig(
-        eta=eta_eff,
-        xi=xi,
-        eta_prime=C2 * n * xi + eta_eff,
-        clamped=clamped,
-    )
+    return UnknownLearnConfig(eta=eta_eff, xi=xi, clamped=clamped)
 
 
 def _fit_component(
-    topology: TreeTopology,
-    alpha_hat: CorrelationVector,
-    eta: float,
-    eta_prime: float,
+    topology: TreeTopology, alpha_hat: CorrelationVector, eta: float
 ) -> WeightedTree:
     if topology.leaf_count == 1:
         return WeightedTree(topology, {})
-    # Try the raw radius first: when the component topology matches the truth
-    # the targets are realizable within eta.  The widened radius is the
-    # fallback that stays feasible after near-unit edge contractions.
+    # When the component topology matches the truth the targets are
+    # realizable within eta; otherwise bisect for the smallest feasible radius.
+    low = max(eta, MIN_FIT_RADIUS)
     try:
-        return fit_known(topology, alpha_hat, max(eta, MIN_FIT_RADIUS)).tree
+        return fit_known(topology, alpha_hat, low).tree
     except NoConsistentModel:
-        return fit_known(topology, alpha_hat, max(eta_prime, MIN_FIT_RADIUS)).tree
+        pass
+    high, fit = 1.0, None
+    while high > low * RADIUS_BRACKET:
+        mid = math.sqrt(low * high)
+        try:
+            fit, high = fit_known(topology, alpha_hat, mid), mid
+        except NoConsistentModel:
+            low = mid
+    return (fit or fit_known(topology, alpha_hat, high)).tree
 
 
 def learn_unknown_from_correlations(alpha_hat: CorrelationVector, eta: float) -> WeightedForest:
     """Reconstruct and fit a weighted forest from estimated correlations."""
     cfg = choose_params(eta, alpha_hat.n)
     rec = reconstruct_forest(alpha_hat, xi=cfg.xi, eta=cfg.eta)
-    components = [
-        _fit_component(t, alpha_hat, cfg.eta, cfg.eta_prime) for t in rec.components
-    ]
+    components = [_fit_component(t, alpha_hat, cfg.eta) for t in rec.components]
     return WeightedForest(components)
 
 

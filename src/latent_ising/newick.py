@@ -13,6 +13,7 @@ tree per line; a singleton component is a bare label line like ``7;``.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Tuple
 
 from .errors import MalformedTree
@@ -45,6 +46,10 @@ def serialize_tree(tree: WeightedTree) -> str:
     return text[root] + ";"
 
 
+#: whitespace between two characters of one label or weight
+_SPLIT_TOKEN = re.compile(r"[0-9.+\-eE]\s+[0-9.+\-eE]")
+
+
 def parse_tree(text: str) -> WeightedTree:
     """Parse one Newick string into a weighted tree.
 
@@ -52,7 +57,10 @@ def parse_tree(text: str) -> WeightedTree:
     rooted rendering round-trips to the same unrooted tree.  Nodes of degree
     4 or more are kept as-is.
     """
-    text = "".join(text.split())  # labels and weights never contain whitespace
+    split = _SPLIT_TOKEN.search(text)
+    if split:
+        raise MalformedTree(f"whitespace inside a label or weight at position {split.start() + 1}")
+    text = "".join(text.split())  # whitespace between tokens is dropped
     if not text.endswith(";"):
         raise MalformedTree("Newick string must end with ';'")
     parser = _Parser(text[:-1])

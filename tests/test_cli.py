@@ -89,7 +89,7 @@ def test_learn_unknown_and_identity(tmp_path, capsys, model_file):
     assert code == 0
     metrics = json.loads(out)["metrics"]
     assert metrics["components"] >= 1
-    assert set(metrics) == {"components", "component_detail", "eta", "xi", "eta_prime", "clamped"}
+    assert set(metrics) == {"components", "component_detail", "eta", "xi", "clamped"}
     covered = sorted(
         leaf for comp in metrics["component_detail"] for leaf in comp["leaves"]
     )
@@ -196,8 +196,9 @@ def test_usage_error_exit_code(capsys):
         (["--low", "nan"], "need -1 <= low <= high <= 1, got low=nan, high=1.0"),
         (["--high", "1.5"], "need -1 <= low <= high <= 1, got low=-1.0, high=1.5"),
         (["--seed", "-1"], "seed must be non-negative"),
+        (["--seed", str(2**128)], f"seed must be below 2**128, got {2**128}"),
     ],
-    ids=["low-above-high", "nan-low", "high-above-one", "negative-seed"],
+    ids=["low-above-high", "nan-low", "high-above-one", "negative-seed", "seed-too-large"],
 )
 def test_gen_bad_parameter_is_a_domain_error(tmp_path, capsys, flags, message):
     out_file = tmp_path / "t.nwk"
@@ -218,15 +219,23 @@ def test_bench_malformed_m_list_is_a_usage_error(tmp_path, capsys, model_file, m
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, message, model",
     [
-        (["--trials", "0"], "need at least one trial, got 0"),
-        (["--m-list", "100"], "a slope needs at least two distinct m values, got [100]"),
-        (["--m-list", "100,100"], "a slope needs at least two distinct m values, got [100]"),
+        (["--trials", "0"], "need at least one trial, got 0", None),
+        (["--m-list", "100"], "a slope needs at least two distinct m values, got [100]", None),
+        (["--m-list", "100,100"], "a slope needs at least two distinct m values, got [100]", None),
+        # a zero weight fits exactly: every fitted weight clamps to 0
+        (["--m-list", "100,200"], "mean TV is 0 at m=100, so log(mean TV) has no slope",
+         "(1:0.0,2:1.0);\n"),
     ],
-    ids=["zero-trials", "one-m", "repeated-m"],
+    ids=["zero-trials", "one-m", "repeated-m", "exact-fits"],
 )
-def test_bench_without_a_slope_is_a_domain_error(tmp_path, capsys, model_file, flags, message):
+def test_bench_without_a_slope_is_a_domain_error(
+    tmp_path, capsys, model_file, flags, message, model
+):
+    if model is not None:
+        model_file = tmp_path / "zero.nwk"
+        model_file.write_text(model)
     out_file = tmp_path / "b.csv"
     code, out, err = run_cli(
         capsys, "bench", "--tree", str(model_file), "--trials", "1", *flags,

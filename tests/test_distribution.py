@@ -308,6 +308,16 @@ class TestSampling:
         with pytest.raises(EmptySample):
             sample(four_leaf_example(), 0, 1)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be non-negative"), (2**128, r"seed must be below 2\*\*128")],
+        ids=["negative", "too-large"],
+    )
+    def test_seed_outside_the_key_range_rejected(self, seed, message):
+        with pytest.raises(BadParameter, match=message):
+            sample(four_leaf_example(), 10, seed)
+        assert sample(four_leaf_example(), 10, 2**128 - 1).shape == (10, 4)
+
     @settings(max_examples=80, deadline=None)
     @given(
         _sampler_models(),

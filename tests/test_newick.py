@@ -81,6 +81,10 @@ def test_malformed_inputs():
         parse_tree("(1:0.5,1:0.5);")
     with pytest.raises(MalformedTree):
         parse_tree("(1:zz,2:0.5);")
+    with pytest.raises(MalformedTree, match="whitespace inside a label or weight"):
+        parse_tree("((1 2:0.5,3:0.5):0.8,(4:0.5,5:0.5):1.0);")
+    with pytest.raises(MalformedTree, match="whitespace inside a label or weight"):
+        parse_tree("((1:0. 5,2:0.5):0.8,(3:0.5,4:0.5):1.0);")
 
 
 @settings(max_examples=30, deadline=None)
