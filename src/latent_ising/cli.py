@@ -2,8 +2,10 @@
 
 Subcommands: gen, sample, estimate, learn-known, learn-unknown,
 test-identity, eval-tv, interpolate, bench.  Every command prints one JSON
-run report to stdout with the command name, the full configuration
-(including the seed), numeric metrics, and the paths of files it wrote.
+run report to stdout with the command name, its ``config``, numeric
+``metrics`` and its ``artifacts``.  ``config`` is every argument except
+``--out`` (``--m-list`` as comma-joined integers), so it includes the seed;
+``artifacts`` is the ``--out`` path, or empty for a command without one.
 Reports are byte-identical across runs with identical arguments.
 
 Exit status: 0 on success, 1 on domain and file errors, 2 on usage errors.
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import BadParameter, LatentIsingError
+from .errors import BadParameter, LatentIsingError, MalformedTree
 from .estimation import empirical_correlations, report_to_json, require_unit_labels
 from .distribution import _generator, exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
@@ -39,8 +41,12 @@ from .trees import correlations, diameter, normalize, random_weighted_tree
 
 
 def _read_model(path: str):
-    with open(path) as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedTree(f"tree file {path} is not text: {exc}") from None
+    return parse_model(text)
 
 
 def _read_tree(path: str):
@@ -48,15 +54,6 @@ def _read_tree(path: str):
     if isinstance(model, WeightedForest):
         raise LatentIsingError(f"{path} holds a forest where a single tree is needed")
     return model
-
-
-def _report(command: str, config: Dict, metrics: Dict, artifacts: List[str]) -> Dict:
-    return {
-        "command": command,
-        "config": config,
-        "metrics": metrics,
-        "artifacts": artifacts,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +65,7 @@ def _cmd_gen(args) -> Dict:
     text = serialize_tree(tree)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
-    return _report(
-        "gen",
-        {"n": args.n, "low": args.low, "high": args.high, "seed": args.seed},
-        {"edges": len(tree.topology.edges), "diameter": diameter(tree.topology)},
-        [args.out],
-    )
+    return {"edges": len(tree.topology.edges), "diameter": diameter(tree.topology)}
 
 
 def _cmd_sample(args) -> Dict:
@@ -82,12 +74,7 @@ def _cmd_sample(args) -> Dict:
     require_unit_labels(as_forest(model).leaves, "model")
     draws = sample(model, args.m, args.seed)
     write_samples(args.out, draws)
-    return _report(
-        "sample",
-        {"tree": args.tree, "m": args.m, "seed": args.seed},
-        {"n": int(draws.shape[1]), "m": int(draws.shape[0])},
-        [args.out],
-    )
+    return {"n": int(draws.shape[1]), "m": int(draws.shape[0])}
 
 
 def _cmd_estimate(args) -> Dict:
@@ -95,12 +82,7 @@ def _cmd_estimate(args) -> Dict:
     report = empirical_correlations(samples, args.delta)
     with open(args.out, "w") as fh:
         fh.write(report_to_json(report) + "\n")
-    return _report(
-        "estimate",
-        {"samples": args.samples, "delta": args.delta},
-        {"n": report.alpha_hat.n, "m": report.m, "eta": report.eta},
-        [args.out],
-    )
+    return {"n": report.alpha_hat.n, "m": report.m, "eta": report.eta}
 
 
 def _cmd_learn_known(args) -> Dict:
@@ -111,13 +93,7 @@ def _cmd_learn_known(args) -> Dict:
     fit = fit_known(topology, report.alpha_hat, report.eta)
     with open(args.out, "w") as fh:
         fh.write(serialize_tree(fit.tree) + "\n")
-    metrics = fit_report(fit, report.alpha_hat)
-    return _report(
-        "learn-known",
-        {"tree": args.tree, "samples": args.samples, "delta": args.delta},
-        metrics,
-        [args.out],
-    )
+    return fit_report(fit, report.alpha_hat)
 
 
 def _cmd_learn_unknown(args) -> Dict:
@@ -135,51 +111,27 @@ def _cmd_learn_unknown(args) -> Dict:
         }
         for c in forest.components
     ]
-    return _report(
-        "learn-unknown",
-        {"samples": args.samples, "delta": args.delta},
-        {
-            "components": len(forest.components),
-            "component_detail": per_component,
-            "eta": estimate.eta,
-            "xi": config.xi,
-            "clamped": config.clamped,
-        },
-        [args.out],
-    )
+    return {
+        "components": len(forest.components),
+        "component_detail": per_component,
+        "eta": estimate.eta,
+        "xi": config.xi,
+        "clamped": config.clamped,
+    }
 
 
 def _cmd_test_identity(args) -> Dict:
     samples = read_samples(args.samples)
-    reference = as_forest(_read_model(args.tree))
-    verdict = test_identity(samples, reference, args.eps, args.delta)
-    return _report(
-        "test-identity",
-        {
-            "samples": args.samples,
-            "tree": args.tree,
-            "eps": args.eps,
-            "delta": args.delta,
-        },
-        {
-            "decision": verdict.decision,
-            "statistic": verdict.statistic,
-            "threshold": verdict.threshold,
-        },
-        [],
-    )
+    verdict = test_identity(samples, _read_model(args.tree), args.eps, args.delta)
+    return {
+        "decision": verdict.decision,
+        "statistic": verdict.statistic,
+        "threshold": verdict.threshold,
+    }
 
 
 def _cmd_eval_tv(args) -> Dict:
-    a = as_forest(_read_model(args.model_a))
-    b = as_forest(_read_model(args.model_b))
-    tv = exact_tv(a, b)
-    return _report(
-        "eval-tv",
-        {"model_a": args.model_a, "model_b": args.model_b},
-        {"tv": tv},
-        [],
-    )
+    return {"tv": exact_tv(_read_model(args.model_a), _read_model(args.model_b))}
 
 
 def _cmd_interpolate(args) -> Dict:
@@ -189,17 +141,12 @@ def _cmd_interpolate(args) -> Dict:
     payload = trace_to_json(trace)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
-    return _report(
-        "interpolate",
-        {"source": args.source, "target": args.target},
-        {
-            "epochs": trace.epochs,
-            "rounds": trace.rounds,
-            "moves": len(trace.moves),
-            "total_changed_quartets": payload["total_changed_quartets"],
-        },
-        [args.out],
-    )
+    return {
+        "epochs": trace.epochs,
+        "rounds": trace.rounds,
+        "moves": len(trace.moves),
+        "total_changed_quartets": payload["total_changed_quartets"],
+    }
 
 
 def bench_sweep(
@@ -247,19 +194,7 @@ def _cmd_bench(args) -> Dict:
         body = json.dumps(rows, sort_keys=True) + "\n"
     with open(args.out, "w") as fh:
         fh.write(body)
-    return _report(
-        "bench",
-        {
-            "tree": args.tree,
-            "m_list": ",".join(map(str, args.m_list)),
-            "trials": args.trials,
-            "delta": args.delta,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        {"rows": len(rows), "decay_exponent": slope},
-        [args.out],
-    )
+    return {"rows": len(rows), "decay_exponent": slope}
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +281,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     # replaced after the first call (a test double, a tracing wrapper) runs
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        report = handler(args)
+        metrics = handler(args)
     except (LatentIsingError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
+    config = {
+        key: ",".join(map(str, value)) if key == "m_list" else value
+        for key, value in vars(args).items()
+        if key not in ("command", "out")
+    }
+    report = {
+        "command": args.command,
+        "config": config,
+        "metrics": metrics,
+        "artifacts": [args.out] if "out" in args else [],
+    }
     print(json.dumps(report, sort_keys=True))
     return 0
 

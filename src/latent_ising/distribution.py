@@ -145,10 +145,8 @@ def _fwht(vec: np.ndarray) -> np.ndarray:
     size = a.size
     while h < size:
         a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        y = a[:, 1, :].copy()
-        a[:, 0, :] = x + y
-        a[:, 1, :] = x - y
+        x, y = a[:, 0, :], a[:, 1, :]
+        a[:, 0, :], a[:, 1, :] = x + y, x - y
         a = a.reshape(size)
         h *= 2
     return a

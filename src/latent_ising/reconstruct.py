@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadParameter
 from .trees import (
+    TIE_TOLERANCE,
     CorrelationVector,
     TreeTopology,
     _edge_splits,
@@ -146,7 +147,7 @@ def _attachment_edge(
             other = [reps[i] for i in range(3) if i != k]
             products.append(strength.get(x, reps[k]) * strength.get(other[0], other[1]))
         best = max(products)
-        k = next(i for i, p in enumerate(products) if p >= best - 1e-12)
+        k = next(i for i, p in enumerate(products) if p >= best - TIE_TOLERANCE)
         nxt = directions[k]
         if nxt == prev or len(adj[nxt]) == 1:
             return (cur, nxt)

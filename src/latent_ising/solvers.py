@@ -226,14 +226,16 @@ def gf2_solve(system: Gf2System) -> Union[np.ndarray, Inconsistent]:
         rows.append([mask, eq.rhs & 1, idx])
 
     pivot_rows: Dict[int, int] = {}
+    used = [False] * len(rows)
     for col in range(system.n_vars):
         pivot = next(
-            (r for r in range(len(rows)) if rows[r][0] >> col & 1 and r not in pivot_rows.values()),
+            (r for r in range(len(rows)) if rows[r][0] >> col & 1 and not used[r]),
             None,
         )
         if pivot is None:
             continue
         pivot_rows[col] = pivot
+        used[pivot] = True
         for r in range(len(rows)):
             if r != pivot and rows[r][0] >> col & 1:
                 rows[r][0] ^= rows[pivot][0]

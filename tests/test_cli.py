@@ -294,3 +294,80 @@ def test_reports_byte_identical(tmp_path, capsys, model_file):
     _, second, _ = run_cli(capsys, *args)
     assert first == second
     assert samples.read_bytes() == first_file
+
+
+@pytest.fixture
+def samples_file(tmp_path, capsys, model_file):
+    path = tmp_path / "draws.dat"
+    code, _, _ = run_cli(capsys, "sample", "--tree", str(model_file), "--m", "2000",
+                         "--seed", "6", "--out", str(path))
+    assert code == 0
+    return path
+
+
+def _fill(argv, **paths):
+    return [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv]
+
+
+_REPORT_CASES = [
+    (["gen", "--n", "5", "--low", "-0.5", "--high", "0.5", "--seed", "3", "--out", "{out}"],
+     {"n": 5, "low": -0.5, "high": 0.5, "seed": 3}),
+    (["sample", "--tree", "{tree}", "--m", "50", "--seed", "2", "--out", "{out}"],
+     {"tree": "{tree}", "m": 50, "seed": 2}),
+    (["estimate", "--samples", "{samples}", "--delta", "0.1", "--out", "{out}"],
+     {"samples": "{samples}", "delta": 0.1}),
+    (["learn-known", "--tree", "{tree}", "--samples", "{samples}", "--delta", "0.1",
+      "--out", "{out}"],
+     {"tree": "{tree}", "samples": "{samples}", "delta": 0.1}),
+    (["learn-unknown", "--samples", "{samples}", "--delta", "0.1", "--out", "{out}"],
+     {"samples": "{samples}", "delta": 0.1}),
+    (["test-identity", "--samples", "{samples}", "--tree", "{tree}", "--eps", "0.3",
+      "--delta", "0.1"],
+     {"samples": "{samples}", "tree": "{tree}", "eps": 0.3, "delta": 0.1}),
+    (["eval-tv", "{tree}", "{tree}"], {"model_a": "{tree}", "model_b": "{tree}"}),
+    (["interpolate", "--source", "{tree}", "--target", "{tree}", "--out", "{out}"],
+     {"source": "{tree}", "target": "{tree}"}),
+    (["bench", "--tree", "{tree}", "--m-list", "500,02000", "--trials", "1",
+      "--delta", "0.1", "--seed", "4", "--out", "{out}", "--format", "json"],
+     {"tree": "{tree}", "m_list": "500,2000", "trials": 1, "delta": 0.1, "seed": 4,
+      "format": "json"}),
+]
+
+
+@pytest.mark.parametrize("argv, config", _REPORT_CASES, ids=[argv[0] for argv, _ in _REPORT_CASES])
+def test_report_config_is_the_arguments_but_out(
+    tmp_path, capsys, model_file, samples_file, argv, config
+):
+    paths = dict(tree=model_file, samples=samples_file, out=tmp_path / "result")
+    code, out, _ = run_cli(capsys, *_fill(argv, **paths))
+    assert code == 0
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert report["config"] == {
+        key: _fill([value], **paths)[0] if isinstance(value, str) else value
+        for key, value in config.items()
+    }
+    assert report["artifacts"] == ([str(paths["out"])] if "{out}" in argv else [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--tree", "{bad}", "--m", "10", "--out", "{out}"],
+        ["learn-known", "--tree", "{bad}", "--samples", "{samples}", "--out", "{out}"],
+        ["test-identity", "--samples", "{samples}", "--tree", "{bad}", "--eps", "0.3"],
+        ["eval-tv", "{bad}", "{bad}"],
+        ["interpolate", "--source", "{bad}", "--target", "{bad}", "--out", "{out}"],
+        ["bench", "--tree", "{bad}", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_undecodable_tree_file_is_a_domain_error(tmp_path, capsys, samples_file, argv):
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(b"\xff\xfe((1:0.5,2:0.5):1,3:0.2);\n")
+    out_file = tmp_path / "result"
+    code, out, err = run_cli(capsys, *_fill(argv, bad=bad, samples=samples_file, out=out_file))
+    assert code == 1
+    assert json.loads(err)["error"] == "MalformedTree"
+    assert out == ""
+    assert not out_file.exists()
