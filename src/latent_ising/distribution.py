@@ -34,7 +34,7 @@ from .errors import (
     UnknownLeaf,
     UnknownPair,
 )
-from .estimation import _all_spins
+from .estimation import _BLOCK_ROWS, _all_spins
 from .forest import WeightedForest, as_forest
 from .trees import (
     CorrelationVector,
@@ -50,9 +50,6 @@ from .trees import (
 
 #: the one cap on dense enumeration: closed form, marginalization and TV
 MAX_EXACT_LEAVES = 14
-
-#: rows ``sample`` draws per block; its uniform buffer is this many rows of nodes
-_BLOCK_ROWS = 4096
 
 Model = Union[WeightedTree, WeightedForest, Tuple[TreeTopology, CorrelationVector]]
 
@@ -254,8 +251,9 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     another, each for all ``m`` rows; within a component the stream is read
     row-major, one uniform per node per row in root-first order, so output is
     reproducible and does not depend on how the rows are split into blocks.
-    Rows are drawn ``_BLOCK_ROWS`` at a time into one reused buffer, so
-    working memory is O(block x nodes) beside the ``int8`` output.
+    Rows are drawn ``_BLOCK_ROWS`` at a time (the block size of every pass
+    over a sample matrix, defined in ``estimation``) into one reused buffer,
+    so working memory is O(block x nodes) beside the ``int8`` output.
     """
     if m < 1:
         raise EmptySample(f"need at least one sample, got {m}")
@@ -313,13 +311,17 @@ def write_samples(path, samples: np.ndarray) -> None:
     if not _all_spins(samples):
         raise BadSpinValue("sample entries must be -1 or +1")
     m, n = samples.shape
-    buffer = np.full((m, 3 * n), ord(" "), dtype=np.uint8)
-    buffer[:, 0::3] = np.where(samples > 0, ord("+"), ord("-"))
+    buffer = np.full((min(m, _BLOCK_ROWS), 3 * n), ord(" "), dtype=np.uint8)
     buffer[:, 1::3] = ord("1")
     buffer[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"# n={n} m={m}\n".encode())
-        fh.write(buffer.tobytes())
+        for start in range(0, m, _BLOCK_ROWS):
+            block = samples[start:start + _BLOCK_ROWS]
+            rows = buffer[:len(block)]
+            rows[:, 0::3] = ord("-")
+            np.copyto(rows[:, 0::3], ord("+"), where=block > 0)
+            fh.write(rows)
 
 
 def read_samples(path) -> np.ndarray:
@@ -353,16 +355,20 @@ def _decode_grid(raw: bytes) -> Optional[np.ndarray]:
     if n < 1 or m < 1 or len(raw) - header.end() != 3 * n * m:
         return None
     cells = np.frombuffer(raw, np.uint8, offset=header.end()).reshape(m, n, 3)
-    sign = cells[:, :, 0]
-    minus = sign == ord("-")
-    if not (
-        np.all(minus | (sign == ord("+")))
-        and np.all(cells[:, :, 1] == ord("1"))
-        and np.all(cells[:, :-1, 2] == ord(" "))
-        and np.all(cells[:, -1, 2] == ord("\n"))
-    ):
-        return None
-    return 1 - 2 * minus.view(np.int8)
+    out = np.empty((m, n), dtype=np.int8)
+    for start in range(0, m, _BLOCK_ROWS):
+        block = cells[start:start + _BLOCK_ROWS]
+        sign = block[:, :, 0]
+        minus = sign == ord("-")
+        if not (
+            np.all(minus | (sign == ord("+")))
+            and np.all(block[:, :, 1] == ord("1"))
+            and np.all(block[:, :-1, 2] == ord(" "))
+            and np.all(block[:, -1, 2] == ord("\n"))
+        ):
+            return None
+        out[start:start + len(block)] = 1 - 2 * minus.view(np.int8)
+    return out
 
 
 def _read_tokens(path, raw: bytes) -> np.ndarray:

@@ -34,18 +34,35 @@ def confidence_radius(n: int, delta: float, m: int) -> float:
     return math.sqrt(2.0 * math.log(n * n / delta) / m)
 
 
+#: rows per block for every pass over a sample matrix, so no temporary grows with m
+_BLOCK_ROWS = 4096
+
+
 def _all_spins(x: np.ndarray) -> bool:
-    """True when every entry of ``x`` is -1 or +1, as ``np.isin(x, (-1, 1))`` says."""
-    if x.dtype.kind in "biuf":  # real numbers; abs(int8 -128) wraps to -128 and fails
-        return bool(np.all(np.abs(x) == 1))
-    return bool(np.all(np.isin(x, (-1, 1))))  # complex (|1j| is 1), object, text
+    """True when every entry of ``x`` is -1 or +1, as ``np.isin(x, (-1, 1))`` says.
+
+    Checks ``_BLOCK_ROWS`` rows at a time (a 1-D input is one row) and stops
+    at the first block that fails.
+    """
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
+    for start in range(0, len(x), _BLOCK_ROWS):
+        block = x[start:start + _BLOCK_ROWS]
+        if block.dtype.kind in "biuf":  # real numbers; abs(int8 -128) wraps to -128 and fails
+            ok = np.all(np.abs(block) == 1)
+        else:  # complex (|1j| is 1), object, text
+            ok = np.all(np.isin(block, (-1, 1)))
+        if not ok:
+            return False
+    return True
 
 
 def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationReport:
     """Mean-of-products estimate for every leaf pair.
 
     ``samples`` is an (m, n) matrix with entries in {-1, +1}, one row per
-    independent draw.
+    independent draw.  The Gram matrix is summed over ``_BLOCK_ROWS``-row
+    blocks, so working memory is O(block x n + n^2) beside the input.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -54,8 +71,15 @@ def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationRepor
         raise BadSpinValue("sample entries must be -1 or +1")
     m, n = samples.shape
     eta = confidence_radius(n, delta, m)
-    x = samples.astype(np.float64)
-    gram = x.T @ x / m
+    # Exact, so alpha_hat is bit-identical to the float64 x.T @ x / m: a block's
+    # Gram entries are integers of magnitude <= _BLOCK_ROWS < 2**24, which float32
+    # holds exactly whatever order BLAS adds in, and the float64 running sums are
+    # integers of magnitude <= m < 2**53.
+    gram = np.zeros((n, n))
+    for start in range(0, m, _BLOCK_ROWS):
+        block = samples[start:start + _BLOCK_ROWS].astype(np.float32)
+        gram += block.T @ block
+    gram /= m
     values = gram[np.triu_indices(n, k=1)]
     alpha_hat = CorrelationVector(range(1, n + 1), np.clip(values, -1.0, 1.0))
     return EstimationReport(alpha_hat=alpha_hat, m=m, delta=delta, eta=eta)

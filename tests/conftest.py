@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ from latent_ising import (
     topologies_equal,
 )
 from latent_ising import reconstruct
+
+
+def peak_bytes(call) -> int:
+    """Peak bytes allocated while ``call()`` runs, beyond what was live before it.
+
+    ``tracemalloc`` counts numpy's data buffers, so the figure is deterministic.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 #: edge weights for property tests: anywhere in [-1, 1], often exactly 0 or +-1

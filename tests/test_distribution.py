@@ -42,7 +42,14 @@ from latent_ising.distribution import _BLOCK_ROWS, config_index
 from latent_ising.estimation import confidence_radius, empirical_correlations
 from latent_ising.trees import _postorder
 
-from conftest import EDGE_WEIGHTS, caterpillar, four_leaf_example, philox, random_model
+from conftest import (
+    EDGE_WEIGHTS,
+    caterpillar,
+    four_leaf_example,
+    peak_bytes,
+    philox,
+    random_model,
+)
 
 
 def brute_force_prob(tree: WeightedTree, x) -> float:
@@ -459,14 +466,53 @@ class TestSampling:
             (np.array([1, -1, 1]), EmptySample),  # 1-D
             (np.ones((0, 3)), EmptySample),  # no rows
             (np.ones((3, 0)), EmptySample),  # no columns
+            (np.vstack([np.ones((_BLOCK_ROWS, 3)), [[1, 0, 1]]]), BadSpinValue),  # row B only
         ],
-        ids=["out-of-range", "nan", "one-dimensional", "no-rows", "no-columns"],
+        ids=["out-of-range", "nan", "one-dimensional", "no-rows", "no-columns", "last-block"],
     )
     def test_write_rejects_invalid_matrix(self, tmp_path, samples, error):
         path = tmp_path / "draws.dat"
         with pytest.raises(error):
             write_samples(path, samples)
         assert not path.exists()
+
+    @staticmethod
+    def _with_last_sign(path, draws, byte: bytes) -> None:
+        """Write ``draws``, then replace the sign byte of the last row's first cell."""
+        write_samples(path, draws)
+        raw = path.read_bytes()
+        at = len(raw) - 3 * draws.shape[1]
+        path.write_bytes(raw[:at] + byte + raw[at + 1:])
+
+    def test_bad_cell_in_last_grid_block_reaches_token_parser(self, tmp_path):
+        draws = sample(random_model(5, philox(6)), _BLOCK_ROWS + 1, 2)
+        path = tmp_path / "draws.dat"
+        self._with_last_sign(path, draws, b"x")
+        message = f"sample file {re.escape(str(path))} has a non-integer entry"
+        with pytest.raises(BadSpinValue, match=message):
+            read_samples(path)
+
+    def test_loose_cell_in_last_grid_block_reaches_token_parser(self, tmp_path, monkeypatch):
+        draws = sample(random_model(5, philox(6)), _BLOCK_ROWS + 1, 2)
+        path = tmp_path / "draws.dat"
+        self._with_last_sign(path, draws, b" ")  # " 1" is a valid token for +1
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        expected = draws.copy()
+        expected[-1, 0] = 1
+        assert np.array_equal(read_samples(path), expected)
+        assert calls
+
+    def test_write_memory_stays_bounded(self, tmp_path):
+        draws = sample(random_model(16, philox(8)), 200_000, 3)
+        assert peak_bytes(lambda: write_samples(tmp_path / "draws.dat", draws)) < 2_000_000
+
+    def test_read_memory_stays_bounded(self, tmp_path):
+        draws = sample(random_model(16, philox(8)), 200_000, 3)
+        path = tmp_path / "draws.dat"
+        write_samples(path, draws)
+        budget = path.stat().st_size + draws.nbytes + 2_000_000  # the raw bytes and the output
+        assert peak_bytes(lambda: read_samples(path)) < budget
 
 
 class TestExactTv:

@@ -22,9 +22,9 @@ from latent_ising import (
     sample,
     samples_for_radius,
 )
-from latent_ising.estimation import _all_spins
+from latent_ising.estimation import _BLOCK_ROWS, _all_spins
 
-from conftest import philox, random_model
+from conftest import peak_bytes, philox, random_model
 
 
 def _isin_spins(x: np.ndarray) -> bool:
@@ -64,6 +64,42 @@ class TestEmpiricalCorrelations:
             empirical_correlations(np.zeros((0, 4)), 0.1)
         with pytest.raises(BadSpinValue):
             empirical_correlations(np.array([[1, 2]]), 0.1)
+        with pytest.raises(BadSpinValue):  # the spin check comes before the radius's delta check
+            empirical_correlations(np.array([[1, 2]]), 2.0)
+        with pytest.raises(BadSpinValue):  # a bad entry in row B only, the last block
+            empirical_correlations(np.vstack([np.ones((_BLOCK_ROWS, 3)), [[1, 0, 1]]]), 0.1)
+
+    @pytest.mark.parametrize(
+        "m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    )
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_blocked_gram_equals_float64_reference(self, m, dtype):
+        x = sample(random_model(6, philox(m), signed=True), m, 7).astype(dtype)
+        gram = x.astype(np.float64).T @ x / m
+        expected = np.clip(gram[np.triu_indices(6, k=1)], -1.0, 1.0)
+        assert np.array_equal(empirical_correlations(x, 0.05).alpha_hat.values, expected)
+
+    def test_memory_stays_bounded(self):
+        draws = sample(random_model(16, philox(8)), 200_000, 3)
+        assert peak_bytes(lambda: empirical_correlations(draws, 0.05)) < 2_000_000
+
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [("int8", -128), ("int64", 0), ("uint8", 255), ("float64", np.nan),
+         ("complex128", 1j), ("object", "a")],
+    )
+    @pytest.mark.parametrize(
+        "at", [None, 0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 2],
+        ids=["clean", "first-row", "end-of-first-block", "second-block", "last-row"],
+    )
+    def test_spin_predicate_matches_isin_across_blocks(self, dtype, bad, at):
+        x = np.ones((2 * _BLOCK_ROWS + 3, 3), dtype=dtype)
+        if dtype != "uint8":
+            x[::2, 1] = -1
+        if at is not None:
+            x[at, 2] = bad
+        assert _all_spins(x) == _isin_spins(x)
+        assert _all_spins(x.ravel()) == _isin_spins(x.ravel())  # one long row
 
     @settings(max_examples=300, deadline=None)
     @given(_spin_like_arrays())
