@@ -66,16 +66,7 @@ from .estimation import (
     report_to_json,
     samples_for_radius,
 )
-from .solvers import (
-    Gf2Equation,
-    Gf2System,
-    Inconsistent,
-    Infeasible,
-    IntervalPathLP,
-    PathConstraint,
-    gf2_solve,
-    lp_feasible,
-)
+from .solvers import Gf2System, Inconsistent, Infeasible, IntervalPathLP, gf2_solve, lp_feasible
 from .learn_known import (
     KnownTopologyFit,
     build_interval_lp,

@@ -102,9 +102,9 @@ class LeafDistribution:
         probabilities = np.asarray(probabilities, dtype=float)
         if probabilities.shape != (2 ** len(self.labels),):
             raise DimensionMismatch("probability vector length is not 2^n")
-        if probabilities.min(initial=0.0) < -1e-12:
-            raise DimensionMismatch("negative probability beyond tolerance")
-        if abs(probabilities.sum() - 1.0) > 1e-9:
+        if not probabilities.min(initial=0.0) >= -1e-12:  # NaN fails the test too
+            raise DimensionMismatch("negative or NaN probability")
+        if not abs(probabilities.sum() - 1.0) <= 1e-9:
             raise DimensionMismatch("probabilities do not sum to 1")
         self.probabilities = np.clip(probabilities, 0.0, None)
         self.probabilities.flags.writeable = False

@@ -19,16 +19,7 @@ import numpy as np
 
 from .errors import BadParameter, NoConsistentModel
 from .estimation import empirical_correlations
-from .solvers import (
-    Gf2Equation,
-    Gf2System,
-    Inconsistent,
-    Infeasible,
-    IntervalPathLP,
-    PathConstraint,
-    gf2_solve,
-    lp_feasible,
-)
+from .solvers import Gf2System, Inconsistent, Infeasible, IntervalPathLP, gf2_solve, lp_feasible
 from .trees import (
     CorrelationVector,
     TreeTopology,
@@ -51,21 +42,15 @@ class KnownTopologyFit:
 def build_interval_lp(
     topology: TreeTopology, alpha_hat: CorrelationVector, eta: float
 ) -> Tuple[IntervalPathLP, List[Tuple[int, int]]]:
-    """Interval program on log-magnitudes, one constraint per leaf pair over
-    its ascending path-edge indices; a magnitude below eta drops its lower
-    bound (log of a non-positive number reads as -inf)."""
+    """Interval program on log-magnitudes over the pair x edge path
+    incidence: row p bounds the sum of the log-weights on leaf pair p's path
+    to [log(|alpha_p| - eta), log(|alpha_p| + eta)], where a magnitude below
+    eta drops the lower bound (log of a non-positive number reads as -inf)."""
     pairs = list(itertools.combinations(topology.leaves, 2))
     magnitudes = np.abs(alpha_hat.restrict(topology.leaves).values).tolist()
-    incidence = _path_incidence(topology)
-    # Python ints: gf2_solve builds bitsets by shifting 1 << edge index
-    edge_ids = incidence.nonzero()[1].tolist()
-    ends = np.cumsum(incidence.sum(axis=1)).tolist()
-    constraints = []
-    for a, start, end in zip(magnitudes, [0] + ends, ends):
-        upper = math.log(a + eta)
-        lower = math.log(a - eta) if a - eta > 0.0 else None
-        constraints.append(PathConstraint(tuple(edge_ids[start:end]), lower, upper))
-    return IntervalPathLP(len(topology.edges), tuple(constraints)), pairs
+    upper = np.array([math.log(a + eta) for a in magnitudes])
+    lower = np.array([math.log(a - eta) if a - eta > 0.0 else -math.inf for a in magnitudes])
+    return IntervalPathLP(_path_incidence(topology), lower, upper), pairs
 
 
 def fit_known(
@@ -94,18 +79,11 @@ def fit_known(
     magnitudes = np.exp(np.minimum(solved, 0.0))
     magnitudes[magnitudes < ZERO_CLAMP] = 0.0
 
-    equations = []
-    strong_pairs = []
-    for (i, j), con, value in zip(pairs, lp.constraints, alpha_hat.values.tolist()):
-        if abs(value) > eta:
-            equations.append(
-                Gf2Equation(variables=con.variables, rhs=0 if value > 0 else 1)
-            )
-            strong_pairs.append((i, j))
-    system = Gf2System(len(topology.edges), tuple(equations))
-    bits = gf2_solve(system)
+    values = alpha_hat.values
+    strong = np.abs(values) > eta
+    bits = gf2_solve(Gf2System(lp.constraints[strong], values[strong] < 0))
     if isinstance(bits, Inconsistent):
-        i, j = strong_pairs[bits.equation]
+        i, j = pairs[strong.nonzero()[0][bits.equation]]
         raise NoConsistentModel(
             f"sign constraints are contradictory at pair ({i},{j}): {bits.message}"
         )
@@ -114,7 +92,7 @@ def fit_known(
         for k, e in enumerate(topology.edges)
     }
     tree = WeightedTree(topology, theta)
-    return KnownTopologyFit(tree=tree, eta_used=eta, sign_equations_used=len(equations))
+    return KnownTopologyFit(tree=tree, eta_used=eta, sign_equations_used=int(strong.sum()))
 
 
 def _check_sample_columns(topology: TreeTopology, samples: np.ndarray) -> None:

@@ -1,24 +1,25 @@
 """In-repo feasibility solvers: a bounded-log-weight interval LP and GF(2).
 
-Both solvers are deliberately small and dependency-free.  The interval LP
-has one variable per tree edge and up to two rows per leaf pair, and a
-one-phase simplex with Bland's rule solves it: shifting the maximized slack
-by a constant makes the origin a feasible start, so no artificial columns
-are needed.  A path row touches few edges, so a pivot row is mostly zero
-(about 4% non-zero at 16 leaves); each pivot updates only the columns where
-its row is non-zero, in a column-major tableau, and reads the reduced costs
-from the maximized variable's row instead of multiplying out a cost vector.
-Both shortcuts skip only arithmetic that leaves a finite entry unchanged, so
-the pivots and the result equal the dense update's bit for bit.
-Determinism matters more than speed.
+Both solvers are deliberately small and dependency-free, and both read a
+program as one boolean matrix with a row per constraint and a column per
+variable; for the known-topology fit that is the leaf-pair x edge path
+incidence.  The interval LP has one variable per tree edge and up to two
+rows per leaf pair, and a one-phase simplex with Bland's rule solves it:
+shifting the maximized slack by a constant makes the origin a feasible
+start, so no artificial columns are needed.  A path row touches few edges,
+so a pivot row is mostly zero (about 4% non-zero at 16 leaves); each pivot
+updates only the columns where its row is non-zero, in a column-major
+tableau, and reads the reduced costs from the maximized variable's row
+instead of multiplying out a cost vector.  Both shortcuts skip only
+arithmetic that leaves a finite entry unchanged, so the pivots and the
+result equal the dense update's bit for bit.  Determinism matters more than
+speed.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,45 +30,52 @@ _SLACK_CAP = 50.0  # bound on the centering slack; e^-50 is zero for our purpose
 _MAX_PIVOTS = 100_000
 
 
-@dataclass(frozen=True)
-class PathConstraint:
-    """lower <= sum of the named variables <= upper; lower None means -inf."""
+def _check_rows(name: str, matrix, **vectors) -> None:
+    """Reject a ``name`` matrix that is not 2-D boolean, or a vector that is
+    not an array with one entry per matrix row."""
+    if not (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype == bool):
+        raise BadParameter(f"{name} must be a 2-D boolean matrix")
+    for field, vector in vectors.items():
+        if not (isinstance(vector, np.ndarray) and vector.shape == matrix.shape[:1]):
+            raise BadParameter(f"{field} must be an array with one entry per row of {name}")
 
-    variables: Tuple[int, ...]
-    lower: Optional[float]
-    upper: float
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalPathLP:
-    """Feasibility program over variables w_e <= 0 with path-sum intervals."""
+    """Feasibility program over variables w <= 0: row k of the boolean
+    ``constraints`` (k, n_vars) marks the variables whose sum lies in
+    [lower[k], upper[k]]; lower[k] = -inf means the row has no lower bound."""
 
-    n_vars: int
-    constraints: Tuple[PathConstraint, ...]
+    constraints: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        for k, con in enumerate(self.constraints):
-            for v in con.variables:
-                if not 0 <= v < self.n_vars:
-                    raise BadParameter(f"constraint {k} references unknown variable {v}")
-            if not math.isfinite(con.upper) or not (
-                con.lower is None or math.isfinite(con.lower)
-            ):
-                raise BadParameter(f"constraint {k} has a bound that is not finite")
-            if con.lower is not None and con.upper < con.lower - 1e-15:
-                raise BadParameter(f"constraint {k} has upper < lower")
+        _check_rows("constraints", self.constraints, lower=self.lower, upper=self.upper)
+        lower, upper = self.lower, self.upper
+        if lower.dtype != np.float64 or upper.dtype != np.float64:
+            raise BadParameter("lower and upper must be float64 arrays")
+        not_finite = ~np.isfinite(upper) | np.isnan(lower) | (lower == np.inf)
+        for bad, message in (
+            (not_finite, "a bound that is not finite"),
+            (upper < lower - 1e-15, "upper < lower"),
+        ):
+            if bad.any():
+                raise BadParameter(f"constraint {bad.argmax()} has {message}")
         # lp_feasible shifts every right-hand side by t0, the smallest of them
         # (or 0); the shifted tableau must stay finite
-        sides = [(k, "upper", float(con.upper)) for k, con in enumerate(self.constraints)]
-        sides += [(k, "lower", -float(con.lower)) for k, con in enumerate(self.constraints)
-                  if con.lower is not None]
-        t0 = min(0.0, _SLACK_CAP, *(rhs for _, _, rhs in sides))
-        for k, side, rhs in sides:
-            if not math.isfinite(rhs - t0):
-                raise BadParameter(
-                    f"the {side} bound of constraint {k} is too far from the smallest "
-                    "bound for the solver's shift to stay finite"
-                )
+        has_lower = np.isfinite(lower)
+        sides = np.concatenate([upper, -lower[has_lower]])
+        owner = np.concatenate([np.arange(len(upper)), has_lower.nonzero()[0]])
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(sides - min(0.0, sides.min(initial=0.0)))
+        if bad.any():
+            i = int(bad.argmax())
+            side = "upper" if i < len(upper) else "lower"
+            raise BadParameter(
+                f"the {side} bound of constraint {owner[i]} is too far from the smallest "
+                "bound for the solver's shift to stay finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,29 +98,25 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     the witness is the bound with the largest dual weight, a member of a
     Farkas certificate of infeasibility.
     """
-    nv = lp.n_vars
-    cons = lp.constraints
-    has_lower = np.fromiter((con.lower is not None for con in cons), bool, len(cons))
+    n_cons, nv = lp.constraints.shape
+    has_lower = np.isfinite(lp.lower)
     # rows: each constraint's upper bound, then its lower bound if any, then
     # the cap on tau; columns: x, tau, one slack per row, right-hand side
-    upper_row = np.arange(len(cons)) + np.cumsum(has_lower) - has_lower
+    upper_row = np.arange(n_cons) + np.cumsum(has_lower) - has_lower
     lower_row = upper_row[has_lower] + 1
-    m = len(cons) + lower_row.size + 1
+    m = n_cons + lower_row.size + 1
     rhs = np.empty(m)
-    rhs[upper_row] = [con.upper for con in cons]
-    rhs[lower_row] = [-con.lower for con in cons if con.lower is not None]
+    rhs[upper_row] = lp.upper
+    rhs[lower_row] = -lp.lower[has_lower]
     rhs[-1] = _SLACK_CAP
     t0 = min(0.0, rhs.min())
 
-    sizes = [len(con.variables) for con in cons]
-    path_row = np.repeat(upper_row, sizes)
-    path_var = np.fromiter(
-        itertools.chain.from_iterable(con.variables for con in cons), np.intp, sum(sizes)
-    )
+    path_con, path_var = lp.constraints.nonzero()
     T = np.zeros((m, nv + m + 2), order="F")
-    T[path_row, path_var] = -1.0  # -sum(x) + tau <= upper - t0
-    on_lower = np.repeat(has_lower, sizes)
-    T[path_row[on_lower] + 1, path_var[on_lower]] = 1.0  # sum(x) + tau <= -lower - t0
+    T[upper_row[path_con], path_var] = -1.0  # -sum(x) + tau <= upper - t0
+    on_lower = has_lower[path_con]
+    # sum(x) + tau <= -lower - t0
+    T[upper_row[path_con[on_lower]] + 1, path_var[on_lower]] = 1.0
     T[:, nv] = 1.0
     T[np.arange(m), np.arange(nv + 1, nv + m + 1)] = 1.0
     T[:, -1] = rhs - t0
@@ -123,14 +127,14 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     x[basis] = T[:, -1]
     if t0 + x[nv] < -_TOL:
         bound = int(np.argmax(T[tau_row, nv + 1 : nv + m]))  # dual weights
-        k = int(np.repeat(np.arange(len(cons)), 1 + has_lower)[bound])
+        k = int(np.repeat(np.arange(n_cons), 1 + has_lower)[bound])
         side = "upper" if upper_row[k] == bound else "lower"
-        con = cons[k]
+        lower = float(lp.lower[k]) if has_lower[k] else None
         return Infeasible(
             constraint=k,
             side=side,
             message=f"no assignment satisfies the {side} bound of constraint {k} "
-            f"(interval [{con.lower}, {con.upper}])",
+            f"(interval [{lower}, {float(lp.upper[k])}])",
         )
     return -x[:nv]
 
@@ -186,26 +190,20 @@ def _simplex_iterate(T: np.ndarray, basis: np.ndarray, objective: int) -> int:
 # GF(2)
 
 
-@dataclass(frozen=True)
-class Gf2Equation:
-    """XOR of the named variables equals rhs (a bit)."""
-
-    variables: Tuple[int, ...]
-    rhs: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gf2System:
-    n_vars: int
-    equations: Tuple[Gf2Equation, ...]
+    """Row k of ``equations`` (k, n_vars) marks the variables whose XOR
+    equals the bit rhs[k]."""
+
+    equations: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
-        for k, eq in enumerate(self.equations):
-            if eq.rhs not in (0, 1):
-                raise BadParameter(f"equation {k} has non-bit rhs {eq.rhs}")
-            for v in eq.variables:
-                if not 0 <= v < self.n_vars:
-                    raise BadParameter(f"equation {k} references unknown variable {v}")
+        _check_rows("equations", self.equations, rhs=self.rhs)
+        bad = ~np.isin(self.rhs, (0, 1))
+        if bad.any():
+            k = int(bad.argmax())
+            raise BadParameter(f"equation {k} has non-bit rhs {self.rhs[k]}")
 
 
 @dataclass(frozen=True)
@@ -217,33 +215,30 @@ class Inconsistent:
 
 
 def gf2_solve(system: Gf2System) -> Union[np.ndarray, Inconsistent]:
-    """Gaussian elimination over GF(2) with int bitsets; free variables are 0."""
-    rows: List[List[int]] = []
-    for idx, eq in enumerate(system.equations):
-        mask = 0
-        for v in eq.variables:
-            mask ^= 1 << v
-        rows.append([mask, eq.rhs & 1, idx])
+    """Gaussian elimination over GF(2); free variables are 0.
 
-    pivot_rows: Dict[int, int] = {}
-    used = [False] * len(rows)
-    for col in range(system.n_vars):
-        pivot = next(
-            (r for r in range(len(rows)) if rows[r][0] >> col & 1 and not used[r]),
-            None,
-        )
-        if pivot is None:
+    Each column's pivot is the first row not yet used as a pivot that has
+    the column's bit, and it is XORed into every other row with that bit.
+    """
+    n_vars = system.equations.shape[1]
+    # [equations | rhs], so one XOR eliminates a row and its right-hand side
+    rows = np.hstack([system.equations, system.rhs.astype(bool)[:, None]])
+    free = np.ones(len(rows), dtype=bool)
+    pivot_cols, pivot_rows = [], []
+    for col in range(n_vars):
+        hit = rows[:, col].copy()
+        candidates = (hit & free).nonzero()[0]
+        if candidates.size == 0:
             continue
-        pivot_rows[col] = pivot
-        used[pivot] = True
-        for r in range(len(rows)):
-            if r != pivot and rows[r][0] >> col & 1:
-                rows[r][0] ^= rows[pivot][0]
-                rows[r][1] ^= rows[pivot][1]
-    for mask, rhs_bit, idx in rows:
-        if mask == 0 and rhs_bit == 1:
-            return Inconsistent(equation=idx, message=f"equation {idx} reduces to 0 = 1")
-    x = np.zeros(system.n_vars, dtype=np.int64)
-    for col, r in pivot_rows.items():
-        x[col] = rows[r][1]
+        pivot = int(candidates[0])
+        pivot_cols.append(col)
+        pivot_rows.append(pivot)
+        free[pivot] = hit[pivot] = False
+        rows[hit] ^= rows[pivot]
+    contradictions = rows[:, -1] & ~rows[:, :-1].any(axis=1)
+    if contradictions.any():
+        idx = int(contradictions.argmax())
+        return Inconsistent(equation=idx, message=f"equation {idx} reduces to 0 = 1")
+    x = np.zeros(n_vars, dtype=np.int64)
+    x[pivot_cols] = rows[pivot_rows, -1]
     return x

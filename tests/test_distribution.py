@@ -137,6 +137,15 @@ class TestMarginalization:
         with pytest.raises(DimensionMismatch, match="repeated leaf labels"):
             LeafDistribution([1, 1], np.full(4, 0.25))
 
+    @pytest.mark.parametrize(
+        "labels, probabilities",
+        [([1], [np.nan, np.nan]), ([1, 2], [0.5, np.nan, 0.25, 0.25])],
+        ids=["all-nan", "one-nan"],
+    )
+    def test_nan_probabilities_rejected(self, labels, probabilities):
+        with pytest.raises(DimensionMismatch):
+            LeafDistribution(labels, np.array(probabilities))
+
 
 _SPINS = ["+1", "-1", "1", "+01"]
 _TOKENS = _SPINS + ["2", "+300", "x", "#"]

@@ -21,7 +21,7 @@ from latent_ising import (
 )
 from latent_ising.errors import BadParameter
 from latent_ising.learn_known import build_interval_lp
-from latent_ising.solvers import Gf2Equation, Gf2System, gf2_solve
+from latent_ising.solvers import Gf2System, gf2_solve
 
 from conftest import philox, random_model, three_leaf_star
 
@@ -108,21 +108,16 @@ class TestFitKnown:
         assert report["sign_equations"] == 3
 
 
-    def test_constraint_variables_are_python_ints_past_63_edges(self):
+    def test_sign_system_solves_past_63_edges(self):
         truth = random_model(40, philox(13), magnitude=(0.3, 0.9), signed=True)
         edges = truth.topology.edges
         assert len(edges) > 63
         lp, pairs = build_interval_lp(truth.topology, correlations(truth), 1e-3)
-        assert all(type(v) is int for con in lp.constraints for v in con.variables)
-        # the sign system fit_known builds from these variables stays solvable
-        negative = [truth.theta[e] < 0 for e in edges]
-        equations = tuple(
-            Gf2Equation(con.variables, sum(negative[v] for v in con.variables) % 2)
-            for con in lp.constraints
-        )
-        bits = gf2_solve(Gf2System(len(edges), equations))
-        for eq in equations:
-            assert sum(int(bits[v]) for v in eq.variables) % 2 == eq.rhs
+        # the sign system fit_known builds from the path matrix stays solvable
+        paths = lp.constraints.astype(np.int64)
+        rhs = paths @ np.array([truth.theta[e] < 0 for e in edges]) % 2
+        bits = gf2_solve(Gf2System(lp.constraints, rhs))
+        assert np.array_equal(paths @ bits % 2, rhs)
 
 
 class TestLearnFromSamples:

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_ising import (
-    Gf2Equation,
     Gf2System,
     Inconsistent,
     Infeasible,
     IntervalPathLP,
     NoConsistentModel,
-    PathConstraint,
     build_interval_lp,
     correlations,
     gf2_solve,
@@ -27,13 +25,30 @@ from conftest import philox, random_model
 STAR = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
 
 
+def interval_lp(n_vars, constraints) -> IntervalPathLP:
+    """The program of ``(variables, lower or None, upper)`` triples; None
+    stands for no lower bound."""
+    matrix = np.zeros((len(constraints), n_vars), dtype=bool)
+    for k, (variables, _, _) in enumerate(constraints):
+        matrix[k, list(variables)] = True
+    lower = [-np.inf if lo is None else lo for _, lo, _ in constraints]
+    upper = [up for _, _, up in constraints]
+    return IntervalPathLP(matrix, np.array(lower, dtype=float), np.array(upper, dtype=float))
+
+
+def gf2_system(n_vars, equations) -> Gf2System:
+    """The system of ``(variables, rhs)`` pairs."""
+    matrix = np.zeros((len(equations), n_vars), dtype=bool)
+    for k, (variables, _) in enumerate(equations):
+        matrix[k, list(variables)] = True
+    return Gf2System(matrix, np.array([rhs for _, rhs in equations], dtype=np.int64))
+
+
 def assert_satisfies(lp: IntervalPathLP, w: np.ndarray, tol: float = 1e-9):
     assert np.all(w <= tol)
-    for con in lp.constraints:
-        total = float(sum(w[v] for v in con.variables))
-        assert total <= con.upper + tol
-        if con.lower is not None:
-            assert total >= con.lower - tol
+    sums = lp.constraints @ w
+    assert np.all(sums <= lp.upper + tol)
+    assert np.all(sums >= lp.lower - tol)
 
 
 def _reference_lp_feasible(lp: IntervalPathLP):
@@ -41,19 +56,19 @@ def _reference_lp_feasible(lp: IntervalPathLP):
     program and Bland's rule, with the tableau assembled row by row, a dense
     cost vector, the reduced costs recomputed as cost[basis] @ T and a full
     rank-1 update on every pivot."""
-    nv = lp.n_vars
+    nv = lp.constraints.shape[1]
     rows, rhs, origin = [], [], []
     t = np.zeros(nv + 1)
     t[nv] = 1.0
-    for k, con in enumerate(lp.constraints):
+    for k, variables in enumerate(lp.constraints):
         path = np.zeros(nv + 1)
-        path[list(con.variables)] = 1.0
+        path[:nv] = variables
         rows.append(t - path)
-        rhs.append(con.upper)
+        rhs.append(lp.upper[k])
         origin.append((k, "upper"))
-        if con.lower is not None:
+        if np.isfinite(lp.lower[k]):
             rows.append(t + path)
-            rhs.append(-con.lower)
+            rhs.append(-lp.lower[k])
             origin.append((k, "lower"))
     rows.append(t)
     rhs.append(solvers._SLACK_CAP)
@@ -84,12 +99,12 @@ def _reference_lp_feasible(lp: IntervalPathLP):
     if t0 + x[nv] < -solvers._TOL:
         duals = cost[basis] @ T[:, nv + 1 : nv + m]
         k, side = origin[int(np.argmax(duals))]
-        con = lp.constraints[k]
+        lower = float(lp.lower[k]) if np.isfinite(lp.lower[k]) else None
         return Infeasible(
             constraint=k,
             side=side,
             message=f"no assignment satisfies the {side} bound of constraint {k} "
-            f"(interval [{con.lower}, {con.upper}])",
+            f"(interval [{lower}, {float(lp.upper[k])}])",
         )
     return -x[:nv]
 
@@ -117,8 +132,8 @@ def _random_interval_lp(rng: np.random.Generator, shape: str) -> IntervalPathLP:
             lower = upper - float(rng.uniform(0.0, 3.0))
         if rng.random() < 0.3:
             lower = None
-        constraints.append(PathConstraint(variables, lower, upper))
-    return IntervalPathLP(n_vars, tuple(constraints))
+        constraints.append((variables, lower, upper))
+    return interval_lp(n_vars, constraints)
 
 
 class TestIntervalLp:
@@ -171,26 +186,40 @@ class TestIntervalLp:
         np.testing.assert_array_equal(lp_feasible(lp), lp_feasible(lp))
 
     def test_bad_interval_rejected(self):
-        from latent_ising.errors import BadParameter
-
         with pytest.raises(BadParameter):
-            IntervalPathLP(2, (PathConstraint((0, 1), lower=0.5, upper=-0.5),))
+            interval_lp(2, [((0, 1), 0.5, -0.5)])
 
     @pytest.mark.parametrize(
         "lower, upper",
         [(None, float("nan")), (float("nan"), 0.0), (None, float("inf")),
-         (None, -float("inf")), (-float("inf"), 0.0)],
-        ids=["upper-nan", "lower-nan", "upper-inf", "upper-minus-inf", "lower-minus-inf"],
+         (None, -float("inf")), (float("inf"), 0.0)],
+        ids=["upper-nan", "lower-nan", "upper-inf", "upper-minus-inf", "lower-plus-inf"],
     )
     def test_non_finite_bound_rejected(self, lower, upper):
         with pytest.raises(BadParameter, match="not finite"):
-            IntervalPathLP(1, (PathConstraint((0,), lower, upper),))
+            interval_lp(1, [((0,), lower, upper)])
+
+    @pytest.mark.parametrize("upper", [-1.0, 0.0])
+    def test_minus_inf_lower_means_no_lower_bound(self, upper):
+        # x0 <= upper with no lower bound, and x0 in [-0.5, 0]: infeasible
+        # below -0.5, where the witness prints the absent bound as None
+        lp = IntervalPathLP(
+            np.ones((2, 1), dtype=bool), np.array([-np.inf, -0.5]), np.array([upper, 0.0])
+        )
+        want = lp_feasible(interval_lp(1, [((0,), None, upper), ((0,), -0.5, 0.0)]))
+        got = lp_feasible(lp)
+        if upper < -0.5:
+            assert got == want
+            assert got.message.endswith(f"constraint 0 (interval [None, {upper}])")
+        else:
+            assert np.array_equal(got, want)
+            assert_satisfies(lp, got)
 
     def test_bound_spread_that_overflows_rejected(self):
         # each bound is finite, but 1e308 - (-1.7e308) is not
-        constraints = (PathConstraint((0,), None, 1e308), PathConstraint((1,), -1.7e308, -1e308))
+        constraints = [((0,), None, 1e308), ((1,), -1.7e308, -1e308)]
         with pytest.raises(BadParameter, match="upper bound of constraint 0 is too far"):
-            IntervalPathLP(2, constraints)
+            interval_lp(2, constraints)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["planted", "grid", "uniform"]))
@@ -234,19 +263,17 @@ class TestAgainstReferenceSolver:
             variables = tuple(sorted(rng.choice(n_vars, size=size, replace=False).tolist()))
             upper = float(rng.uniform(-5, 0.5))
             lower = None if rng.random() < 0.4 else upper - float(rng.uniform(0.0, 3.0))
-            constraints.append(PathConstraint(variables, lower, upper))
-        lp = IntervalPathLP(n_vars, tuple(constraints))
+            constraints.append((variables, lower, upper))
+        lp = interval_lp(n_vars, constraints)
         mine = lp_feasible(lp)
 
         rows, bounds_rhs = [], []
-        for con in lp.constraints:
-            coeffs = np.zeros(n_vars)
-            coeffs[list(con.variables)] = 1.0
+        for coeffs, lower, upper in zip(lp.constraints.astype(float), lp.lower, lp.upper):
             rows.append(coeffs)
-            bounds_rhs.append(con.upper)
-            if con.lower is not None:
+            bounds_rhs.append(upper)
+            if np.isfinite(lower):
                 rows.append(-coeffs)
-                bounds_rhs.append(-con.lower)
+                bounds_rhs.append(-lower)
         reference = scipy_opt.linprog(
             c=np.zeros(n_vars),
             A_ub=np.array(rows),
@@ -275,26 +302,55 @@ class TestAgainstReferenceSolver:
             assert isinstance(mine, Infeasible)
 
 
+def _reference_gf2_solve(system: Gf2System):
+    """Elimination over Python-int bitsets, an independent reference: the
+    first unused row with a column's bit is its pivot and is XORed into
+    every other row with that bit."""
+    n_vars = system.equations.shape[1]
+    rows = []
+    for idx, (variables, rhs) in enumerate(zip(system.equations, system.rhs)):
+        mask = 0
+        for v in np.flatnonzero(variables).tolist():
+            mask ^= 1 << v
+        rows.append([mask, int(rhs) & 1, idx])
+
+    pivot_rows = {}
+    used = [False] * len(rows)
+    for col in range(n_vars):
+        pivot = next(
+            (r for r in range(len(rows)) if rows[r][0] >> col & 1 and not used[r]),
+            None,
+        )
+        if pivot is None:
+            continue
+        pivot_rows[col] = pivot
+        used[pivot] = True
+        for r in range(len(rows)):
+            if r != pivot and rows[r][0] >> col & 1:
+                rows[r][0] ^= rows[pivot][0]
+                rows[r][1] ^= rows[pivot][1]
+    for mask, rhs_bit, idx in rows:
+        if mask == 0 and rhs_bit == 1:
+            return Inconsistent(equation=idx, message=f"equation {idx} reduces to 0 = 1")
+    x = np.zeros(n_vars, dtype=np.int64)
+    for col, r in pivot_rows.items():
+        x[col] = rows[r][1]
+    return x
+
+
 class TestGf2:
     def test_empty_system_defaults_to_zero(self):
-        assert np.array_equal(gf2_solve(Gf2System(3, ())), np.zeros(3, dtype=int))
+        assert np.array_equal(gf2_solve(gf2_system(3, [])), np.zeros(3, dtype=int))
 
     def test_star_equations(self):
-        system = Gf2System(
-            3,
-            (
-                Gf2Equation((0, 1), 1),
-                Gf2Equation((0, 2), 1),
-                Gf2Equation((1, 2), 0),
-            ),
-        )
-        x = gf2_solve(system)
+        equations = [((0, 1), 1), ((0, 2), 1), ((1, 2), 0)]
+        x = gf2_solve(gf2_system(3, equations))
         assert tuple(x) in {(1, 0, 0), (0, 1, 1)}
-        for eq in system.equations:
-            assert sum(int(x[v]) for v in eq.variables) % 2 == eq.rhs
+        for variables, rhs in equations:
+            assert sum(int(x[v]) for v in variables) % 2 == rhs
 
     def test_direct_contradiction(self):
-        system = Gf2System(1, (Gf2Equation((0,), 0), Gf2Equation((0,), 1)))
+        system = gf2_system(1, [((0,), 0), ((0,), 1)])
         assert isinstance(gf2_solve(system), Inconsistent)
 
     @settings(max_examples=40, deadline=None)
@@ -308,8 +364,70 @@ class TestGf2:
             size = int(rng.integers(1, n + 1))
             variables = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             rhs = int(sum(planted[v] for v in variables) % 2)
-            equations.append(Gf2Equation(variables, rhs))
-        x = gf2_solve(Gf2System(n, tuple(equations)))
+            equations.append((variables, rhs))
+        x = gf2_solve(gf2_system(n, equations))
         assert not isinstance(x, Inconsistent)
-        for eq in equations:
-            assert sum(int(x[v]) for v in eq.variables) % 2 == eq.rhs
+        for variables, rhs in equations:
+            assert sum(int(x[v]) for v in variables) % 2 == rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_matches_bitset_reference(self, seed, planted):
+        """Random systems of up to 80 variables, planted (solvable) or with
+        random right-hand sides (mostly inconsistent once rows outnumber the
+        rank): the solution and the contradiction's index match exactly."""
+        rng = philox(seed)
+        n = int(rng.integers(1, 81))
+        equations = rng.random((int(rng.integers(0, 2 * n + 1)), n)) < rng.uniform(0.02, 0.6)
+        if planted:
+            rhs = equations.astype(np.int64) @ rng.integers(0, 2, n) % 2
+        else:
+            rhs = rng.integers(0, 2, len(equations))
+        system = Gf2System(equations, rhs)
+        want = _reference_gf2_solve(system)
+        got = gf2_solve(system)
+        if isinstance(want, Inconsistent):
+            assert got == want
+        else:
+            assert not isinstance(got, Inconsistent)
+            assert np.array_equal(got, want)
+        if planted:
+            assert not isinstance(got, Inconsistent)
+
+
+class TestArrayInputs:
+    MATRIX = np.array([[True, False], [True, True]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([True, False]), np.ones((1, 2, 2), dtype=bool), np.array([[1, 0], [1, 1]]),
+         [[True, False], [True, True]]],
+        ids=["1-d", "3-d", "int", "list"],
+    )
+    def test_matrix_must_be_2d_bool(self, matrix):
+        with pytest.raises(BadParameter, match="2-D boolean matrix"):
+            IntervalPathLP(matrix, np.full(2, -np.inf), np.zeros(2))
+        with pytest.raises(BadParameter, match="2-D boolean matrix"):
+            Gf2System(matrix, np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_bound_length_must_match_rows(self, field, length):
+        bounds = {"lower": np.full(2, -np.inf), "upper": np.zeros(2)}
+        bounds[field] = bounds[field][:1] if length == 1 else np.append(bounds[field], 0.0)
+        with pytest.raises(BadParameter, match=f"{field} must be an array"):
+            IntervalPathLP(self.MATRIX, **bounds)
+
+    def test_bounds_must_be_float64(self):
+        with pytest.raises(BadParameter, match="float64"):
+            IntervalPathLP(self.MATRIX, np.full(2, -1), np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("rhs", [np.zeros(1, dtype=np.int64), np.zeros(3, dtype=np.int64)])
+    def test_rhs_length_must_match_rows(self, rhs):
+        with pytest.raises(BadParameter, match="rhs must be an array"):
+            Gf2System(self.MATRIX, rhs)
+
+    @pytest.mark.parametrize("rhs", [np.array([0, 2]), np.array([-1, 0]), np.array([0.5, 1.0])])
+    def test_rhs_must_be_bits(self, rhs):
+        with pytest.raises(BadParameter, match="non-bit rhs"):
+            Gf2System(self.MATRIX, rhs)
