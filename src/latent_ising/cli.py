@@ -52,7 +52,7 @@ def _read_model(path: str):
 def _read_tree(path: str):
     model = _read_model(path)
     if isinstance(model, WeightedForest):
-        raise LatentIsingError(f"{path} holds a forest where a single tree is needed")
+        raise MalformedTree(f"{path} holds a forest where a single tree is needed")
     return model
 
 

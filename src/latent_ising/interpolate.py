@@ -152,41 +152,40 @@ def interpolate(
     epochs = 0
     rounds = 0
     n = source.leaf_count
-    if n >= 4:
-        magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
-        a, b = np.triu_indices(n, 1)
-        magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
-        row, signal = _path_products(target)
-        np.abs(signal, out=signal)
-        splits = _edge_splits(current)
-        working = set(source.leaves)
-        block: Dict[int, FrozenSet[int]] = {leaf: frozenset([leaf]) for leaf in source.leaves}
-        while len(working) >= 4:
-            rounds += 1
-            snapshot = sorted(working)
-            for i, j in itertools.combinations(snapshot, 2):
-                if i not in working or j not in working:
-                    continue
-                p = _common_neighbor(target_topology, i, j)
-                if p is None:
-                    continue
-                roots = dict(zip((i, j), _block_roots(current, splits, block[i], block[j])))
-                if _common_neighbor(current, roots[i], roots[j]) is None:
-                    mover, anchor = _pick_weaker(signal[row[p]], source.leaves, block, i, j)
-                    epochs += 1
-                    for blocks, max_gap, paste in _epoch_moves(
-                        current, splits, roots[mover], roots[anchor], magnitudes
-                    ):
-                        moves.append(
-                            Move(epochs, rounds, mover, block[mover], block[anchor], blocks, max_gap)
-                        )
-                        steps.append(paste)
-                    current = steps[-1] = _attach(*steps[-1])
-                    splits = _edge_splits(current)
-                working.discard(i)
-                working.discard(j)
-                working.add(p)
-                block[p] = block[i] | block[j]
+    magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
+    a, b = np.triu_indices(n, 1)
+    magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+    row, signal = _path_products(target)
+    np.abs(signal, out=signal)
+    splits = _edge_splits(current)
+    working = set(source.leaves)
+    block: Dict[int, FrozenSet[int]] = {leaf: frozenset([leaf]) for leaf in source.leaves}
+    while len(working) >= 4:
+        rounds += 1
+        snapshot = sorted(working)
+        for i, j in itertools.combinations(snapshot, 2):
+            if i not in working or j not in working:
+                continue
+            p = _common_neighbor(target_topology, i, j)
+            if p is None:
+                continue
+            roots = dict(zip((i, j), _block_roots(current, splits, block[i], block[j])))
+            if _common_neighbor(current, roots[i], roots[j]) is None:
+                mover, anchor = _pick_weaker(signal[row[p]], source.leaves, block, i, j)
+                epochs += 1
+                for blocks, max_gap, paste in _epoch_moves(
+                    current, splits, roots[mover], roots[anchor], magnitudes
+                ):
+                    moves.append(
+                        Move(epochs, rounds, mover, block[mover], block[anchor], blocks, max_gap)
+                    )
+                    steps.append(paste)
+                current = steps[-1] = _attach(*steps[-1])
+                splits = _edge_splits(current)
+            working.discard(i)
+            working.discard(j)
+            working.add(p)
+            block[p] = block[i] | block[j]
     return InterpolationTrace(tuple(steps), tuple(moves), epochs, rounds)
 
 
@@ -205,7 +204,7 @@ def _block_roots(topology: TreeTopology, splits: np.ndarray, *blocks: FrozenSet[
     leaves, found in the topology's edge-split table ``splits``."""
     roots = []
     for leaves in blocks:
-        if len(leaves) == 1:
+        if len(leaves) == 1:  # measured faster on interpolate-n20 than the split-table search
             roots.append(next(iter(leaves)))
             continue
         block = np.array([leaf in leaves for leaf in topology.leaves])

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import BadParameter, NoConsistentModel
-from .estimation import empirical_correlations
+from .estimation import empirical_correlations, require_unit_labels
 from .solvers import Gf2System, Inconsistent, Infeasible, IntervalPathLP, gf2_solve, lp_feasible
 from .trees import (
     CorrelationVector,
@@ -96,13 +96,15 @@ def fit_known(
 
 
 def _check_sample_columns(topology: TreeTopology, samples: np.ndarray) -> None:
-    """Reject a sample matrix whose column count differs from the leaf count."""
+    """Reject a sample matrix whose column count differs from the leaf count,
+    and a topology whose leaves are not the column labels 1..n."""
     samples = np.asarray(samples)
     if samples.ndim == 2 and samples.shape[1] != topology.leaf_count:
         raise BadParameter(
             f"samples have {samples.shape[1]} columns, topology has "
             f"{topology.leaf_count} leaves"
         )
+    require_unit_labels(topology.leaves, "tree")
 
 
 def learn_from_samples_known(

@@ -76,8 +76,6 @@ def choose_params(eta: float, n: int) -> UnknownLearnConfig:
 def _fit_component(
     topology: TreeTopology, alpha_hat: CorrelationVector, eta: float
 ) -> WeightedTree:
-    if topology.leaf_count == 1:
-        return WeightedTree(topology, {})
     # When the component topology matches the truth the targets are
     # realizable within eta; otherwise bisect for the smallest feasible radius.
     low = max(eta, MIN_FIT_RADIUS)

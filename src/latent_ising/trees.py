@@ -259,9 +259,7 @@ class CorrelationVector:
     def max_abs_difference(self, other: "CorrelationVector") -> float:
         if self.labels != other.labels:
             raise UnknownPair("vectors cover different leaf sets")
-        if self.n < 2:
-            return 0.0
-        return float(np.max(np.abs(self.values - other.values)))
+        return float(np.max(np.abs(self.values - other.values), initial=0.0))
 
 
 def _pair_offset(n: int, a: int, b: int) -> int:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from latent_ising.cli import main
+from latent_ising import DimensionMismatch, parse_tree
+from latent_ising.cli import bench_sweep, main
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,63 @@ def test_sample_rejects_leaves_not_1_to_n(tmp_path, capsys):
     }
     assert out == ""
     assert not samples.exists()
+
+
+#: leaves 2..5: four sample columns, but not the column labels 1..n
+GAP_TREE = "((2:0.5,3:0.5):0.5,(4:0.5,5:0.5):0.5);\n"
+
+
+def test_bench_sweep_rejects_leaves_not_1_to_n():
+    with pytest.raises(DimensionMismatch, match=r"^tree leaves must be labeled 1\.\.n$"):
+        bench_sweep(parse_tree(GAP_TREE), [100, 200], 1, 0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-known", "--tree", "{tree}", "--samples", "{samples}", "--out", "{out}"],
+        ["bench", "--tree", "{tree}", "--m-list", "100,200", "--trials", "1", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_learning_rejects_leaves_not_1_to_n(tmp_path, capsys, argv):
+    tree = tmp_path / "gap.nwk"
+    tree.write_text(GAP_TREE)
+    samples = tmp_path / "draws.dat"
+    samples.write_text("# n=4 m=2\n+1 -1 +1 -1\n-1 -1 +1 +1\n")
+    out_file = tmp_path / "result"
+    code, out, err = run_cli(capsys, *_fill(argv, tree=tree, samples=samples, out=out_file))
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "DimensionMismatch", "message": "tree leaves must be labeled 1..n",
+    }
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-known", "--tree", "{forest}", "--samples", "{samples}", "--out", "{out}"],
+        ["interpolate", "--source", "{forest}", "--target", "{forest}", "--out", "{out}"],
+        ["bench", "--tree", "{forest}", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_forest_where_a_tree_is_needed_is_malformed(tmp_path, capsys, samples_file, argv):
+    forest = tmp_path / "forest.nwk"
+    forest.write_text("((1:0.5,2:0.5):0.5,3:0.5);\n(4:0.5,5:0.5);\n")
+    out_file = tmp_path / "result"
+    code, out, err = run_cli(
+        capsys, *_fill(argv, forest=forest, samples=samples_file, out=out_file)
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "MalformedTree",
+        "message": f"{forest} holds a forest where a single tree is needed",
+    }
+    assert out == ""
+    assert not out_file.exists()
 
 
 def test_usage_error_exit_code(capsys):

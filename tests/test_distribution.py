@@ -19,11 +19,15 @@ from latent_ising import (
     LatentIsingError,
     LeafDistribution,
     BadSpinValue,
+    MalformedTree,
     TooLarge,
     TreeTopology,
+    UnknownLeaf,
+    UnknownPair,
     WeightedForest,
     WeightedTree,
     as_forest,
+    binary,
     closed_form_distribution,
     closed_form_prob,
     correlations,
@@ -86,6 +90,20 @@ class TestClosedForm:
         assert got == pytest.approx(0.14765625)
         assert got == pytest.approx(brute_force_prob(wt, (1, 1, 1, 1)))
 
+    def test_degree_two_node_reads_as_its_contraction(self):
+        topo = TreeTopology([1, 2, 3], [(1, 4), (4, 5), (2, 5), (3, 5)])
+        tree = WeightedTree(topo, {(1, 4): 0.6, (4, 5): -0.7, (2, 5): 0.4, (3, 5): 0.9})
+        alpha = correlations(tree)
+        table = closed_form_distribution(topo, alpha)
+        assert np.abs(table - closed_form_distribution(binary(topo), alpha)).max() == 0.0
+        np.testing.assert_allclose(table, marginal_distribution(tree), atol=1e-12)
+
+    def test_degree_four_node_rejected(self):
+        topo = TreeTopology([1, 2, 3, 4], [(k, 5) for k in range(1, 5)])
+        alpha = CorrelationVector(topo.leaves, np.full(6, 0.25))
+        with pytest.raises(MalformedTree, match="^topology has internal degree above 3$"):
+            closed_form_distribution(topo, alpha)
+
     def test_dimension_mismatch(self):
         wt = four_leaf_example()
         with pytest.raises(DimensionMismatch):
@@ -145,6 +163,18 @@ class TestMarginalization:
     def test_nan_probabilities_rejected(self, labels, probabilities):
         with pytest.raises(DimensionMismatch):
             LeafDistribution(labels, np.array(probabilities))
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ([0.25, 0.25, 0.5], "probability vector length is not 2^n"),
+            ([0.25, 0.25, 0.25, 0.2], "probabilities do not sum to 1"),
+        ],
+        ids=["length", "sum"],
+    )
+    def test_malformed_probability_vector_rejected(self, probabilities, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            LeafDistribution([1, 2], np.array(probabilities))
 
 
 _SPINS = ["+1", "-1", "1", "+01"]
@@ -255,10 +285,10 @@ def _reference_sample(model, m: int, seed: int) -> np.ndarray:
 
 
 @st.composite
-def _sampler_models(draw):
-    """A tree, or a forest of two or three trees with interleaved leaf labels."""
-    n = draw(st.integers(1, 12))
-    parts = draw(st.integers(1, min(3, n)))
+def _sampler_models(draw, max_n: int = 12, max_parts: int = 3):
+    """A tree, or a forest of up to ``max_parts`` trees with interleaved leaf labels."""
+    n = draw(st.integers(1, max_n))
+    parts = draw(st.integers(1, min(max_parts, n)))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=parts - 1,
                                 max_size=parts - 1, unique=True))) if parts > 1 else []
     labels = draw(st.permutations(range(1, n + 1)))
@@ -560,6 +590,36 @@ class TestExactTv:
         with pytest.raises(TooLarge):
             evaluate(wt)
 
+    def test_different_leaf_sets_rejected_before_the_size_cap(self):
+        def star(leaves):
+            edges = [(k, 100) for k in leaves]
+            return WeightedTree(TreeTopology(leaves, edges), dict.fromkeys(edges, 0.5))
+
+        # 15 leaves each, so a table would raise TooLarge: the label check runs first
+        with pytest.raises(DimensionMismatch, match="leaf sets differ"):
+            exact_tv(star(range(1, 16)), star(range(2, 17)))
+        with pytest.raises(DimensionMismatch, match="leaf sets differ"):
+            exact_tv(four_leaf_example(), WeightedForest([star([1, 2, 3])]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sampler_models(max_n=10, max_parts=4))
+    @example(WeightedForest([  # interleaved labels and a singleton
+        WeightedTree(TreeTopology([1, 4, 6], [(1, 7), (4, 7), (6, 7)]),
+                     {(1, 7): 0.9, (4, 7): -0.6, (6, 7): 0.3}),
+        WeightedTree(TreeTopology([2], []), {}),
+        WeightedTree(TreeTopology([3, 5], [(3, 5)]), {(3, 5): -0.8}),
+    ]))
+    def test_forest_table_is_the_product_of_component_marginals(self, model):
+        forest = as_forest(model)
+        labels = forest.leaves
+        table = LeafDistribution.from_model(forest).probabilities
+        for mask in range(2 ** len(labels)):
+            x = {leaf: 1 if mask >> k & 1 else -1 for k, leaf in enumerate(labels)}
+            expected = 1.0
+            for tree in forest.components:
+                expected *= marginalize_prob(tree, [x[leaf] for leaf in tree.leaves])
+            assert abs(table[mask] - expected) <= 1e-12
+
     def test_forest_table_marginalizes_componentwise(self):
         left = WeightedTree(TreeTopology([1, 3], [(1, 3)]), {(1, 3): 0.5})
         right = WeightedTree(TreeTopology([2, 4], [(2, 4)]), {(2, 4): -0.25})
@@ -571,6 +631,22 @@ class TestExactTv:
 
 
 class TestPathRemoved:
+    @pytest.mark.parametrize(
+        "removal, labels, error",
+        [
+            ((1, 2, 3), range(1, 5), UnknownPair),
+            ((1, 1), range(1, 5), UnknownPair),
+            ((1, 5), range(1, 5), UnknownLeaf),
+            ((1, 2), range(1, 6), DimensionMismatch),
+        ],
+        ids=["three-leaves", "repeated-leaf", "internal-node", "other-leaf-set"],
+    )
+    def test_bad_input_rejected(self, removal, labels, error):
+        wt = four_leaf_example()
+        alpha = CorrelationVector(labels, np.zeros(len(labels) * (len(labels) - 1) // 2))
+        with pytest.raises(error):
+            path_removed(alpha, wt.topology, removal)
+
     def test_cherry_pair_removal(self):
         wt = four_leaf_example()
         alpha = correlations(wt)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latent_ising import (
     CorrelationVector,
+    DimensionMismatch,
     EmptySample,
     NoConsistentModel,
     TreeTopology,
@@ -16,6 +17,7 @@ from latent_ising import (
     fit_known,
     fit_report,
     learn_from_samples_known,
+    parse_tree,
     random_weighted_tree,
     sample,
 )
@@ -146,3 +148,9 @@ class TestLearnFromSamples:
         topo = STAR
         with pytest.raises(EmptySample):
             learn_from_samples_known(topo, np.zeros((0, 3)), 0.05)
+
+    def test_leaves_other_than_1_to_n_rejected(self):
+        # estimation labels the columns 1..n, so leaves 2..5 would miss leaf 5
+        topo = parse_tree("((2:0.5,3:0.5):0.5,(4:0.5,5:0.5):0.5);").topology
+        with pytest.raises(DimensionMismatch, match=r"^tree leaves must be labeled 1\.\.n$"):
+            learn_from_samples_known(topo, np.ones((10, 4), dtype=np.int8), 0.05)

@@ -265,6 +265,27 @@ class TestValidation:
         with pytest.raises(MalformedTree):
             TreeTopology([1, 2, 3], [(1, 2), (2, 3)])
 
+    @pytest.mark.parametrize(
+        "leaves, edges, message",
+        [
+            ([], [], "a tree needs at least one leaf"),
+            ([1, 2], [(1, 2), (3, 3)], "self-loop at node 3"),
+            ([1, 2, 3], [(1, 4), (4, 1), (2, 4), (3, 4)], "duplicate edge"),
+            ([1], [(1, 2)], "one-leaf tree must have no edges"),
+            ([1, 2], [(1, 2), (3, 4), (4, 5), (5, 3)], "graph is disconnected"),
+            ([1, 2, 5], [(1, 3), (2, 3), (5, 3)], "internal node 3 collides with leaf labels"),
+            ([1, 2, 3], [(1, 4), (2, 4), (3, 4), (4, 5)], "internal node 5 dangles with degree 1"),
+        ],
+        ids=[
+            "no-leaf", "self-loop", "duplicate-edge", "one-leaf-with-edges",
+            "disconnected-with-tree-edge-count", "internal-id-below-leaf", "dangling-internal",
+        ],
+    )
+    def test_malformed_topology_message(self, leaves, edges, message):
+        with pytest.raises(MalformedTree) as exc:
+            TreeTopology(leaves, edges)
+        assert str(exc.value) == message
+
     def test_weight_outside_range_rejected(self):
         topo = TreeTopology([1, 2], [(1, 2)])
         with pytest.raises(MalformedTree):
@@ -386,6 +407,10 @@ class TestCorrelations:
     def test_repeated_labels_rejected(self):
         with pytest.raises(UnknownPair, match="repeated leaf labels"):
             CorrelationVector([1, 1, 2], [0.1, 0.2, 0.3])
+
+    def test_max_abs_difference_of_pairless_vectors_is_zero(self):
+        single = CorrelationVector([3], [])
+        assert single.max_abs_difference(CorrelationVector([3], [])) == 0.0
 
     @pytest.mark.parametrize(
         "tree",
