@@ -156,6 +156,7 @@ def bench_sweep(
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
     truth = normalize(tree)
+    require_unit_labels(truth.leaves, "tree")  # before any sample is drawn
     rows = []
     for k, m in enumerate(m_values):
         for trial in range(trials):

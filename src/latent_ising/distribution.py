@@ -131,7 +131,7 @@ class LeafDistribution:
 
 def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -> np.ndarray:
     """Full-length (2^n) coefficient vector: matching products on even subsets."""
-    if tuple(sorted(alpha.labels)) != topology.leaves:
+    if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
     masks, bits = _configurations(topology.leaf_count)
     even = np.bitwise_count(masks) & 1 == 0
@@ -476,7 +476,7 @@ def path_removed(
     for v in members:
         if not topology.is_leaf(v):
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
-    if tuple(sorted(alpha.labels)) != topology.leaves:
+    if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
     incidence = _path_incidence(topology)
     removal = np.isin(topology.leaves, members)

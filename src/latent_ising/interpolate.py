@@ -58,10 +58,14 @@ class Move:
     epoch: int
     round: int
     moved: int  # target-tree node whose block slides
-    block: FrozenSet[int]  # leaves carried by the moved block
     anchor: FrozenSet[int]  # leaves of the stationary partner block
     blocks: Tuple[Tuple[int, ...], ...]  # four sorted leaf blocks; see _epoch_moves
     max_gap: float  # largest product gap among the changed quartets
+
+    @property
+    def block(self) -> FrozenSet[int]:
+        """The leaves carried by the moved block, the first of ``blocks``."""
+        return frozenset(self.blocks[0])
 
     @property
     def changed_quartets(self) -> FrozenSet[Quartet]:
@@ -143,7 +147,7 @@ def interpolate(
         )
     if not source.is_binary() or not target_topology.is_binary():
         raise MalformedTree("interpolation needs normalized (degree-3) trees")
-    if tuple(sorted(alpha.labels)) != source.leaves:
+    if alpha.labels != source.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
 
     steps: List[Union[TreeTopology, Paste]] = [source]
@@ -176,9 +180,7 @@ def interpolate(
                 for blocks, max_gap, paste in _epoch_moves(
                     current, splits, roots[mover], roots[anchor], magnitudes
                 ):
-                    moves.append(
-                        Move(epochs, rounds, mover, block[mover], block[anchor], blocks, max_gap)
-                    )
+                    moves.append(Move(epochs, rounds, mover, block[anchor], blocks, max_gap))
                     steps.append(paste)
                 current = steps[-1] = _attach(*steps[-1])
                 splits = _edge_splits(current)

@@ -9,6 +9,10 @@ Semantics are unrooted: the outermost group is an arbitrary internal
 anchor whose own colon-weight is absent or ignored, and anchor nodes of
 degree 2 are contracted on parsing (weights multiply).  A forest is one
 tree per line; a singleton component is a bare label line like ``7;``.
+
+Reading splits the whitespace-free text into tokens with one pattern and
+walks them with a stack of open groups; writing is one bottom-up pass.
+Neither recurses, so both work at any nesting depth.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ def serialize_tree(tree: WeightedTree) -> str:
 
 #: whitespace between two characters of one label or weight
 _SPLIT_TOKEN = re.compile(r"[0-9.+\-eE]\s+[0-9.+\-eE]")
+#: one token of whitespace-free Newick: a bracket or comma, a leaf label, a
+#: colon and its weight, or any other single character
+_TOKEN = re.compile(r"[(),]|\d+|:[0-9.+\-eE]*|.")
 
 
 def parse_tree(text: str) -> WeightedTree:
@@ -63,91 +70,63 @@ def parse_tree(text: str) -> WeightedTree:
     text = "".join(text.split())  # whitespace between tokens is dropped
     if not text.endswith(";"):
         raise MalformedTree("Newick string must end with ';'")
-    parser = _Parser(text[:-1])
+    body = text[:-1]
+    # (position, token) pairs; the empty token marks the end
+    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(body)] + [(len(body), "")]
     edges: List[Tuple[int, int, float]] = []
     leaves: List[int] = []
     groups: List[int] = []  # the open groups, innermost last, as placeholder ids
-    opened = 0  # placeholder ids are negative, relabeled below
+    i = 0
     while True:
-        if parser.peek() == "(":
-            parser.expect("(")
-            opened += 1
-            groups.append(-opened)
+        pos, token = tokens[i]
+        if token == "(":
+            groups.append(-i - 1)  # placeholder ids are negative, relabeled below
+            i += 1
             continue
-        node = parser.read_label()
+        if not token.isdecimal():
+            raise MalformedTree(f"expected a leaf label at position {pos}")
+        node = int(token)
         leaves.append(node)
-        weight = parser.maybe_weight()
+        weight, i = _weight(tokens, i + 1)
         while groups:  # close every group that ends here
             edges.append((groups[-1], node, weight))
-            if parser.peek() == ",":
+            pos, token = tokens[i]
+            if token == ",":
                 break
-            parser.expect(")")
-            node, weight = groups.pop(), parser.maybe_weight()
+            if token != ")":
+                raise MalformedTree(f"expected ')' at position {pos}")
+            node = groups.pop()
+            weight, i = _weight(tokens, i + 1)
         if not groups:
             break
-        parser.expect(",")
-    if not parser.done():
-        raise MalformedTree(f"trailing characters near position {parser.pos}")
-    if not leaves:
-        raise MalformedTree("no leaves found")
+        i += 1  # the comma
+    if i < len(tokens) - 1:
+        raise MalformedTree(f"trailing characters near position {tokens[i][0]}")
     if len(set(leaves)) != len(leaves):
         raise MalformedTree("duplicate leaf label")
     if len(leaves) == 1:
         return WeightedTree(TreeTopology(leaves, []), {})
-    # relabel placeholder internals above the largest leaf
+    # relabel placeholder internals above the largest leaf in order of first
+    # appearance; _rebuild splices and renumbers in ascending id order
     base = max(leaves)
-    mapping = {}
-    for u, v, _ in edges:
-        for node in (u, v):
-            if node < 0 and node not in mapping:
-                base += 1
-                mapping[node] = base
+    ids: Dict[int, int] = {}
     theta = {}
-    topo_edges = []
     for u, v, w in edges:
-        a = mapping.get(u, u)
-        b = mapping.get(v, v)
-        topo_edges.append(edge_key(a, b))
+        a, b = (ids.setdefault(x, base + len(ids) + 1) if x < 0 else x for x in (u, v))
         theta[edge_key(a, b)] = w
-    raw = TreeTopology(leaves, topo_edges)  # the parsed graph is outside input
+    raw = TreeTopology(leaves, list(theta))  # the parsed graph is outside input
     return WeightedTree(*_rebuild(raw.leaves, raw.edges, theta))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise MalformedTree(f"expected '{ch}' at position {self.pos}")
-        self.pos += 1
-
-    def done(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def read_label(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise MalformedTree(f"expected a leaf label at position {self.pos}")
-        return int(self.text[start:self.pos])
-
-    def maybe_weight(self) -> float:
-        if self.peek() != ":":
-            return 1.0
-        self.pos += 1
-        start = self.pos
-        while self.peek() and (self.peek().isdigit() or self.peek() in "+-.eE"):
-            self.pos += 1
-        try:
-            return float(self.text[start:self.pos])
-        except ValueError:
-            raise MalformedTree(f"bad weight at position {start}") from None
+def _weight(tokens: List[Tuple[int, str]], i: int) -> Tuple[float, int]:
+    """The weight at token ``i`` (1.0 when it is absent) and the next index."""
+    pos, token = tokens[i]
+    if not token.startswith(":"):
+        return 1.0, i
+    try:
+        return float(token[1:]), i + 1
+    except ValueError:
+        raise MalformedTree(f"bad weight at position {pos + 1}") from None
 
 
 def serialize_forest(forest: WeightedForest) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import statistics
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,8 @@ def reconstruct_forest(alpha_hat: CorrelationVector, xi: float, eta: float) -> R
         raise BadParameter(f"eta must be non-negative, got {eta}")
     strength = alpha_hat.abs()
     split_floor = 2.0 * eta  # pairs below twice the radius are pure noise
-    groups = _split_components(strength, split_floor)
+    links = ((i, j) for i, j, value in strength.pairs() if value > split_floor)
+    groups = _clusters(strength.labels, links)
     components = []
     for members in groups:
         topology = _build_component(strength, members)
@@ -73,8 +74,9 @@ def reconstruct_forest(alpha_hat: CorrelationVector, xi: float, eta: float) -> R
     return ReconstructedForest(components=tuple(components), xi=xi, eta=eta)
 
 
-def _split_components(strength: CorrelationVector, floor: float) -> List[List[int]]:
-    parent = {leaf: leaf for leaf in strength.labels}
+def _clusters(nodes: Iterable[int], links: Iterable[Tuple[int, int]]) -> List[List[int]]:
+    """The groups of ``nodes`` that ``links`` join, each sorted, by smallest member."""
+    parent = {v: v for v in nodes}
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -82,12 +84,11 @@ def _split_components(strength: CorrelationVector, floor: float) -> List[List[in
             v = parent[v]
         return v
 
-    for i, j, value in strength.pairs():
-        if value > floor:
-            parent[find(i)] = find(j)
+    for u, v in links:
+        parent[find(u)] = find(v)
     groups: Dict[int, List[int]] = {}
-    for leaf in strength.labels:
-        groups.setdefault(find(leaf), []).append(leaf)
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
@@ -171,10 +172,7 @@ def _contract_high_implied(
         if ratio is not None and ratio > 1.0 - xi:
             flagged.append((u, v))
     # each cluster of flagged edges merges into its smallest node id
-    rename = {v: v for v in topology.nodes}
-    for u, v in flagged:
-        a, b = edge_key(rename[u], rename[v])
-        rename = {key: a if val == b else val for key, val in rename.items()}
+    rename = {v: group[0] for group in _clusters(topology.nodes, flagged) for v in group}
     edges = {edge_key(rename[u], rename[v]) for u, v in topology.edges if rename[u] != rename[v]}
     return _rebuild(topology.leaves, edges)[0]
 

@@ -193,6 +193,15 @@ def test_bench_sweep_rejects_leaves_not_1_to_n():
         bench_sweep(parse_tree(GAP_TREE), [100, 200], 1, 0.1, 0)
 
 
+def test_bench_sweep_rejects_bad_labels_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the leaf labels")
+
+    monkeypatch.setattr("latent_ising.cli.sample", no_sampling)
+    with pytest.raises(DimensionMismatch, match=r"^tree leaves must be labeled 1\.\.n$"):
+        bench_sweep(parse_tree(GAP_TREE), [2_000_000], 1, 0.1, 0)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -87,6 +87,30 @@ def test_malformed_inputs():
         parse_tree("((1:0. 5,2:0.5):0.8,(3:0.5,4:0.5):1.0);")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("((1:0.5,2:0.5);", "expected ')' at position 14"),
+        ("(1,2)x;", "trailing characters near position 5"),
+        ("(1:zz,2:0.5);", "bad weight at position 3"),
+        ("();", "expected a leaf label at position 1"),
+        (";", "expected a leaf label at position 0"),
+        ("(1,2,);", "expected a leaf label at position 5"),
+        ("(1,(2,3)4);", "expected ')' at position 8"),
+        ("((1,2));", "internal node 4 dangles with degree 1"),
+        ("(1 2,3);", "whitespace inside a label or weight at position 2"),
+        ("(1,2)", "Newick string must end with ';'"),
+        ("(1:0.5,1:0.5);", "duplicate leaf label"),
+        ("(1\u00b2,2);", "expected ')' at position 2"),  # a digit that is not decimal
+    ],
+)
+def test_malformed_input_messages(text, message):
+    with pytest.raises(MalformedTree) as exc:
+        parse_tree(text)
+    assert str(exc.value) == message
+    assert type(exc.value) is MalformedTree
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_random_round_trip(seed):
