@@ -10,10 +10,11 @@ Two independent routes to the leaf distribution are kept side by side:
 
 The closed form powers the exact total-variation oracle; marginalization is
 the cross-check.  Both routes run batched over configurations and share
-nothing but ``_postorder``.  Every dense table passes ``_check_enumerable``,
-the one place that enforces the ``MAX_EXACT_LEAVES`` cap.  Configurations
-over ``n`` leaves are indexed by bitmask: bit ``k`` is set when the ``k``-th
-smallest leaf has spin +1.
+nothing but ``_postorder`` and the enumeration, ``_configurations``.  Every
+dense table passes ``_check_enumerable``, the one place that enforces the
+``MAX_EXACT_LEAVES`` cap.  Both read configurations as one boolean (rows, n)
+matrix: entry (r, k) says the ``k``-th smallest leaf has spin +1, and row r
+of the full enumeration is bitmask r, the index of every dense table.
 
 The exact table of a tree is that of the one-component forest: the product
 of its components' closed-form tables, each broadcast over its own leaves.
@@ -43,7 +44,7 @@ from .trees import (
     CorrelationVector,
     TreeTopology,
     WeightedTree,
-    _matching_offsets,
+    _matching_pairs,
     _path_incidence,
     _postorder,
     binary,
@@ -68,17 +69,18 @@ def config_index(topology_or_labels, x: Sequence[int]) -> int:
         if isinstance(topology_or_labels, TreeTopology)
         else tuple(topology_or_labels)
     )
-    x = _check_config(len(labels), x)
-    return int(sum(1 << k for k, s in enumerate(x) if s > 0))
+    bits = _check_config(len(labels), x)
+    return sum(1 << k for k, bit in enumerate(bits) if bit)
 
 
 def _check_config(n: int, x: Sequence[int]) -> np.ndarray:
+    """The configuration as one boolean row: entry k is leaf k's spin being +1."""
     arr = np.asarray(x)
     if arr.shape != (n,):
         raise DimensionMismatch(f"configuration has length {arr.shape}, tree has {n} leaves")
     if not _all_spins(arr):
         raise DimensionMismatch("spins must be -1 or +1")
-    return arr.astype(np.int8)
+    return arr > 0
 
 
 def _check_enumerable(n: int) -> None:
@@ -86,15 +88,11 @@ def _check_enumerable(n: int) -> None:
         raise TooLarge(f"{n} leaves is beyond dense enumeration")
 
 
-def _configurations(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every configuration over ``n`` leaves, within the enumeration cap.
-
-    Returns the bitmasks ``0 .. 2^n - 1`` and their (2^n, n) boolean bit
-    matrix (column ``k`` is bit ``k``).
-    """
+def _configurations(n: int) -> np.ndarray:
+    """Every configuration over ``n`` leaves, within the enumeration cap, as
+    the (2^n, n) boolean matrix whose row r is bitmask r (column k is bit k)."""
     _check_enumerable(n)
-    masks = np.arange(2 ** n)
-    return masks, (masks[:, None] >> np.arange(n)) & 1 == 1
+    return (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
 
 
 class LeafDistribution:
@@ -133,12 +131,13 @@ def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -
     """Full-length (2^n) coefficient vector: matching products on even subsets."""
     if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
-    masks, bits = _configurations(topology.leaf_count)
-    even = np.bitwise_count(masks) & 1 == 0
-    idx = _matching_offsets(topology, bits[even])
-    values = np.append(alpha.values, 1.0)  # the sentinel gathered by unused matching slots
-    coef = np.zeros(2 ** topology.leaf_count)
-    coef[masks[even]] = values[idx].prod(axis=1)
+    bits = _configurations(topology.leaf_count)
+    even = ~np.logical_xor.reduce(bits, axis=1)
+    products = np.ones(np.count_nonzero(even))
+    for closing, offsets in _matching_pairs(topology, bits[even]):
+        products[closing] *= alpha.values[offsets]
+    coef = np.zeros(len(bits))
+    coef[even] = products
     return coef
 
 
@@ -187,8 +186,8 @@ def _as_binary(topology: TreeTopology) -> TreeTopology:
 # marginalization oracle
 
 
-def _marginalize(tree: WeightedTree, spins: np.ndarray) -> np.ndarray:
-    """Leaf probability of every row of a (k, n) matrix of +-1 spins.
+def _marginalize(tree: WeightedTree, bits: np.ndarray) -> np.ndarray:
+    """Leaf probability of every row of a (k, n) boolean configuration matrix.
 
     Internal spins are summed out by message passing towards the smallest
     leaf; each message is a pair of (k,) arrays, the subtree's contribution
@@ -201,10 +200,10 @@ def _marginalize(tree: WeightedTree, spins: np.ndarray) -> np.ndarray:
     below: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for v in order:
         if topology.is_leaf(v) and v != root:
-            s = spins[:, leaf_pos[v]]
-            below[v] = ((s == 1).astype(float), (s == -1).astype(float))
+            up = bits[:, leaf_pos[v]]
+            below[v] = (up.astype(float), (~up).astype(float))
             continue
-        plus = minus = np.ones(len(spins))
+        plus = minus = np.ones(len(bits))
         for c in topology.neighbors(v):
             if c == parent[v]:
                 continue
@@ -214,7 +213,7 @@ def _marginalize(tree: WeightedTree, spins: np.ndarray) -> np.ndarray:
             minus = minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm))
         below[v] = (plus, minus)
     root_plus, root_minus = below[root]
-    return 0.5 * np.where(spins[:, 0] == 1, root_plus, root_minus)
+    return 0.5 * np.where(bits[:, 0], root_plus, root_minus)
 
 
 def marginalize_prob(tree: WeightedTree, x: Sequence[int]) -> float:
@@ -223,14 +222,13 @@ def marginalize_prob(tree: WeightedTree, x: Sequence[int]) -> float:
     Works on any valid weighted tree (no degree restrictions) and any leaf
     count; serves as the independent cross-check of the closed form.
     """
-    arr = _check_config(tree.topology.leaf_count, x)
-    return float(_marginalize(tree, arr[None, :])[0])
+    bits = _check_config(tree.topology.leaf_count, x)
+    return float(_marginalize(tree, bits[None, :])[0])
 
 
 def marginal_distribution(tree: WeightedTree) -> np.ndarray:
     """Full leaf distribution via marginalization of every configuration."""
-    _, bits = _configurations(tree.topology.leaf_count)
-    return _marginalize(tree, np.where(bits, 1, -1))
+    return _marginalize(tree, _configurations(tree.topology.leaf_count))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BadParameter, NoConsistentModel
+from .errors import BadParameter, DimensionMismatch, NoConsistentModel
 from .estimation import empirical_correlations, require_unit_labels
 from .solvers import Gf2System, Inconsistent, Infeasible, IntervalPathLP, gf2_solve, lp_feasible
 from .trees import (
@@ -100,7 +100,7 @@ def _check_sample_columns(topology: TreeTopology, samples: np.ndarray) -> None:
     and a topology whose leaves are not the column labels 1..n."""
     samples = np.asarray(samples)
     if samples.ndim == 2 and samples.shape[1] != topology.leaf_count:
-        raise BadParameter(
+        raise DimensionMismatch(
             f"samples have {samples.shape[1]} columns, topology has "
             f"{topology.leaf_count} leaves"
         )

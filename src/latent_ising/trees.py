@@ -4,9 +4,9 @@ A tree Ising model lives on an unrooted tree whose observed nodes are the
 leaves.  This module holds the topology representation plus the purely
 combinatorial operations: degree normalization, path queries, correlations as
 path products of edge weights, quartet classification, cut-and-paste surgery,
-induced subtrees, and the edge-disjoint pair matching.  The matching is
-computed once, batched over leaf subsets, and is the one the closed-form leaf
-distribution multiplies correlations along.  Every parent-pointer traversal
+induced subtrees, and the edge-disjoint pair matching.  The matching is one
+walk, batched over leaf subsets, that yields pairs as they close; the closed
+form multiplies correlations along them.  Every parent-pointer traversal
 reads one walk over an adjacency mapping, ``_postorder``.  Batched path
 questions (which edges a pair's path uses, whether two topologies agree,
 which leaves lie beyond an edge, through ``_side``, and which edges an
@@ -564,7 +564,7 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
     """Pair up an even leaf subset so the connecting paths are edge-disjoint.
 
     On a tree with internal degree 3 this pairing exists and is unique; it
-    is the one-row view of :func:`_matching_offsets`.
+    is the one-row reading of :func:`_matching_pairs`.
     """
     members = sorted(set(subset))
     for v in members:
@@ -572,26 +572,26 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
     if len(members) % 2:
         raise OddSubset(f"subset of size {len(members)} cannot be paired")
-    offsets = _matching_offsets(topology, np.isin(topology.leaves, members)[None, :])[0]
+    row = np.isin(topology.leaves, members)[None, :]
     pairs = list(itertools.combinations(topology.leaves, 2))
-    return sorted(pairs[k] for k in offsets if k < len(pairs))
+    return sorted(pairs[k] for _, offsets in _matching_pairs(topology, row) for k in offsets)
 
 
-def _matching_offsets(topology: TreeTopology, members: np.ndarray) -> np.ndarray:
-    """Pair offsets of the edge-disjoint matching of every row's leaf subset.
+def _matching_pairs(
+    topology: TreeTopology, members: np.ndarray
+) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """The edge-disjoint matching of every row's leaf subset, as pairs close.
 
     ``members`` is a (k, n) boolean matrix over the sorted leaves whose rows
     have even size.  The tree is walked once from its smallest leaf, for all
     rows at a time: each node carries up at most one unpaired leaf, and two
-    unpaired leaves meeting at a node are matched.  Row r of the
-    (k, max(n // 2, 1)) result lists its pairs in the order they close,
-    padded with the one-past-last offset n(n-1)/2.
+    unpaired leaves meeting at a node are matched.  At each meeting where
+    pairs close, this yields the (k,) mask of the rows that close one and
+    those pairs' offsets, so each row's pairs arrive in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
     n = topology.leaf_count
-    out = np.full((len(members), max(n // 2, 1)), n * (n - 1) // 2, dtype=np.int64)
-    col = np.zeros(len(members), dtype=np.int64)
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     order, parent = _postorder(topology._adjacency, topology.leaves[0])
     pending: Dict[int, np.ndarray] = {}
@@ -605,11 +605,10 @@ def _matching_offsets(topology: TreeTopology, members: np.ndarray) -> np.ndarray
             lo = np.minimum(carried, pending[w])
             hi = np.maximum(carried, pending.pop(w))
             pair = lo >= 0
-            out[pair, col[pair]] = _pair_offset(n, lo[pair], hi[pair])
-            col += pair
+            if pair.any():
+                yield pair, _pair_offset(n, lo[pair], hi[pair])
             carried = np.where(pair, -1, hi)
         pending[v] = carried
-    return out
 
 
 def _postorder(

@@ -120,6 +120,29 @@ def test_identity_eps_outside_unit_interval_is_a_domain_error(tmp_path, capsys, 
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["learn-known", "--out", "{out}"], "samples have 6 columns, topology has 5 leaves"),
+        (["test-identity", "--eps", "0.3"], "samples have width 6, reference has 5 leaves"),
+    ],
+    ids=["learn-known", "test-identity"],
+)
+def test_sample_width_mismatch_is_a_dimension_error(tmp_path, capsys, model_file, argv, message):
+    samples, tree, out_file = tmp_path / "draws.dat", tmp_path / "five.nwk", tmp_path / "fit.nwk"
+    run_cli(capsys, "sample", "--tree", str(model_file), "--m", "200",
+            "--seed", "3", "--out", str(samples))
+    tree.write_text("((1:0.5,2:0.5):0.5,3:0.5,(4:0.5,5:0.5):0.5);\n")
+    argv = [a.format(out=out_file) for a in argv]
+    code, out, err = run_cli(
+        capsys, argv[0], "--samples", str(samples), "--tree", str(tree), *argv[1:]
+    )
+    assert code == 1
+    assert json.loads(err) == {"error": "DimensionMismatch", "message": message}
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_interpolate_emits_trace(tmp_path, capsys, model_file):
     other = tmp_path / "other.nwk"
     run_cli(capsys, "gen", "--n", "6", "--low", "0.3", "--high", "0.8",

@@ -30,6 +30,7 @@ from latent_ising import (
     binary,
     closed_form_distribution,
     closed_form_prob,
+    closest_relative_matching,
     correlations,
     exact_tv,
     marginal_distribution,
@@ -42,7 +43,7 @@ from latent_ising import (
     sample,
     write_samples,
 )
-from latent_ising.distribution import _BLOCK_ROWS, config_index
+from latent_ising.distribution import _BLOCK_ROWS, config_index, even_subset_coefficients
 from latent_ising.estimation import confidence_radius, empirical_correlations
 from latent_ising.trees import _postorder
 
@@ -109,6 +110,30 @@ class TestClosedForm:
         with pytest.raises(DimensionMismatch):
             closed_form_prob(wt.topology, correlations(wt), (1, 1, 1))
 
+    def test_coefficients_need_the_topology_leaf_set(self):
+        alpha = CorrelationVector(range(2, 7), np.zeros(10))
+        with pytest.raises(
+            DimensionMismatch, match="^correlation vector covers a different leaf set$"
+        ):
+            even_subset_coefficients(caterpillar(5), alpha)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_coefficients_are_products_along_the_matching(self, n):
+        # an arbitrary vector, mostly not realizable on the tree
+        rng = philox(n)
+        topo = random_topology(n, rng)
+        alpha = CorrelationVector(topo.leaves, rng.uniform(-1.0, 1.0, n * (n - 1) // 2))
+        coef = even_subset_coefficients(topo, alpha)
+        subsets = [[leaf for k, leaf in enumerate(topo.leaves) if mask >> k & 1]
+                   for mask in range(2 ** n)]
+        even = np.array([len(s) % 2 == 0 for s in subsets])
+        expected = [
+            np.prod([alpha.get(a, b) for a, b in closest_relative_matching(topo, s)])
+            for s, is_even in zip(subsets, even) if is_even
+        ]
+        np.testing.assert_allclose(coef[even], expected, rtol=1e-12, atol=0)
+        assert not coef[~even].any()
+
 
 class TestMarginalization:
     def test_single_edge(self):
@@ -129,6 +154,10 @@ class TestMarginalization:
         assert marginalize_prob(four_leaf_example(), (1, 1, 1, 1)) == pytest.approx(
             0.14765625
         )
+
+    def test_zero_spin_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^spins must be -1 or \\+1$"):
+            marginalize_prob(four_leaf_example(), (1, 0, 1, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

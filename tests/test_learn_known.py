@@ -149,6 +149,11 @@ class TestLearnFromSamples:
         with pytest.raises(EmptySample):
             learn_from_samples_known(topo, np.zeros((0, 3)), 0.05)
 
+    def test_sample_width_mismatch_rejected(self):
+        message = "^samples have 4 columns, topology has 3 leaves$"
+        with pytest.raises(DimensionMismatch, match=message):
+            learn_from_samples_known(STAR, np.ones((10, 4), dtype=np.int8), 0.05)
+
     def test_leaves_other_than_1_to_n_rejected(self):
         # estimation labels the columns 1..n, so leaves 2..5 would miss leaf 5
         topo = parse_tree("((2:0.5,3:0.5):0.5,(4:0.5,5:0.5):0.5);").topology

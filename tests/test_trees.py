@@ -693,6 +693,15 @@ class TestClosestRelativeMatching:
         with pytest.raises(OddSubset):
             closest_relative_matching(caterpillar(5), [1, 2, 3])
 
+    def test_degree_four_star_rejected(self):
+        star = TreeTopology([1, 2, 3, 4], [(k, 5) for k in range(1, 5)])
+        with pytest.raises(MalformedTree, match="^matching needs internal degree 3$"):
+            closest_relative_matching(star, [1, 2])
+
+    def test_internal_member_rejected(self):
+        with pytest.raises(UnknownLeaf, match="^6 is not a leaf of the tree$"):
+            closest_relative_matching(caterpillar(5), [1, 6])
+
     def test_eight_leaf_interleaved(self):
         topo = TreeTopology(
             range(1, 9),
