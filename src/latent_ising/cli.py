@@ -24,17 +24,17 @@ import numpy as np
 
 from . import __version__
 from .errors import BadParameter, LatentIsingError, MalformedTree
-from .estimation import empirical_correlations, report_to_json, require_unit_labels
+from .estimation import (
+    empirical_correlations,
+    report_to_json,
+    require_sample_columns,
+    require_unit_labels,
+)
 from .distribution import _generator, exact_tv, read_samples, sample, write_samples
 from .forest import WeightedForest, as_forest
 from .identity import test_identity
 from .interpolate import interpolate, trace_to_json
-from .learn_known import (
-    _check_sample_columns,
-    fit_known,
-    fit_report,
-    learn_from_samples_known,
-)
+from .learn_known import fit_known, fit_report, learn_from_samples_known
 from .learn_unknown import choose_params, learn_unknown_from_correlations
 from .newick import parse_model, serialize_forest, serialize_tree
 from .trees import correlations, diameter, normalize, random_weighted_tree
@@ -88,7 +88,7 @@ def _cmd_estimate(args) -> Dict:
 def _cmd_learn_known(args) -> Dict:
     topology = normalize(_read_tree(args.tree)).topology
     samples = read_samples(args.samples)
-    _check_sample_columns(topology, samples)
+    require_sample_columns(samples, topology.leaves, "tree")
     report = empirical_correlations(samples, args.delta)
     fit = fit_known(topology, report.alpha_hat, report.eta)
     with open(args.out, "w") as fh:

@@ -91,6 +91,20 @@ def require_unit_labels(leaves, what: str) -> None:
         raise DimensionMismatch(f"{what} leaves must be labeled 1..n")
 
 
+def require_sample_columns(samples: np.ndarray, leaves, what: str) -> None:
+    """Reject a sample matrix that is not 2-D, as :func:`empirical_correlations`
+    does, or whose column count is not the number of ``leaves``; then leaves
+    other than 1..n, naming the model ``what``."""
+    shape = np.shape(samples)
+    if len(shape) != 2:
+        raise EmptySample(f"sample matrix must be (m, n) with m >= 1, got {shape}")
+    if shape[1] != len(leaves):
+        raise DimensionMismatch(
+            f"samples have {shape[1]} columns, topology has {len(leaves)} leaves"
+        )
+    require_unit_labels(leaves, what)
+
+
 def samples_for_radius(n: int, delta: float, eta: float) -> int:
     """Smallest m whose confidence radius is at most ``eta``."""
     if not eta > 0.0:  # NaN fails the test too

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch
-from .estimation import empirical_correlations, require_unit_labels
+from .errors import BadParameter
+from .estimation import empirical_correlations, require_sample_columns
 from .forest import as_forest, forest_correlations, forest_diameter
 
 #: constant from the different-topology total-variation bound
@@ -64,13 +64,7 @@ def test_identity(
     if not 0.0 < eps <= 1.0:
         raise BadParameter(f"eps must be in (0, 1], got {eps}")
     ref = as_forest(reference)
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != ref.n:
-        raise DimensionMismatch(
-            f"samples have width {samples.shape[-1] if samples.ndim == 2 else '?'}, "
-            f"reference has {ref.n} leaves"
-        )
-    require_unit_labels(ref.leaves, "reference")
+    require_sample_columns(samples, ref.leaves, "reference")
     report = empirical_correlations(samples, delta)
     reference_alpha = forest_correlations(ref)
     statistic = report.alpha_hat.max_abs_difference(reference_alpha)

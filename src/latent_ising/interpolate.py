@@ -38,7 +38,6 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     _Cut,
-    _SPLIT_ORDER,
     _attach,
     _detach,
     _edge_splits,
@@ -225,39 +224,40 @@ def _epoch_moves(
     """(blocks, max_gap, paste record) of each paste of ``ra`` along its path
     to ``rb``.
 
-    Paste k changes exactly the quartets with one leaf in each block: ra's
-    side, the subtrees hanging off path nodes 1..k, the one off node k+1,
-    and everything beyond.  ``splits`` is the edge-split table of ``current``
-    and ``magnitudes`` the dense |alpha| matrix over its sorted leaves.  ra
-    is cut once; every target is a path edge beyond nodes[1], on the far
-    side of the cut, so each paste is the shared cut and its target edge,
-    built only by :func:`_attach`.
+    A leaf's position counts the path edges it lies beyond, seen from ra;
+    paste k changes exactly the quartets with one leaf at each of positions
+    0 (ra's side), 1..k, k+1 and above k+1.  The leaves are sorted by position
+    once and ``magnitudes``, the dense |alpha| matrix over ``current``'s
+    sorted leaves, is gathered in that order, so every block is a slice.
+    ``splits`` is ``current``'s edge-split table.  ra is cut once; each
+    target is a path edge beyond nodes[1], on the far side of the cut, so a
+    paste is the shared cut and its target edge, built only by :func:`_attach`.
     """
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
-    # toward[q]: the leaves beyond path edge q, seen from ra; the sets shrink
-    toward = [_side(current, splits, a, b) for a, b in zip(nodes, nodes[1:])]
-    labels = np.array(current.leaves)
+    # row q: the leaves beyond path edge q, seen from ra
+    toward = np.array([_side(current, splits, u, v) for u, v in zip(nodes, nodes[1:])])
+    position = toward.sum(axis=0)
+    order = np.argsort(position)
+    labels = np.array(current.leaves)[order].tolist()
+    mag = magnitudes[order[:, None], order]
+    ends = np.cumsum(np.bincount(position, minlength=length + 1)).tolist()
     cut = _detach(current, ra, nodes[1])
+    a = slice(0, ends[0])
     for k in range(1, length - 1):
-        masks = (~toward[0], toward[0] & ~toward[k], toward[k] & ~toward[k + 1], toward[k + 1])
-        grid = np.ix_(*(np.flatnonzero(m) for m in masks))
-        first, second, third = (
-            (magnitudes[grid[ia], grid[ib]], magnitudes[grid[ic], grid[id_]])
-            for ia, ib, ic, id_ in _SPLIT_ORDER
-        )
-        # the largest minus the smallest of the three products; max and min
-        # are exact, so this is np.ptp over them, without stacking
-        low = np.multiply(*first)
-        other = np.multiply(*second)
+        b, c, d = slice(ends[0], ends[k]), slice(ends[k], ends[k + 1]), slice(ends[k + 1], None)
+        # the pairings ab|cd, ac|bd, ad|bc broadcast over (a, b, c, d); the gap is
+        # their max minus min, both exact, so np.ptp without stacking
+        low = mag[a, b][:, :, None, None] * mag[c, d]
+        other = mag[a, c][:, None, :, None] * mag[b, d][:, None, :]
         high = np.maximum(low, other)
         np.minimum(low, other, out=low)
-        np.multiply(*third, out=other)
+        np.multiply(mag[a, d][:, None, None, :], mag[b, c][:, :, None], out=other)
         np.maximum(high, other, out=high)
         np.minimum(low, other, out=low)
         high -= low
         yield (
-            tuple(tuple(labels[m].tolist()) for m in masks),
+            tuple(tuple(sorted(labels[s])) for s in (a, b, c, d)),
             float(high.max(initial=0.0)),
             (cut, (nodes[k + 1], nodes[k + 2])),
         )

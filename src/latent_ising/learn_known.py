@@ -17,8 +17,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, NoConsistentModel
-from .estimation import empirical_correlations, require_unit_labels
+from .errors import BadParameter, NoConsistentModel
+from .estimation import empirical_correlations, require_sample_columns
 from .solvers import Gf2System, Inconsistent, Infeasible, IntervalPathLP, gf2_solve, lp_feasible
 from .trees import (
     CorrelationVector,
@@ -95,24 +95,12 @@ def fit_known(
     return KnownTopologyFit(tree=tree, eta_used=eta, sign_equations_used=int(strong.sum()))
 
 
-def _check_sample_columns(topology: TreeTopology, samples: np.ndarray) -> None:
-    """Reject a sample matrix whose column count differs from the leaf count,
-    and a topology whose leaves are not the column labels 1..n."""
-    samples = np.asarray(samples)
-    if samples.ndim == 2 and samples.shape[1] != topology.leaf_count:
-        raise DimensionMismatch(
-            f"samples have {samples.shape[1]} columns, topology has "
-            f"{topology.leaf_count} leaves"
-        )
-    require_unit_labels(topology.leaves, "tree")
-
-
 def learn_from_samples_known(
     topology: TreeTopology, samples: np.ndarray, delta: float
 ) -> KnownTopologyFit:
     """Estimate correlations from samples, then fit the known topology with
     the matching confidence radius."""
-    _check_sample_columns(topology, samples)
+    require_sample_columns(samples, topology.leaves, "tree")
     report = empirical_correlations(samples, delta)
     return fit_known(topology, report.alpha_hat, report.eta)
 

@@ -124,7 +124,7 @@ def test_identity_eps_outside_unit_interval_is_a_domain_error(tmp_path, capsys, 
     "argv, message",
     [
         (["learn-known", "--out", "{out}"], "samples have 6 columns, topology has 5 leaves"),
-        (["test-identity", "--eps", "0.3"], "samples have width 6, reference has 5 leaves"),
+        (["test-identity", "--eps", "0.3"], "samples have 6 columns, topology has 5 leaves"),
     ],
     ids=["learn-known", "test-identity"],
 )

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from latent_ising import (
     BadParameter,
     DimensionMismatch,
+    EmptySample,
     TreeTopology,
     WeightedTree,
     exact_tv,
+    learn_from_samples_known,
     required_samples,
     sample,
     test_identity as run_identity_test,
@@ -73,6 +76,21 @@ class TestVerdicts:
         other = random_model(6, philox(63))
         with pytest.raises(DimensionMismatch):
             run_identity_test(draws, other, eps=0.1, delta=0.05)
+
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (np.ones(5), EmptySample, r"^sample matrix must be \(m, n\) with m >= 1, got \(5,\)$"),
+            (np.ones((10, 6)), DimensionMismatch, "^samples have 6 columns, topology has 5 leaves$"),
+        ],
+        ids=["1-D", "width"],
+    )
+    def test_sample_shape_faults_match_the_known_topology_learner(self, samples, error, message):
+        truth = random_model(5, philox(62))
+        with pytest.raises(error, match=message):
+            run_identity_test(samples, truth, eps=0.1, delta=0.05)
+        with pytest.raises(error, match=message):
+            learn_from_samples_known(truth.topology, samples, 0.05)
 
     def test_type_one_error_rate(self):
         truth = random_model(7, philox(64), magnitude=(0.2, 0.8), signed=True)

@@ -1,7 +1,9 @@
 """Topology interpolation: moves, bounds, and the factorization identity."""
 
+import hashlib
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -22,15 +24,17 @@ from latent_ising import (
     induced_subtree,
     interpolate,
     is_cherry,
+    path_nodes,
     path_removed,
     quartet_gap,
     random_topology,
+    random_weighted_tree,
     sequence,
     topologies_equal,
     trace_to_json,
 )
 from latent_ising.distribution import closed_form_distribution
-from latent_ising.trees import _attach
+from latent_ising.trees import _attach, _edge_splits, _side
 
 from conftest import caterpillar, philox, random_model
 
@@ -72,6 +76,16 @@ def factorization_residual(before, after, changed, alpha):
         rhs += (coef_before - coef_after) * chi * table
     lhs = closed_form_distribution(before, alpha) - closed_form_distribution(after, alpha)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def block_root(topology: TreeTopology, splits: np.ndarray, leaves) -> int:
+    """The node b of the edge (a, b) whose b side holds exactly ``leaves``."""
+    want = np.isin(topology.leaves, sorted(leaves))
+    for u, v in topology.edges:
+        for a, b in ((u, v), (v, u)):
+            if np.array_equal(_side(topology, splits, a, b), want):
+                return b
+    raise AssertionError(f"no edge detaches exactly {sorted(leaves)}")
 
 
 class TestCherryAndSequence:
@@ -283,3 +297,51 @@ class TestInterpolate:
             changed = move.changed_quartets
             assert move.quartet_count == len(changed)
             assert move.max_gap == max(quartet_gap(alpha, q) for q in changed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moves_match_side_mask_blocks(self, seed):
+        # continuous correlations with exact zeros and repeated magnitudes; each
+        # epoch's blocks are defined from the path's _side masks, paste by paste
+        rng = philox(seed)
+        n = int(rng.integers(15, 25))
+        source = random_topology(n, rng)
+        target = random_model(n, rng)
+        values = rng.uniform(-1.0, 1.0, size=n * (n - 1) // 2)
+        values[rng.random(values.size) < 0.1] = 0.0
+        repeated = rng.random(values.size) < 0.2
+        values[repeated] = rng.choice([0.5, -0.5, 0.25], size=int(repeated.sum()))
+        alpha = CorrelationVector(source.leaves, values)
+        trace = interpolate(source, target, alpha)
+        assert trace.moves
+        indexed = enumerate(trace.moves)
+        for _, epoch in itertools.groupby(indexed, key=lambda item: item[1].epoch):
+            epoch = list(epoch)
+            before = trace.topologies[epoch[0][0]]
+            splits = _edge_splits(before)
+            ra, rb = (block_root(before, splits, epoch[0][1].block),
+                      block_root(before, splits, epoch[0][1].anchor))
+            nodes = path_nodes(before, ra, rb)
+            assert len(epoch) == len(nodes) - 3
+            toward = [_side(before, splits, a, b) for a, b in zip(nodes, nodes[1:])]
+            labels = np.array(before.leaves)
+            for k, (_, move) in enumerate(epoch, start=1):
+                masks = (~toward[0], toward[0] & ~toward[k],
+                         toward[k] & ~toward[k + 1], toward[k + 1])
+                assert move.blocks == tuple(tuple(sorted(labels[m].tolist())) for m in masks)
+                assert move.max_gap == max(quartet_gap(alpha, q) for q in move.changed_quartets)
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "3ab087b1bda608d6693a4cd89a9f48d863a51bbf1c6b66cbacf4cffc3052f676"),
+            (2, "d5b80c2bb4120100e0553927ac0547cbb4fe6fcf7ba1d6055a49d659000e61a2"),
+            (3, "57f298ec49efacd64bc72a2162d90fd96d0acc9f4fd4978115fd67911e871c8d"),
+        ],
+    )
+    def test_trace_json_is_pinned(self, seed, digest):
+        rng = philox(seed)
+        source = random_weighted_tree(20, rng, 0.25, 0.85)
+        target = random_weighted_tree(20, rng, 0.25, 0.85)
+        trace = interpolate(source.topology, target, correlations(source))
+        text = json.dumps(trace_to_json(trace), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
