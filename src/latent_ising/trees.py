@@ -5,9 +5,10 @@ leaves.  This module holds the topology representation plus the purely
 combinatorial operations: degree normalization, path queries, correlations as
 path products of edge weights, quartet classification, cut-and-paste surgery,
 induced subtrees, and the edge-disjoint pair matching.  The matching is one
-walk, batched over leaf subsets, that yields pairs as they close; the closed
-form multiplies correlations along them.  Every parent-pointer traversal
-reads one walk over an adjacency mapping, ``_postorder``.  Batched path
+walk over per-leaf membership arrays that broadcast together (the leaf axes
+of the ``(2,) * n`` table), yielding pairs as they close.  Every
+parent-pointer traversal reads one walk over an adjacency mapping,
+``_postorder``.  Batched path
 questions (which edges a pair's path uses, whether two topologies agree,
 which leaves lie beyond an edge, through ``_side``, and which edges an
 induced subtree keeps) are answered from one table of edge bipartitions,
@@ -564,7 +565,7 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
     """Pair up an even leaf subset so the connecting paths are edge-disjoint.
 
     On a tree with internal degree 3 this pairing exists and is unique; it
-    is the one-row reading of :func:`_matching_pairs`.
+    is the 0-d reading of :func:`_matching_pairs`.
     """
     members = sorted(set(subset))
     for v in members:
@@ -572,33 +573,30 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
     if len(members) % 2:
         raise OddSubset(f"subset of size {len(members)} cannot be paired")
-    row = np.isin(topology.leaves, members)[None, :]
-    pairs = list(itertools.combinations(topology.leaves, 2))
-    return sorted(pairs[k] for _, offsets in _matching_pairs(topology, row) for k in offsets)
+    leaves = topology.leaves
+    walk = _matching_pairs(topology, np.isin(leaves, members))
+    return sorted((leaves[lo], leaves[hi]) for _, lo, hi in walk)
 
 
 def _matching_pairs(
-    topology: TreeTopology, members: np.ndarray
-) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-    """The edge-disjoint matching of every row's leaf subset, as pairs close.
+    topology: TreeTopology, members: Sequence[np.ndarray]
+) -> Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The edge-disjoint matching of every leaf subset, as pairs close.
 
-    ``members`` is a (k, n) boolean matrix over the sorted leaves whose rows
-    have even size.  The tree is walked once from its smallest leaf, for all
-    rows at a time: each node carries up at most one unpaired leaf, and two
-    unpaired leaves meeting at a node are matched.  At each meeting where
-    pairs close, this yields the (k,) mask of the rows that close one and
-    those pairs' offsets, so each row's pairs arrive in closing order.
+    ``members[k]`` says if the ``k``-th smallest leaf is in the subset; the n
+    booleans broadcast together, one subset per entry.  The tree is walked
+    once from its smallest leaf for all subsets: each node carries up at most
+    one unpaired leaf's position, and two meeting at a node are matched.  At
+    each meeting where pairs close, this yields the mask of the subsets that
+    close one and the pair's positions ``lo < hi``, in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
-    n = topology.leaf_count
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     order, parent = _postorder(topology._adjacency, topology.leaves[0])
     pending: Dict[int, np.ndarray] = {}
     for v in order:
-        carried = np.full(len(members), -1, dtype=np.int64)
-        if v in leaf_pos:
-            carried[members[:, leaf_pos[v]]] = leaf_pos[v]
+        carried = np.where(members[leaf_pos[v]], leaf_pos[v], -1) if v in leaf_pos else -1
         for w in topology.neighbors(v):
             if w == parent[v]:
                 continue
@@ -606,7 +604,7 @@ def _matching_pairs(
             hi = np.maximum(carried, pending.pop(w))
             pair = lo >= 0
             if pair.any():
-                yield pair, _pair_offset(n, lo[pair], hi[pair])
+                yield pair, lo, hi
             carried = np.where(pair, -1, hi)
         pending[v] = carried
 

@@ -134,6 +134,29 @@ class TestClosedForm:
         np.testing.assert_allclose(coef[even], expected, rtol=1e-12, atol=0)
         assert not coef[~even].any()
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1, "4868bfd07b123872fea108decadf1443c17b9f2298c7a9a62e343402c54e1a0a"),
+            (2, "4aadf785740935d1accb1fc8e3a7c284770ba6e0f79b93920b68a8580e6c60e6"),
+            (5, "644f4a6e2d0dbb91624dd900d6334901c70de60ff9e0e2e7b5513e2759438ffd"),
+            (12, "ccf6c77cc666ecfd39adda11a2ca0ed4820943feae0e76390046481fd0d1bbf4"),
+            (14, "55a3ef182041393d16240fa6a04bc8bc3c748531e163fdcf36243ce93fb08c8c"),
+        ],
+    )
+    def test_exact_tables_are_pinned(self, n, digest):
+        # the other tests compare the two routes to 1e-12; this pins their bits
+        rng = philox(n)
+        tree = random_weighted_tree(n, rng)
+        alpha = correlations(tree)
+        arbitrary = CorrelationVector(alpha.labels, rng.uniform(-1.0, 1.0, alpha.values.shape))
+        tables = hashlib.sha256()
+        for vector in (alpha, arbitrary):
+            tables.update(even_subset_coefficients(tree.topology, vector).tobytes())
+            tables.update(closed_form_distribution(tree.topology, vector).tobytes())
+        tables.update(marginal_distribution(tree).tobytes())
+        assert tables.hexdigest() == digest
+
 
 class TestMarginalization:
     def test_single_edge(self):
