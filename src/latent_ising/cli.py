@@ -156,7 +156,8 @@ def bench_sweep(
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
     truth = normalize(tree)
-    require_unit_labels(truth.leaves, "tree")  # before any sample is drawn
+    require_unit_labels(truth.leaves, "tree")  # both before any sample is drawn
+    _slope_points(m_values)
     rows = []
     for k, m in enumerate(m_values):
         for trial in range(trials):
@@ -166,14 +167,20 @@ def bench_sweep(
     return rows
 
 
+def _slope_points(m_values) -> List[int]:
+    """The distinct sample counts, sorted; a slope needs at least two."""
+    ms = sorted(set(m_values))
+    if len(ms) < 2:
+        raise BadParameter(f"a slope needs at least two distinct m values, got {ms}")
+    return ms
+
+
 def fitted_decay_exponent(rows: List[Dict]) -> float:
     """Slope of log(mean TV) against log(m)."""
     by_m: Dict[int, List[float]] = {}
     for row in rows:
         by_m.setdefault(row["m"], []).append(row["tv"])
-    ms = sorted(by_m)
-    if len(ms) < 2:
-        raise BadParameter(f"a slope needs at least two distinct m values, got {ms}")
+    ms = _slope_points(by_m)
     means = [sum(by_m[m]) / len(by_m[m]) for m in ms]
     for m, mean in zip(ms, means):
         if mean == 0.0:

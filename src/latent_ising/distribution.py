@@ -10,7 +10,7 @@ Two independent routes to the leaf distribution are kept side by side:
 
 The closed form powers the exact total-variation oracle; marginalization is
 the cross-check.  Both routes run batched over configurations and share
-nothing but ``_postorder`` and the leaf axes, ``_leaf_axes``.  Every dense
+nothing but the topology's walk and the leaf axes, ``_leaf_axes``.  Every dense
 table passes ``_check_enumerable``, the one place that enforces the
 ``MAX_EXACT_LEAVES`` cap.  Both read one boolean per leaf (is the ``k``-th
 smallest leaf +1?); enumerated, leaf k varies along axis ``n - 1 - k`` of a
@@ -48,7 +48,6 @@ from .trees import (
     _matching_pairs,
     _pair_offset,
     _path_incidence,
-    _postorder,
     binary,
     correlations,
     normalize,
@@ -197,7 +196,7 @@ def _marginalize(tree: WeightedTree, spins: Sequence[np.ndarray]) -> np.ndarray:
     topology = tree.topology
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     root = topology.leaves[0]
-    order, parent = _postorder(topology._adjacency, root)
+    order, parent = topology._walk
     below: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for v in order:
         if topology.is_leaf(v) and v != root:
@@ -266,8 +265,7 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     out = np.empty((m, len(labels)), dtype=np.int8)
     for tree in forest.components:
         topology = tree.topology
-        root = topology.leaves[0]
-        order, parent = _postorder(topology._adjacency, root)
+        order, parent = topology._walk
         order = order[::-1]  # root first
         row = {v: k for k, v in enumerate(order)}
         parents = [(k, row[parent[v]]) for k, v in enumerate(order[1:], start=1)]

@@ -8,25 +8,29 @@ induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
 of the ``(2,) * n`` table), yielding pairs as they close.  Every
 parent-pointer traversal reads one walk over an adjacency mapping,
-``_postorder``.  Batched path
-questions (which edges a pair's path uses, whether two topologies agree,
-which leaves lie beyond an edge, through ``_side``, and which edges an
-induced subtree keeps) are answered from one table of edge bipartitions,
-``_edge_splits``, built in one such walk, and every path product
-(correlations, interpolation's signal peaks) from the leaf-to-node products
-of another, ``_path_products``.  Two loops walk on their own: ``_renumber``'s
-BFS, whose order is the canonical numbering, and ``component_nodes``, the
-plain reachability check that cut-and-paste validates its target with and the
-tests hold ``_side`` to.  A tree reaches canonical form through two steps,
-each written once: ``_splice`` splices out degree-2 nodes, and ``_renumber``
-renumbers internal nodes canonically and builds and validates the tree once.
-``_rebuild`` is the two in a row, and every surgery but cut-and-paste ends in
-it.  Cut-and-paste splits them: ``_detach`` cuts the moved side off and
-splices once, and each ``_attach`` pastes it onto one target edge and
-renumbers, so many pastes of one cut share it.
+``_postorder``; a topology keeps the one from its smallest leaf that its
+validation makes, ``_walk``, for the split table, the path products, the
+matching, marginalization and the sampler.  Batched path questions (which
+edges a pair's path uses, whether two topologies agree, which leaves lie
+beyond an edge, through ``_side``, and which edges an induced subtree keeps)
+are answered from one table of edge bipartitions per topology,
+``_edge_splits``, and every path product (correlations, interpolation's
+signal peaks) from the leaf-to-node products, ``_path_products``.  Two loops
+walk on their own: ``_renumber``'s BFS, whose order is the canonical
+numbering, and ``component_nodes``, the plain reachability check that
+cut-and-paste validates its target with and the tests hold ``_side`` to.  A
+tree reaches canonical form through two steps, each written once:
+``_splice`` splices out degree-2 nodes, and ``_renumber`` renumbers internal
+nodes canonically and builds and validates the tree once.  ``_rebuild`` is
+the two in a row, and every surgery but cut-and-paste ends in it.
+Cut-and-paste splits them: ``_detach`` cuts the moved side off and splices
+once, and each ``_attach`` pastes it onto one target edge and renumbers, so
+many pastes of one cut share it.
 
 All values are immutable after construction; every operation returns a new
-object, so instances are safe to share across threads.
+object, so instances are safe to share across threads.  A topology's split
+table is filled on first read and never changes afterwards, so concurrent
+readers at worst build equal tables.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class TreeTopology:
     node dangles with degree < 2.
     """
 
-    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set")
+    __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set", "_walk", "_splits")
 
     def __init__(self, leaves: Iterable[int], edges: Iterable[Edge]):
         self.leaves: Tuple[int, ...] = tuple(sorted(set(leaves)))
@@ -94,19 +98,21 @@ class TreeTopology:
         # sorted edges give each node its smaller neighbours, then its larger
         # ones, both ascending, so every list is already sorted
         self._adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
+        self._splits: Optional[np.ndarray] = None  # filled by _edge_splits
         self._validate()
 
     # -- structure ---------------------------------------------------------
 
     def _validate(self) -> None:
         nodes = self.nodes
+        self._walk = _postorder(self._adjacency, self.leaves[0])  # shared; never mutated
         if len(self.leaves) == 1:
             if self.edges:
                 raise MalformedTree("one-leaf tree must have no edges")
             return
         if len(self.edges) != len(nodes) - 1:
             raise MalformedTree("edge count does not match a tree")
-        if len(_postorder(self._adjacency, self.leaves[0])[0]) != len(nodes):
+        if len(self._walk[0]) != len(nodes):
             raise MalformedTree("graph is disconnected")
         max_leaf = self.leaves[-1]
         for v in nodes:
@@ -322,9 +328,12 @@ def diameter(topology: TreeTopology) -> int:
 
 
 def _edge_splits(topology: TreeTopology) -> np.ndarray:
-    """(|E|, n) boolean, one postorder pass: row k marks the sorted leaves on
-    v's side of ``topology.edges[k] = (u, v)``."""
-    order, parent = _postorder(topology._adjacency, topology.leaves[0])
+    """(|E|, n) read-only boolean, one pass over the topology's walk: row k
+    marks the sorted leaves on v's side of ``topology.edges[k] = (u, v)``.
+    Built on first read and kept on the topology."""
+    if topology._splits is not None:
+        return topology._splits
+    order, parent = topology._walk
     row = {v: k for k, v in enumerate(order)}
     n = topology.leaf_count
     below = np.zeros((len(order), n), dtype=bool)  # row k: the leaves below order[k]
@@ -336,14 +345,16 @@ def _edge_splits(topology: TreeTopology) -> np.ndarray:
     splits = np.empty((len(topology.edges), n), dtype=bool)
     flip = np.array([v < parent[v] for v in children], dtype=bool)  # v is the edge's u
     splits[[edge_index[edge_key(v, parent[v])] for v in children]] = below[:-1] ^ flip[:, None]
+    splits.flags.writeable = False
+    topology._splits = splits
     return splits
 
 
-def _side(topology: TreeTopology, splits: np.ndarray, a: int, b: int) -> np.ndarray:
+def _side(topology: TreeTopology, a: int, b: int) -> np.ndarray:
     """(n,) boolean mask of the sorted leaves on b's side of the edge (a, b),
-    read from ``splits = _edge_splits(topology)``, whose row marks the side
-    of the edge's larger endpoint."""
-    row = splits[topology.edges.index(edge_key(a, b))]
+    read from :func:`_edge_splits`, whose row marks the side of the edge's
+    larger endpoint."""
+    row = _edge_splits(topology)[topology.edges.index(edge_key(a, b))]
     return row if b > a else ~row
 
 
@@ -477,7 +488,7 @@ def _path_products(tree: WeightedTree) -> Tuple[Dict[int, int], np.ndarray]:
     pass fills each row at the nodes below it, a slice of walk positions, and
     a downward pass fills the rest."""
     topology = tree.topology
-    order, parent = _postorder(topology._adjacency, topology.leaves[0])
+    order, parent = topology._walk
     row = {v: k for k, v in enumerate(order)}
     up = [row[parent[v]] for v in order[:-1]]  # the root comes last
     weight = [tree.weight(v, parent[v]) for v in order[:-1]]
@@ -593,7 +604,7 @@ def _matching_pairs(
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
-    order, parent = _postorder(topology._adjacency, topology.leaves[0])
+    order, parent = topology._walk
     pending: Dict[int, np.ndarray] = {}
     for v in order:
         carried = np.where(members[leaf_pos[v]], leaf_pos[v], -1) if v in leaf_pos else -1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latent_ising import DimensionMismatch, parse_tree
+from latent_ising import BadParameter, DimensionMismatch, parse_tree
 from latent_ising.cli import bench_sweep, main
 
 
@@ -223,6 +223,18 @@ def test_bench_sweep_rejects_bad_labels_before_sampling(monkeypatch):
     monkeypatch.setattr("latent_ising.cli.sample", no_sampling)
     with pytest.raises(DimensionMismatch, match=r"^tree leaves must be labeled 1\.\.n$"):
         bench_sweep(parse_tree(GAP_TREE), [2_000_000], 1, 0.1, 0)
+
+
+@pytest.mark.parametrize("m_list", [[4_000_000], [4_000_000, 4_000_000]], ids=["one-m", "repeated-m"])
+def test_bench_sweep_rejects_one_distinct_m_before_sampling(monkeypatch, m_list):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the m-list")
+
+    monkeypatch.setattr("latent_ising.cli.sample", no_sampling)
+    tree = parse_tree("((1:0.5,2:0.5):0.5,3:0.5,4:0.5);")
+    message = r"^a slope needs at least two distinct m values, got \[4000000\]$"
+    with pytest.raises(BadParameter, match=message):
+        bench_sweep(tree, m_list, 3, 0.1, 0)
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from latent_ising import (
     trace_to_json,
 )
 from latent_ising.distribution import closed_form_distribution
-from latent_ising.trees import _attach, _edge_splits, _side
+from latent_ising.trees import _attach, _side
 
 from conftest import caterpillar, philox, random_model
 
@@ -78,12 +78,12 @@ def factorization_residual(before, after, changed, alpha):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def block_root(topology: TreeTopology, splits: np.ndarray, leaves) -> int:
+def block_root(topology: TreeTopology, leaves) -> int:
     """The node b of the edge (a, b) whose b side holds exactly ``leaves``."""
     want = np.isin(topology.leaves, sorted(leaves))
     for u, v in topology.edges:
         for a, b in ((u, v), (v, u)):
-            if np.array_equal(_side(topology, splits, a, b), want):
+            if np.array_equal(_side(topology, a, b), want):
                 return b
     raise AssertionError(f"no edge detaches exactly {sorted(leaves)}")
 
@@ -317,12 +317,10 @@ class TestInterpolate:
         for _, epoch in itertools.groupby(indexed, key=lambda item: item[1].epoch):
             epoch = list(epoch)
             before = trace.topologies[epoch[0][0]]
-            splits = _edge_splits(before)
-            ra, rb = (block_root(before, splits, epoch[0][1].block),
-                      block_root(before, splits, epoch[0][1].anchor))
+            ra, rb = block_root(before, epoch[0][1].block), block_root(before, epoch[0][1].anchor)
             nodes = path_nodes(before, ra, rb)
             assert len(epoch) == len(nodes) - 3
-            toward = [_side(before, splits, a, b) for a, b in zip(nodes, nodes[1:])]
+            toward = [_side(before, a, b) for a, b in zip(nodes, nodes[1:])]
             labels = np.array(before.leaves)
             for k, (_, move) in enumerate(epoch, start=1):
                 masks = (~toward[0], toward[0] & ~toward[k],
@@ -345,3 +343,22 @@ class TestInterpolate:
         trace = interpolate(source.topology, target, correlations(source))
         text = json.dumps(trace_to_json(trace), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_trace_json_with_singleton_and_merged_moves_is_pinned(self):
+        # signed weights and noisy correlations, so epochs move both single
+        # leaves and merged blocks
+        digest = hashlib.sha256()
+        moved = set()
+        for n, seed in itertools.product((6, 11, 17), range(3)):
+            rng = philox(500 + 10 * n + seed)
+            source = random_model(n, rng, magnitude=(0.1, 0.9), signed=True)
+            target = random_model(n, rng, magnitude=(0.1, 0.9), signed=True)
+            alpha = correlations(source)
+            noisy = np.clip(alpha.values + rng.normal(0.0, 0.05, alpha.values.size), -1.0, 1.0)
+            trace = interpolate(source.topology, target, CorrelationVector(alpha.labels, noisy))
+            moved.update(len(m.block) > 1 for m in trace.moves)
+            digest.update(json.dumps(trace_to_json(trace)).encode())
+        assert moved == {False, True}
+        assert digest.hexdigest() == (
+            "f10615576248f54b84ac6e96b5896bd80f07d65e87e560a0a4f09a73378ea868"
+        )

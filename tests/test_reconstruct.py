@@ -1,7 +1,9 @@
 """Forest reconstruction against its ground-truth contract."""
 
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,26 @@ class TestReconstruction:
         b = reconstruct_forest(alpha, xi=0.05, eta=1e-4)
         assert all(
             topologies_equal(x, y) for x, y in zip(a.components, b.components)
+        )
+
+    def test_components_are_pinned(self):
+        # exact and noisy input at radii that leave 1-, 2- and 3-leaf
+        # components as well as larger ones
+        digest = hashlib.sha256()
+        sizes = set()
+        for seed in range(6):
+            rng = philox(400 + seed)
+            alpha = correlations(random_model(12, rng, magnitude=(0.2, 0.95), signed=True))
+            noise = rng.normal(0.0, 0.05, alpha.values.size)
+            noisy = CorrelationVector(alpha.labels, np.clip(alpha.values + noise, -1.0, 1.0))
+            for values in (alpha, noisy):
+                for xi, eta in ((0.05, 1e-6), (0.2, 0.04), (0.2, 0.15)):
+                    rec = reconstruct_forest(values, xi=xi, eta=eta)
+                    sizes.update(c.leaf_count for c in rec.components)
+                    digest.update(repr([(c.leaves, c.edges) for c in rec.components]).encode())
+        assert {1, 2, 3} <= sizes and max(sizes) >= 4
+        assert digest.hexdigest() == (
+            "a6ea4343876e2a8376522de748c1367eb4ba65a4218ac05b1b91b2e96885a99f"
         )
 
 

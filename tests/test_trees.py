@@ -47,6 +47,7 @@ from latent_ising.trees import (
     _detach,
     _edge_splits,
     _path_incidence,
+    _postorder,
     _side,
     component_nodes,
     edge_key,
@@ -788,11 +789,45 @@ class TestSide:
     def test_side_is_the_component_beyond_the_edge(self, n):
         rng = philox(n)
         for topo in (random_topology(n, rng), reshaped(random_topology(n, rng), rng, 2, 2)):
-            splits = _edge_splits(topo)
             for a, b in itertools.chain(topo.edges, ((v, u) for u, v in topo.edges)):
                 beyond = component_nodes(topo, b, [(a, b)])
                 want = [leaf in beyond for leaf in topo.leaves]
-                assert _side(topo, splits, a, b).tolist() == want
+                assert _side(topo, a, b).tolist() == want
+
+
+class TestTopologyCache:
+    @staticmethod
+    def built_three_ways():
+        rng = philox(12)
+        tree = random_weighted_tree(9, rng)
+        topo = tree.topology
+        u, v = next(e for e in topo.edges if topo.is_leaf(e[0]))
+        target = next(e for e in topo.edges if v not in e and u not in e)
+        return {
+            "constructor": TreeTopology(topo.leaves, topo.edges),
+            "normalize": normalize(tree).topology,
+            "cut_paste": cut_paste(topo, u, v, target),
+        }
+
+    @pytest.mark.parametrize("how", ["constructor", "normalize", "cut_paste"])
+    def test_split_table_is_built_once_and_read_only(self, how):
+        topo = self.built_three_ways()[how]
+        splits = _edge_splits(topo)
+        assert _edge_splits(topo) is splits
+        with pytest.raises(ValueError):
+            splits[0, 0] = not splits[0, 0]
+        with pytest.raises(ValueError):
+            _side(topo, *topo.edges[0])[0] = True
+
+    @pytest.mark.parametrize("how", ["constructor", "normalize", "cut_paste"])
+    def test_stored_walk_is_the_walk_from_the_smallest_leaf(self, how):
+        topo = self.built_three_ways()[how]
+        assert topo._walk == _postorder(topo._adjacency, topo.leaves[0])
+
+    def test_one_leaf_topology_keeps_its_walk(self):
+        topo = TreeTopology([3], [])
+        assert topo._walk == ([3], {3: None})
+        assert _edge_splits(topo).shape == (0, 1)
 
 
 class TestQuartetProducts:
