@@ -235,7 +235,11 @@ def marginal_distribution(tree: WeightedTree) -> np.ndarray:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The counter-based generator keyed by ``seed``, one of 0 .. 2**128 - 1."""
+    """The counter-based generator keyed by ``seed``, one of 0 .. 2**128 - 1.
+
+    ``gen`` draws weights from the ``Generator`` and ``sample`` reads raw words
+    from its ``bit_generator``: one Philox key for both.
+    """
     seed = int(seed)
     if seed < 0:
         raise BadParameter("seed must be non-negative")
@@ -251,15 +255,19 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     probability (1 + theta)/2.  Randomness comes from a counter-based
     generator keyed by ``seed``.  Components consume the stream one after
     another, each for all ``m`` rows; within a component the stream is read
-    row-major, one uniform per node per row in root-first order, so output is
-    reproducible and does not depend on how the rows are split into blocks.
+    row-major, one raw 64-bit word per node per row in root-first order, so
+    output is reproducible and does not depend on how the rows are split into
+    blocks.  Each word is compared with an integer threshold, not a float:
+    ``Generator.random`` would make ``u = (w >> 11) * 2**-53`` of word ``w``,
+    and for ``t`` in [0, 1], ``u >= t`` exactly when ``w >> 11 >= ceil(t * 2**53)``.
     Rows are drawn ``_BLOCK_ROWS`` at a time (the block size of every pass
-    over a sample matrix, defined in ``estimation``) into one reused buffer,
-    so working memory is O(block x nodes) beside the ``int8`` output.
+    over a sample matrix, defined in ``estimation``), each block's words freed
+    before the next, so working memory is O(block x nodes) beside the ``int8``
+    output.
     """
     if m < 1:
         raise EmptySample(f"need at least one sample, got {m}")
-    rng = _generator(seed)
+    words = _generator(seed).bit_generator
     forest = as_forest(model)
     labels = forest.leaves
     out = np.empty((m, len(labels)), dtype=np.int8)
@@ -269,18 +277,18 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
         order = order[::-1]  # root first
         row = {v: k for k, v in enumerate(order)}
         parents = [(k, row[parent[v]]) for k, v in enumerate(order[1:], start=1)]
-        # a node flips against its parent (the root against +1) when u >= threshold
-        threshold = np.array(
-            [0.5] + [(1.0 + tree.weight(parent[v], v)) / 2.0 for v in order[1:]]
-        )[:, None]
+        # a node flips against its parent (the root against +1) when u >= t
+        t = np.array([0.5] + [(1.0 + tree.weight(parent[v], v)) / 2.0 for v in order[1:]])
+        threshold = np.ceil(t * 2.0 ** 53).astype(np.uint64)[:, None]
         leaf_rows = [row[leaf] for leaf in topology.leaves]
         leaf_cols = np.searchsorted(labels, topology.leaves)
-        uniform = np.empty((min(m, _BLOCK_ROWS), len(order)))
-        flips = np.empty(uniform.shape[::-1], dtype=bool)  # node-major
+        flips = np.empty((len(order), min(m, _BLOCK_ROWS)), dtype=bool)  # node-major
         for start in range(0, m, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, m - start)
-            u = rng.random(out=uniform[:rows])
+            u = words.random_raw(rows * len(order)).reshape(rows, len(order))
+            u >>= 11
             flip = np.greater_equal(u.T, threshold, out=flips[:, :rows])
+            del u  # free the words before the next block draws its own
             for k, p in parents:
                 flip[k] ^= flip[p]
             out[start:start + rows, leaf_cols] = (1 - 2 * flip[leaf_rows].view(np.int8)).T

@@ -440,6 +440,19 @@ class TestSampling:
             "c95653699a7242dc5401aff8b88f6ac9b938e2dfe33ab97aada9ea1ed07f9438"
         )
 
+    @pytest.mark.parametrize(
+        "offset", [-(2.0 ** -54), 0.0, 2.0 ** -54], ids=["below", "tie", "above"]
+    )
+    def test_threshold_ties_match_float_compare(self, offset):
+        # seed 2's second stream value is leaf 2's uniform in row 0; in [0.25, 0.5)
+        # the grid step is 2**-54 and (1 + theta)/2 == t holds exactly
+        u = philox(2).random(2)[1]
+        assert 0.25 <= u < 0.5
+        t = u + offset
+        tree = WeightedTree(TreeTopology([1, 2], [(1, 2)]), {(1, 2): 2.0 * t - 1.0})
+        assert (1.0 + tree.weight(1, 2)) / 2.0 == t
+        assert np.array_equal(sample(tree, 1, 2), _reference_sample(tree, 1, 2))
+
     def test_file_round_trip(self, tmp_path):
         wt = random_model(5, philox(10))
         draws = sample(wt, 37, 2)
@@ -604,6 +617,12 @@ class TestSampling:
         write_samples(path, draws)
         budget = path.stat().st_size + draws.nbytes + 2_000_000  # the raw bytes and the output
         assert peak_bytes(lambda: read_samples(path)) < budget
+
+    def test_sample_memory_stays_bounded(self):
+        n, m = 16, 10 * _BLOCK_ROWS
+        model = random_model(n, philox(8))
+        budget = m * n + 1.5 * _BLOCK_ROWS * (2 * n - 2) * 8  # the output and one block's words
+        assert peak_bytes(lambda: sample(model, m, 3)) < budget
 
 
 class TestExactTv:
