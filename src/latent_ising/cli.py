@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParameter, LatentIsingError, MalformedTree
 from .estimation import (
+    confidence_radius,
     empirical_correlations,
     report_to_json,
     require_sample_columns,
@@ -156,14 +157,17 @@ def bench_sweep(
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
     truth = normalize(tree)
-    require_unit_labels(truth.leaves, "tree")  # both before any sample is drawn
+    require_unit_labels(truth.leaves, "tree")  # all before any sample is drawn
     _slope_points(m_values)
+    runs = [(m, trial, seed + 7919 * trial + 104729 * k)
+            for k, m in enumerate(m_values) for trial in range(trials)]
+    for m, _, key in runs:  # every draw's m, delta and seed, as the draw checks them
+        confidence_radius(len(truth.leaves), delta, m)
+        _generator(key)
     rows = []
-    for k, m in enumerate(m_values):
-        for trial in range(trials):
-            draws = sample(truth, m, seed + 7919 * trial + 104729 * k)
-            fit = learn_from_samples_known(truth.topology, draws, delta)
-            rows.append({"m": m, "trial": trial, "tv": exact_tv(truth, fit.tree)})
+    for m, trial, key in runs:
+        fit = learn_from_samples_known(truth.topology, sample(truth, m, key), delta)
+        rows.append({"m": m, "trial": trial, "tv": exact_tv(truth, fit.tree)})
     return rows
 
 

@@ -191,28 +191,22 @@ def _marginalize(tree: WeightedTree, spins: Sequence[np.ndarray]) -> np.ndarray:
 
     Internal spins are summed out by message passing towards the smallest
     leaf; each message is a pair of arrays over the leaves below, the
-    subtree's contribution as a function of its top spin being +1 or -1.
+    subtree's contribution as a function of its top spin being +1 or -1.  A
+    leaf's starts as its spin's indicator and any other as 1, and the walk
+    folds each finished node's into its parent's, children in ascending order.
     """
-    topology = tree.topology
-    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
-    root = topology.leaves[0]
-    order, parent = topology._walk
-    below: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for v in order:
-        if topology.is_leaf(v) and v != root:
-            up = spins[leaf_pos[v]]
-            below[v] = (up.astype(float), (~up).astype(float))
-            continue
-        plus = minus = 1.0
-        for c in topology.neighbors(v):
-            if c == parent[v]:
-                continue
-            th = tree.weight(v, c)
-            cp, cm = below.pop(c)
-            plus = plus * (0.5 * ((1.0 + th) * cp + (1.0 - th) * cm))
-            minus = minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm))
-        below[v] = (plus, minus)
-    root_plus, root_minus = below[root]
+    order, parent = tree.topology._walk
+    message: Dict[int, Tuple[np.ndarray, np.ndarray]] = dict.fromkeys(order, (1.0, 1.0))
+    for up, leaf in zip(spins, tree.leaves):
+        message[leaf] = (up.astype(float), (~up).astype(float))
+    for v in order[:-1]:  # the root comes last
+        p = parent[v]
+        th = tree.weight(v, p)
+        cp, cm = message.pop(v)
+        plus, minus = message[p]
+        message[p] = (plus * (0.5 * ((1.0 + th) * cp + (1.0 - th) * cm)),
+                      minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm)))
+    root_plus, root_minus = message[order[-1]]  # the root's spin picks its nonzero side
     return 0.5 * np.where(spins[0], root_plus, root_minus)
 
 

@@ -34,7 +34,7 @@ def confidence_radius(n: int, delta: float, m: int) -> float:
     return math.sqrt(2.0 * math.log(n * n / delta) / m)
 
 
-#: rows per block for every pass over a sample matrix, so no temporary grows with m
+#: rows per block for every pass over a sample matrix; read_samples still holds the whole file
 _BLOCK_ROWS = 4096
 
 

@@ -104,8 +104,6 @@ def parse_tree(text: str) -> WeightedTree:
         raise MalformedTree(f"trailing characters near position {tokens[i][0]}")
     if len(set(leaves)) != len(leaves):
         raise MalformedTree("duplicate leaf label")
-    if len(leaves) == 1:
-        return WeightedTree(TreeTopology(leaves, []), {})
     # relabel placeholder internals above the largest leaf in order of first
     # appearance; _rebuild splices and renumbers in ascending id order
     base = max(leaves)

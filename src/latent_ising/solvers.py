@@ -96,27 +96,21 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     feasible exactly when the optimal t is non-negative; the returned point
     then keeps the largest distance from the interval endpoints.  Otherwise
     the witness is the bound with the largest dual weight, a member of a
-    Farkas certificate of infeasibility.
+    Farkas certificate of infeasibility.  The tableau and the witness read
+    one row layout: each row's constraint and a mask of the lower-bound rows.
     """
     n_cons, nv = lp.constraints.shape
-    has_lower = np.isfinite(lp.lower)
     # rows: each constraint's upper bound, then its lower bound if any, then
     # the cap on tau; columns: x, tau, one slack per row, right-hand side
-    upper_row = np.arange(n_cons) + np.cumsum(has_lower) - has_lower
-    lower_row = upper_row[has_lower] + 1
-    m = n_cons + lower_row.size + 1
-    rhs = np.empty(m)
-    rhs[upper_row] = lp.upper
-    rhs[lower_row] = -lp.lower[has_lower]
-    rhs[-1] = _SLACK_CAP
+    owner = np.repeat(np.arange(n_cons), 1 + np.isfinite(lp.lower))
+    lower_row = np.diff(owner, prepend=-1) == 0
+    m = owner.size + 1
+    rhs = np.append(np.where(lower_row, -lp.lower[owner], lp.upper[owner]), _SLACK_CAP)
     t0 = min(0.0, rhs.min())
 
-    path_con, path_var = lp.constraints.nonzero()
     T = np.zeros((m, nv + m + 2), order="F")
-    T[upper_row[path_con], path_var] = -1.0  # -sum(x) + tau <= upper - t0
-    on_lower = has_lower[path_con]
-    # sum(x) + tau <= -lower - t0
-    T[upper_row[path_con[on_lower]] + 1, path_var[on_lower]] = 1.0
+    # -sum(x) + tau <= upper - t0 and sum(x) + tau <= -lower - t0
+    T[:-1, :nv] = np.where(lp.constraints[owner], np.where(lower_row, 1.0, -1.0)[:, None], 0.0)
     T[:, nv] = 1.0
     T[np.arange(m), np.arange(nv + 1, nv + m + 1)] = 1.0
     T[:, -1] = rhs - t0
@@ -127,9 +121,9 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     x[basis] = T[:, -1]
     if t0 + x[nv] < -_TOL:
         bound = int(np.argmax(T[tau_row, nv + 1 : nv + m]))  # dual weights
-        k = int(np.repeat(np.arange(n_cons), 1 + has_lower)[bound])
-        side = "upper" if upper_row[k] == bound else "lower"
-        lower = float(lp.lower[k]) if has_lower[k] else None
+        k = int(owner[bound])
+        side = "lower" if lower_row[bound] else "upper"
+        lower = float(lp.lower[k]) if np.isfinite(lp.lower[k]) else None
         return Infeasible(
             constraint=k,
             side=side,

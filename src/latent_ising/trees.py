@@ -10,11 +10,13 @@ of the ``(2,) * n`` table), yielding pairs as they close.  Every
 parent-pointer traversal reads one walk over an adjacency mapping,
 ``_postorder``; a topology keeps the one from its smallest leaf that its
 validation makes, ``_walk``, for the split table, the path products, the
-matching, marginalization and the sampler.  Batched path questions (which
-edges a pair's path uses, whether two topologies agree, which leaves lie
-beyond an edge, through ``_side``, and which edges an induced subtree keeps)
-are answered from one table of edge bipartitions per topology,
-``_edge_splits``, and every path product (correlations, interpolation's
+matching, marginalization and the sampler.  These read it by parent
+pointers alone: the first four fold each finished node into its parent,
+children in ascending order, and the sampler reads it root first.  Batched
+path questions (which edges a pair's path uses, whether two topologies
+agree, which leaves lie beyond an edge, through ``_side``, and which edges
+an induced subtree keeps) are answered from one table of edge bipartitions
+per topology, ``_edge_splits``, and every path product (correlations, interpolation's
 signal peaks) from the leaf-to-node products, ``_path_products``.  Two loops
 walk on their own: ``_renumber``'s BFS, whose order is the canonical
 numbering, and ``component_nodes``, the plain reachability check that
@@ -596,28 +598,27 @@ def _matching_pairs(
 
     ``members[k]`` says if the ``k``-th smallest leaf is in the subset; the n
     booleans broadcast together, one subset per entry.  The tree is walked
-    once from its smallest leaf for all subsets: each node carries up at most
-    one unpaired leaf's position, and two meeting at a node are matched.  At
-    each meeting where pairs close, this yields the mask of the subsets that
-    close one and the pair's positions ``lo < hi``, in closing order.
+    once from its smallest leaf for all subsets: each node carries at most
+    one unpaired leaf's position, folded into its parent's as the walk
+    finishes the node, and two meeting are matched.  At each fold where pairs
+    close, this yields the mask of the subsets that close one and the pair's
+    positions ``lo < hi``.  Only a node's last child, which the walk places
+    directly before it, can close a pair there, so pairs come in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
-    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     order, parent = topology._walk
-    pending: Dict[int, np.ndarray] = {}
-    for v in order:
-        carried = np.where(members[leaf_pos[v]], leaf_pos[v], -1) if v in leaf_pos else -1
-        for w in topology.neighbors(v):
-            if w == parent[v]:
-                continue
-            lo = np.minimum(carried, pending[w])
-            hi = np.maximum(carried, pending.pop(w))
-            pair = lo >= 0
-            if pair.any():
-                yield pair, lo, hi
-            carried = np.where(pair, -1, hi)
-        pending[v] = carried
+    carried: Dict[int, np.ndarray] = dict.fromkeys(order, -1)
+    for k, leaf in enumerate(topology.leaves):
+        carried[leaf] = np.where(members[k], k, -1)
+    for v in order[:-1]:  # the root comes last
+        p = parent[v]
+        lo = np.minimum(carried[p], carried[v])
+        hi = np.maximum(carried[p], carried.pop(v))
+        pair = lo >= 0
+        if pair.any():
+            yield pair, lo, hi
+        carried[p] = np.where(pair, -1, hi)
 
 
 def _postorder(
@@ -763,6 +764,7 @@ def random_topology(n: int, rng: np.random.Generator) -> TreeTopology:
     """Uniform-ish random binary topology grown by splitting random edges."""
     if n < 1:
         raise TooFewLeaves("need at least one leaf")
+    # the only path for n < 3: the growth loop starts from a 3-leaf star
     if n == 1:
         return TreeTopology([1], [])
     if n == 2:

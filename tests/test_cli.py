@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latent_ising import BadParameter, DimensionMismatch, parse_tree
+from latent_ising import BadParameter, DimensionMismatch, EmptySample, parse_tree
 from latent_ising.cli import bench_sweep, main
 
 
@@ -235,6 +235,28 @@ def test_bench_sweep_rejects_one_distinct_m_before_sampling(monkeypatch, m_list)
     message = r"^a slope needs at least two distinct m values, got \[4000000\]$"
     with pytest.raises(BadParameter, match=message):
         bench_sweep(tree, m_list, 3, 0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "m_list, delta, seed, error, message",
+    [
+        ([4_000_000, 0], 0.1, 0, EmptySample, r"need at least one sample, got 0"),
+        ([4_000_000, 8_000_000], 2.0, 0, BadParameter, r"delta must be in \(0, 1\), got 2\.0"),
+        ([4_000_000, 8_000_000], 0.1, 2**128 - 1, BadParameter,  # trial 1's seed overflows
+         rf"seed must be below 2\*\*128, got {2**128 - 1 + 7919}"),
+    ],
+    ids=["non-positive-m", "delta", "derived-seed"],
+)
+def test_bench_sweep_checks_every_draw_before_sampling(
+    monkeypatch, m_list, delta, seed, error, message
+):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking every draw's input")
+
+    monkeypatch.setattr("latent_ising.cli.sample", no_sampling)
+    tree = parse_tree("((1:0.5,2:0.5):0.5,3:0.5,4:0.5);")
+    with pytest.raises(error, match=f"^{message}$"):
+        bench_sweep(tree, m_list, 3, delta, seed)
 
 
 @pytest.mark.parametrize(

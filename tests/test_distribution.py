@@ -43,7 +43,12 @@ from latent_ising import (
     sample,
     write_samples,
 )
-from latent_ising.distribution import _BLOCK_ROWS, config_index, even_subset_coefficients
+from latent_ising.distribution import (
+    _BLOCK_ROWS,
+    _marginalize,
+    config_index,
+    even_subset_coefficients,
+)
 from latent_ising.estimation import confidence_radius, empirical_correlations
 from latent_ising.trees import _postorder
 
@@ -70,6 +75,33 @@ def brute_force_prob(tree: WeightedTree, x) -> float:
             prob *= (1.0 + tree.weight(u, v) * spins[u] * spins[v]) / 2.0
         total += prob
     return total
+
+
+def _pull_marginalize(tree: WeightedTree, spins):
+    """Reference marginalization: each node but a leaf below the root pulls
+    its children's messages through its neighbours but its parent, in
+    ascending order."""
+    topology = tree.topology
+    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
+    root = topology.leaves[0]
+    order, parent = _postorder(topology._adjacency, root)
+    below = {}
+    for v in order:
+        if topology.is_leaf(v) and v != root:
+            up = spins[leaf_pos[v]]
+            below[v] = (up.astype(float), (~up).astype(float))
+            continue
+        plus = minus = 1.0
+        for c in topology.neighbors(v):
+            if c == parent[v]:
+                continue
+            th = tree.weight(v, c)
+            cp, cm = below.pop(c)
+            plus = plus * (0.5 * ((1.0 + th) * cp + (1.0 - th) * cm))
+            minus = minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm))
+        below[v] = (plus, minus)
+    root_plus, root_minus = below[root]
+    return 0.5 * np.where(spins[0], root_plus, root_minus)
 
 
 class TestClosedForm:
@@ -196,6 +228,26 @@ class TestMarginalization:
         assert marginalize_prob(wt, x) == pytest.approx(
             brute_force_prob(wt, x), abs=1e-12
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 10**6))
+    def test_folded_walk_matches_pull_reference(self, n, seed):
+        rng = philox(seed)
+        topo = random_topology(n, rng)
+        weights = np.where(
+            rng.random(len(topo.edges)) < 0.2,
+            rng.choice([0.0, 1.0, -1.0], len(topo.edges)),
+            rng.uniform(-1.0, 1.0, len(topo.edges)),
+        )
+        wt = WeightedTree(topo, dict(zip(topo.edges, weights.tolist())))
+        flat = list(rng.random(n) < 0.5)  # 0-d: one configuration
+        shapes = [(), (5, 1), (1, 4), (5, 4)]  # broadcast: 20 configurations
+        mixed = [rng.random(shapes[rng.integers(4)]) < 0.5 for _ in range(n)]
+        for spins in (flat, mixed):
+            got = _marginalize(wt, spins)
+            want = _pull_marginalize(wt, spins)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
 
     def test_distribution_type_checks_clamping(self):
         wt = four_leaf_example()

@@ -98,6 +98,9 @@ def test_malformed_inputs():
         ("(1,2,);", "expected a leaf label at position 5"),
         ("(1,(2,3)4);", "expected ')' at position 8"),
         ("((1,2));", "internal node 4 dangles with degree 1"),
+        ("(7);", "one-leaf tree must have no edges"),
+        ("((7));", "one-leaf tree must have no edges"),
+        ("(7:0.5);", "one-leaf tree must have no edges"),
         ("(1 2,3);", "whitespace inside a label or weight at position 2"),
         ("(1,2)", "Newick string must end with ';'"),
         ("(1:0.5,1:0.5);", "duplicate leaf label"),

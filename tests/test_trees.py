@@ -46,6 +46,7 @@ from latent_ising.trees import (
     _attach,
     _detach,
     _edge_splits,
+    _matching_pairs,
     _path_incidence,
     _postorder,
     _side,
@@ -727,6 +728,43 @@ class TestClosestRelativeMatching:
         edge_sets = [frozenset(path(topo, i, j)) for i, j in pairs]
         for a, b in itertools.combinations(edge_sets, 2):
             assert not a & b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 10**6))
+    def test_folded_walk_matches_pull_reference(self, n, seed):
+        rng = philox(seed)
+        topo = random_topology(n, rng)
+        flat = list(rng.random(n) < 0.5)  # 0-d: one subset
+        shapes = [(), (5, 1), (1, 4), (5, 4)]  # broadcast: 20 subsets
+        mixed = [rng.random(shapes[rng.integers(4)]) < 0.5 for _ in range(n)]
+        for members in (flat, mixed):
+            got = list(_matching_pairs(topo, members))
+            want = list(_pull_matching_pairs(topo, members))
+            assert len(got) == len(want)
+            for step, reference in zip(got, want):
+                for a, b in zip(step, reference):
+                    np.testing.assert_array_equal(a, b, strict=True)
+
+
+def _pull_matching_pairs(topology, members):
+    """Reference matching: each node pulls its children's carried leaf
+    positions through its neighbours but its parent, in ascending order, and
+    yields at each meeting where pairs close."""
+    leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
+    order, parent = _postorder(topology._adjacency, topology.leaves[0])
+    pending = {}
+    for v in order:
+        carried = np.where(members[leaf_pos[v]], leaf_pos[v], -1) if v in leaf_pos else -1
+        for w in topology.neighbors(v):
+            if w == parent[v]:
+                continue
+            lo = np.minimum(carried, pending[w])
+            hi = np.maximum(carried, pending.pop(w))
+            pair = lo >= 0
+            if pair.any():
+                yield pair, lo, hi
+            carried = np.where(pair, -1, hi)
+        pending[v] = carried
 
 
 class TestContractEdge:
