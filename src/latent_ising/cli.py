@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParameter, LatentIsingError, MalformedTree
 from .estimation import (
+    require_sample_size,
     confidence_radius,
     empirical_correlations,
     report_to_json,
@@ -162,6 +163,7 @@ def bench_sweep(
     runs = [(m, trial, seed + 7919 * trial + 104729 * k)
             for k, m in enumerate(m_values) for trial in range(trials)]
     for m, _, key in runs:  # every draw's m, delta and seed, as the draw checks them
+        require_sample_size(m, len(truth.leaves))
         confidence_radius(len(truth.leaves), delta, m)
         _generator(key)
     rows = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import io
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     UnknownLeaf,
     UnknownPair,
 )
-from .estimation import _BLOCK_ROWS, _all_spins
+from .estimation import _BLOCK_ROWS, _all_spins, require_sample_size
 from .forest import WeightedForest, as_forest
 from .trees import (
     CorrelationVector,
@@ -145,12 +145,9 @@ def _fwht(vec: np.ndarray) -> np.ndarray:
     """In-place-free fast Walsh-Hadamard transform (even-subset character sums)."""
     a = vec.copy()
     h = 1
-    size = a.size
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        x, y = a[:, 0, :], a[:, 1, :]
-        a[:, 0, :], a[:, 1, :] = x + y, x - y
-        a = a.reshape(size)
+    while h < a.size:
+        x, y = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
+        x[...], y[...] = x + y, x - y
         h *= 2
     return a
 
@@ -191,23 +188,21 @@ def _marginalize(tree: WeightedTree, spins: Sequence[np.ndarray]) -> np.ndarray:
 
     Internal spins are summed out by message passing towards the smallest
     leaf; each message is a pair of arrays over the leaves below, the
-    subtree's contribution as a function of its top spin being +1 or -1.  A
-    leaf's starts as its spin's indicator and any other as 1, and the walk
-    folds each finished node's into its parent's, children in ascending order.
+    subtree's contribution as a function of its top spin being +1 or -1, kept
+    by walk position.  A leaf's starts as its spin's indicator and any other as
+    1, and the walk folds each node's into its parent's, children ascending.
     """
-    order, parent = tree.topology._walk
-    message: Dict[int, Tuple[np.ndarray, np.ndarray]] = dict.fromkeys(order, (1.0, 1.0))
-    for up, leaf in zip(spins, tree.leaves):
-        message[leaf] = (up.astype(float), (~up).astype(float))
-    for v in order[:-1]:  # the root comes last
-        p = parent[v]
-        th = tree.weight(v, p)
-        cp, cm = message.pop(v)
+    order, _, up, _, leaf_rows = tree.topology._walk
+    message: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [(1.0, 1.0)] * len(order)
+    for spin, r in zip(spins, leaf_rows):
+        message[r] = (spin.astype(float), (~spin).astype(float))
+    for k, p in enumerate(up):
+        th = tree.weight(order[k], order[p])
+        (cp, cm), message[k] = message[k], None  # folded into its parent's
         plus, minus = message[p]
         message[p] = (plus * (0.5 * ((1.0 + th) * cp + (1.0 - th) * cm)),
                       minus * (0.5 * ((1.0 - th) * cp + (1.0 + th) * cm)))
-    root_plus, root_minus = message[order[-1]]  # the root's spin picks its nonzero side
-    return 0.5 * np.where(spins[0], root_plus, root_minus)
+    return 0.5 * np.where(spins[0], *message[-1])  # the root, last: its spin picks a side
 
 
 def marginalize_prob(tree: WeightedTree, x: Sequence[int]) -> float:
@@ -249,42 +244,38 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
     probability (1 + theta)/2.  Randomness comes from a counter-based
     generator keyed by ``seed``.  Components consume the stream one after
     another, each for all ``m`` rows; within a component the stream is read
-    row-major, one raw 64-bit word per node per row in root-first order, so
-    output is reproducible and does not depend on how the rows are split into
-    blocks.  Each word is compared with an integer threshold, not a float:
+    row-major, one raw 64-bit word per node per row in root-first order (the
+    topology's walk reversed), so output is reproducible and independent of
+    the block size.  Each word is compared with an integer threshold, not a float:
     ``Generator.random`` would make ``u = (w >> 11) * 2**-53`` of word ``w``,
     and for ``t`` in [0, 1], ``u >= t`` exactly when ``w >> 11 >= ceil(t * 2**53)``.
     Rows are drawn ``_BLOCK_ROWS`` at a time (the block size of every pass
     over a sample matrix, defined in ``estimation``), each block's words freed
     before the next, so working memory is O(block x nodes) beside the ``int8``
-    output.
+    output; an output numpy cannot shape raises ``TooLarge``.
     """
     if m < 1:
         raise EmptySample(f"need at least one sample, got {m}")
     words = _generator(seed).bit_generator
     forest = as_forest(model)
     labels = forest.leaves
+    require_sample_size(m, len(labels))
     out = np.empty((m, len(labels)), dtype=np.int8)
     for tree in forest.components:
-        topology = tree.topology
-        order, parent = topology._walk
-        order = order[::-1]  # root first
-        row = {v: k for k, v in enumerate(order)}
-        parents = [(k, row[parent[v]]) for k, v in enumerate(order[1:], start=1)]
-        # a node flips against its parent (the root against +1) when u >= t
-        t = np.array([0.5] + [(1.0 + tree.weight(parent[v], v)) / 2.0 for v in order[1:]])
+        order, _, up, _, leaf_rows = tree.topology._walk
+        # a node flips against its parent (the root, last, against +1) when u >= t
+        t = np.array([(1.0 + tree.weight(order[p], v)) / 2.0 for v, p in zip(order, up)] + [0.5])
         threshold = np.ceil(t * 2.0 ** 53).astype(np.uint64)[:, None]
-        leaf_rows = [row[leaf] for leaf in topology.leaves]
-        leaf_cols = np.searchsorted(labels, topology.leaves)
-        flips = np.empty((len(order), min(m, _BLOCK_ROWS)), dtype=bool)  # node-major
+        leaf_cols = np.searchsorted(labels, tree.leaves)
+        flips = np.empty((len(order), min(m, _BLOCK_ROWS)), dtype=bool)  # by walk position
         for start in range(0, m, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, m - start)
             u = words.random_raw(rows * len(order)).reshape(rows, len(order))
             u >>= 11
-            flip = np.greater_equal(u.T, threshold, out=flips[:, :rows])
+            flip = np.greater_equal(u.T[::-1], threshold, out=flips[:, :rows])  # words root first
             del u  # free the words before the next block draws its own
-            for k, p in parents:
-                flip[k] ^= flip[p]
+            for k in reversed(range(len(up))):  # each parent before its children
+                flip[k] ^= flip[up[k]]
             out[start:start + rows, leaf_cols] = (1 - 2 * flip[leaf_rows].view(np.int8)).T
     return out
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BadSpinValue, DimensionMismatch, EmptySample
+from .errors import BadParameter, BadSpinValue, DimensionMismatch, EmptySample, TooLarge
 from .trees import CorrelationVector
 
 
@@ -32,6 +32,12 @@ def confidence_radius(n: int, delta: float, m: int) -> float:
     if n < 2:
         raise BadParameter(f"need at least two leaves, got {n}")
     return math.sqrt(2.0 * math.log(n * n / delta) / m)
+
+
+def require_sample_size(m: int, n: int) -> None:
+    """Reject m draws of n leaves whose matrix numpy would refuse to shape."""
+    if int(m) * n > np.iinfo(np.intp).max:
+        raise TooLarge(f"{m} samples of {n} leaves are more than one array can hold")
 
 
 #: rows per block for every pass over a sample matrix; read_samples still holds the whole file
@@ -113,12 +119,15 @@ def samples_for_radius(n: int, delta: float, eta: float) -> int:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
     if n < 2:
         raise BadParameter(f"need at least two leaves, got {n}")
-    m = max(1, math.ceil(2.0 * math.log(n * n / delta) / (eta * eta)))
-    while m > 1 and confidence_radius(n, delta, m - 1) <= eta:
-        m -= 1
-    while confidence_radius(n, delta, m) > eta:
-        m += 1
-    return m
+    try:  # eta * eta may be 0, or the count or twice it beyond float range
+        guess = max(1, math.ceil(2.0 * math.log(n * n / delta) / (eta * eta)))
+        lo, hi = guess // 2, 2 * guess  # radius above eta at lo, within it at hi
+        while hi - lo > 1:  # bisect, since past 2**53 floats skip integers
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if confidence_radius(n, delta, mid) <= eta else (mid, hi)
+    except (ZeroDivisionError, OverflowError):
+        raise BadParameter(f"the sample count for radius {eta} is beyond float range") from None
+    return hi
 
 
 def report_to_json(report: EstimationReport) -> str:

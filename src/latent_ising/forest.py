@@ -60,8 +60,7 @@ def forest_correlations(forest: WeightedForest) -> CorrelationVector:
     dense = np.zeros((len(labels), len(labels)))
     for comp in forest.components:
         at = np.searchsorted(labels, comp.leaves)
-        row, products = _path_products(comp)
-        dense[np.ix_(at, at)] = products[[row[leaf] for leaf in comp.leaves]].T
+        dense[np.ix_(at, at)] = _path_products(comp)[1][comp.topology._walk[4]].T
     return CorrelationVector(labels, dense[np.triu_indices(len(labels), 1)])  # [a, b]: a to b
 
 

@@ -44,8 +44,10 @@ def required_samples(n: int, diameter: int, eps: float, delta: float) -> int:
         raise BadParameter(f"eps must be in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
-    count = n ** 10 * diameter ** 2 * math.log(n / delta) / eps ** 2
-    return int(math.ceil(count))
+    try:  # eps ** 2 may be 0, or the count beyond float range
+        return math.ceil(n ** 10 * diameter ** 2 * math.log(n / delta) / eps ** 2)
+    except (ZeroDivisionError, OverflowError):
+        raise BadParameter(f"the sample count at n={n}, eps={eps} is beyond float range") from None
 
 
 def test_identity(

@@ -64,18 +64,23 @@ class IntervalPathLP:
                 raise BadParameter(f"constraint {bad.argmax()} has {message}")
         # lp_feasible shifts every right-hand side by t0, the smallest of them
         # (or 0); the shifted tableau must stay finite
-        has_lower = np.isfinite(lower)
-        sides = np.concatenate([upper, -lower[has_lower]])
-        owner = np.concatenate([np.arange(len(upper)), has_lower.nonzero()[0]])
+        owner, lower_row, rhs = _row_layout(self)
         with np.errstate(over="ignore"):
-            bad = ~np.isfinite(sides - min(0.0, sides.min(initial=0.0)))
+            bad = ~np.isfinite(rhs - min(0.0, rhs.min(initial=0.0)))
         if bad.any():
-            i = int(bad.argmax())
-            side = "upper" if i < len(upper) else "lower"
+            r = int(bad.argmax())
+            side = "lower" if lower_row[r] else "upper"
             raise BadParameter(
-                f"the {side} bound of constraint {owner[i]} is too far from the smallest "
+                f"the {side} bound of constraint {owner[r]} is too far from the smallest "
                 "bound for the solver's shift to stay finite"
             )
+
+
+def _row_layout(lp: IntervalPathLP):
+    """``(owner, lower_row, rhs)``: each constraint's upper bound row, then its lower if any."""
+    owner = np.repeat(np.arange(len(lp.upper)), 1 + np.isfinite(lp.lower))
+    lower_row = np.diff(owner, prepend=-1) == 0
+    return owner, lower_row, np.where(lower_row, -lp.lower[owner], lp.upper[owner])
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,14 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     then keeps the largest distance from the interval endpoints.  Otherwise
     the witness is the bound with the largest dual weight, a member of a
     Farkas certificate of infeasibility.  The tableau and the witness read
-    one row layout: each row's constraint and a mask of the lower-bound rows.
+    one row layout, :func:`_row_layout`.
     """
-    n_cons, nv = lp.constraints.shape
-    # rows: each constraint's upper bound, then its lower bound if any, then
-    # the cap on tau; columns: x, tau, one slack per row, right-hand side
-    owner = np.repeat(np.arange(n_cons), 1 + np.isfinite(lp.lower))
-    lower_row = np.diff(owner, prepend=-1) == 0
+    nv = lp.constraints.shape[1]
+    # rows: the bounds in _row_layout's order, then the cap on tau; columns:
+    # x, tau, one slack per row, right-hand side
+    owner, lower_row, rhs = _row_layout(lp)
     m = owner.size + 1
-    rhs = np.append(np.where(lower_row, -lp.lower[owner], lp.upper[owner]), _SLACK_CAP)
+    rhs = np.append(rhs, _SLACK_CAP)
     t0 = min(0.0, rhs.min())
 
     T = np.zeros((m, nv + m + 2), order="F")

@@ -8,11 +8,13 @@ induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
 of the ``(2,) * n`` table), yielding pairs as they close.  Every
 parent-pointer traversal reads one walk over an adjacency mapping,
-``_postorder``; a topology keeps the one from its smallest leaf that its
-validation makes, ``_walk``, for the split table, the path products, the
-matching, marginalization and the sampler.  These read it by parent
-pointers alone: the first four fold each finished node into its parent,
-children in ascending order, and the sampler reads it root first.  Batched
+``_postorder``; a topology keeps its validation's from its smallest leaf by
+position, ``_walk = (order, row, up, first, leaf_rows)``: ``order[k]`` is node
+k, the root last, ``row`` maps a node to its position, ``up[k]`` is the
+parent's, ``order[first[k]:k + 1]`` are the nodes below node k and
+``leaf_rows[i]`` is sorted leaf i's.  The split table, the path products, the
+matching, marginalization (the three fold each node into its parent, in lists
+by position) and the sampler (root first) read these and derive none.  Batched
 path questions (which edges a pair's path uses, whether two topologies
 agree, which leaves lie beyond an edge, through ``_side``, and which edges
 an induced subtree keeps) are answered from one table of edge bipartitions
@@ -107,26 +109,29 @@ class TreeTopology:
 
     def _validate(self) -> None:
         nodes = self.nodes
-        self._walk = _postorder(self._adjacency, self.leaves[0])  # shared; never mutated
-        if len(self.leaves) == 1:
-            if self.edges:
-                raise MalformedTree("one-leaf tree must have no edges")
-            return
+        order, parent = _postorder(self._adjacency, self.leaves[0])
+        if len(self.leaves) == 1 and self.edges:
+            raise MalformedTree("one-leaf tree must have no edges")
         if len(self.edges) != len(nodes) - 1:
             raise MalformedTree("edge count does not match a tree")
-        if len(self._walk[0]) != len(nodes):
+        if len(order) != len(nodes):
             raise MalformedTree("graph is disconnected")
         max_leaf = self.leaves[-1]
         for v in nodes:
             deg = len(self._adjacency[v])
             if v in self._leaf_set:
-                if deg != 1:
+                if deg != 1 and self.edges:  # a lone leaf has no neighbour
                     raise MalformedTree(f"leaf {v} has degree {deg}")
-            else:
-                if v <= max_leaf:
-                    raise MalformedTree(f"internal node {v} collides with leaf labels")
-                if deg < 2:
-                    raise MalformedTree(f"internal node {v} dangles with degree {deg}")
+            elif v <= max_leaf:
+                raise MalformedTree(f"internal node {v} collides with leaf labels")
+            elif deg < 2:
+                raise MalformedTree(f"internal node {v} dangles with degree {deg}")
+        row = {v: k for k, v in enumerate(order)}
+        up = [row[parent[v]] for v in order[:-1]]  # the root comes last
+        first = list(range(len(order)))
+        for k, p in enumerate(up):  # a node's subtree ends at it, after its children's
+            first[p] = min(first[p], first[k])
+        self._walk = (order, row, up, first, [row[leaf] for leaf in self.leaves])  # never mutated
 
     @property
     def nodes(self) -> frozenset:
@@ -330,23 +335,16 @@ def diameter(topology: TreeTopology) -> int:
 
 
 def _edge_splits(topology: TreeTopology) -> np.ndarray:
-    """(|E|, n) read-only boolean, one pass over the topology's walk: row k
-    marks the sorted leaves on v's side of ``topology.edges[k] = (u, v)``.
-    Built on first read and kept on the topology."""
+    """(|E|, n) read-only boolean: row k marks the sorted leaves on v's side of
+    ``topology.edges[k] = (u, v)``, read off the walk's subtree slices in one
+    broadcast.  Built on first read and kept on the topology."""
     if topology._splits is not None:
         return topology._splits
-    order, parent = topology._walk
-    row = {v: k for k, v in enumerate(order)}
-    n = topology.leaf_count
-    below = np.zeros((len(order), n), dtype=bool)  # row k: the leaves below order[k]
-    below[[row[leaf] for leaf in topology.leaves], np.arange(n)] = True
-    children = order[:-1]  # the root comes last
-    for k, v in enumerate(children):
-        below[row[parent[v]]] |= below[k]
-    edge_index = {e: k for k, e in enumerate(topology.edges)}
-    splits = np.empty((len(topology.edges), n), dtype=bool)
-    flip = np.array([v < parent[v] for v in children], dtype=bool)  # v is the edge's u
-    splits[[edge_index[edge_key(v, parent[v])] for v in children]] = below[:-1] ^ flip[:, None]
+    _, row, _, first, leaf_rows = topology._walk
+    ends = np.array([(row[u], row[v]) for u, v in topology.edges], dtype=np.intp).reshape(-1, 2)
+    child = ends.min(axis=1)[:, None]  # the end away from the root, which the walk puts first
+    below = (np.take(first, child) <= leaf_rows) & (leaf_rows <= child)
+    splits = below ^ (ends[:, :1] == child)  # u below v: v's side is the rest
     splits.flags.writeable = False
     topology._splits = splits
     return splits
@@ -487,30 +485,25 @@ def _path_products(tree: WeightedTree) -> Tuple[Dict[int, int], np.ndarray]:
     """The one path-product walk: ``(row, products)``, where ``row`` maps each
     node to its walk position and ``products[row[v], i]`` is the product of the
     weights from sorted leaf i to node v, multiplied from the leaf.  An upward
-    pass fills each row at the nodes below it, a slice of walk positions, and
-    a downward pass fills the rest."""
-    topology = tree.topology
-    order, parent = topology._walk
-    row = {v: k for k, v in enumerate(order)}
-    up = [row[parent[v]] for v in order[:-1]]  # the root comes last
-    weight = [tree.weight(v, parent[v]) for v in order[:-1]]
-    first = list(range(len(order)))  # the nodes below order[k] are order[first[k]:k + 1]
+    pass fills each row at the nodes below it, positions ``first[k] .. k`` of
+    the topology's walk, and a downward pass fills the rest."""
+    order, row, up, first, leaf_rows = tree.topology._walk
+    weight = [tree.weight(v, order[p]) for v, p in zip(order, up)]
     products = np.ones((len(order), len(order)))  # [r, c]: from order[c] to order[r]
     for k, u in enumerate(up):
-        first[u] = min(first[u], first[k])
         products[u, first[k] : k + 1] = products[k, first[k] : k + 1] * weight[k]
     for k in reversed(range(len(up))):
         products[k, : first[k]] = products[up[k], : first[k]] * weight[k]
         products[k, k + 1 :] = products[up[k], k + 1 :] * weight[k]
-    return row, products[:, [row[leaf] for leaf in topology.leaves]]
+    return row, products[:, leaf_rows]
 
 
 def correlations(tree: WeightedTree) -> CorrelationVector:
     """Pairwise leaf correlations: each path's weight product, from its smaller leaf."""
     labels = tree.topology.leaves
-    row, products = _path_products(tree)
+    products = _path_products(tree)[1][tree.topology._walk[4]]  # [j, i]: from leaf i to leaf j
     a, b = np.triu_indices(len(labels), 1)
-    return CorrelationVector(labels, products[[row[leaf] for leaf in labels]][b, a])
+    return CorrelationVector(labels, products[b, a])
 
 
 _SPLIT_ORDER = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
@@ -597,24 +590,23 @@ def _matching_pairs(
     """The edge-disjoint matching of every leaf subset, as pairs close.
 
     ``members[k]`` says if the ``k``-th smallest leaf is in the subset; the n
-    booleans broadcast together, one subset per entry.  The tree is walked
-    once from its smallest leaf for all subsets: each node carries at most
-    one unpaired leaf's position, folded into its parent's as the walk
-    finishes the node, and two meeting are matched.  At each fold where pairs
-    close, this yields the mask of the subsets that close one and the pair's
+    booleans broadcast together, one subset per entry.  The topology's walk
+    is read once by position for all subsets: each node carries at most one
+    unpaired leaf's position, folded into its parent's (at ``up[k]``) as the
+    walk finishes the node, and two meeting are matched.  Where pairs close,
+    this yields the mask of the subsets that close one and the pair's
     positions ``lo < hi``.  Only a node's last child, which the walk places
     directly before it, can close a pair there, so pairs come in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
-    order, parent = topology._walk
-    carried: Dict[int, np.ndarray] = dict.fromkeys(order, -1)
-    for k, leaf in enumerate(topology.leaves):
-        carried[leaf] = np.where(members[k], k, -1)
-    for v in order[:-1]:  # the root comes last
-        p = parent[v]
-        lo = np.minimum(carried[p], carried[v])
-        hi = np.maximum(carried[p], carried.pop(v))
+    order, _, up, _, leaf_rows = topology._walk
+    carried: List[Optional[np.ndarray]] = [-1] * len(order)  # by walk position
+    for k, r in enumerate(leaf_rows):
+        carried[r] = np.where(members[k], k, -1)
+    for k, p in enumerate(up):
+        child, carried[k] = carried[k], None  # folded into its parent's
+        lo, hi = np.minimum(carried[p], child), np.maximum(carried[p], child)
         pair = lo >= 0
         if pair.any():
             yield pair, lo, hi

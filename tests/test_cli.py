@@ -259,6 +259,46 @@ def test_bench_sweep_checks_every_draw_before_sampling(
         bench_sweep(tree, m_list, 3, delta, seed)
 
 
+#: sample counts whose (m, 6) matrix numpy refuses to shape, before allocating
+#: anything: m * 6 is 2**63 or more; 10**400 is beyond float range too
+HUGE_COUNTS = pytest.mark.parametrize(
+    "m", [2**63, 10**24, 10**300, 10**400], ids=["2**63", "10**24", "10**300", "10**400"]
+)
+
+
+@HUGE_COUNTS
+def test_sample_count_beyond_one_array_is_too_large(tmp_path, capsys, model_file, m):
+    samples = tmp_path / "draws.dat"
+    code, out, err = run_cli(
+        capsys, "sample", "--tree", str(model_file), "--m", str(m), "--out", str(samples),
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "TooLarge", "message": f"{m} samples of 6 leaves are more than one array can hold",
+    }
+    assert out == ""
+    assert not samples.exists()
+
+
+@HUGE_COUNTS
+def test_bench_count_beyond_one_array_fails_before_sampling(
+    tmp_path, capsys, monkeypatch, model_file, m
+):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking every draw's sample count")
+
+    monkeypatch.setattr("latent_ising.cli.sample", no_sampling)
+    out_file = tmp_path / "bench.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--tree", str(model_file), "--m-list", f"100,{m}",
+        "--trials", "1", "--out", str(out_file),
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "TooLarge"
+    assert out == ""
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

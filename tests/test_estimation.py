@@ -160,6 +160,26 @@ class TestSamplesForRadius:
         with pytest.raises(BadParameter):
             samples_for_radius(4, 0.1, eta)
 
+    @pytest.mark.parametrize("eta", [1e-300, 1e-160])
+    def test_count_beyond_float_range_rejected(self, eta):
+        with pytest.raises(BadParameter, match=r"^the sample count for radius .* is beyond float"):
+            samples_for_radius(4, 0.05, eta)
+
+    @pytest.mark.parametrize("eta", [1e-11, 1e-150])
+    def test_count_past_2_53_found_in_few_steps(self, monkeypatch, eta):
+        # above 2**53 a float skips integers, so stepping m by one need not end
+        radius, calls = confidence_radius, []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 1100, "stepped through the counts one by one"
+            return radius(*args)
+
+        monkeypatch.setattr("latent_ising.estimation.confidence_radius", counted)
+        m = samples_for_radius(4, 0.05, eta)
+        assert m > 2**53
+        assert radius(4, 0.05, m) <= eta < radius(4, 0.05, m - 1)
+
     def test_round_trip_with_radius(self):
         for n, delta, eta in ((4, 0.2, 0.05), (8, 0.01, 0.11), (12, 0.5, 0.008)):
             m = samples_for_radius(n, delta, eta)

@@ -33,6 +33,11 @@ class TestRequiredSamples:
     def test_small_instance(self):
         assert required_samples(2, 1, 1.0, 0.5) == math.ceil(2 ** 10 * math.log(4))
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_count_beyond_float_range_rejected(self, eps):
+        with pytest.raises(BadParameter, match=r"^the sample count at n=8, .* is beyond float"):
+            required_samples(8, 5, eps, 0.05)
+
     def test_guards(self):
         with pytest.raises(BadParameter):
             required_samples(10, 5, 0.0, 0.05)

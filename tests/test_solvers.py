@@ -221,6 +221,13 @@ class TestIntervalLp:
         with pytest.raises(BadParameter, match="upper bound of constraint 0 is too far"):
             interval_lp(2, constraints)
 
+    def test_first_overflowing_bound_in_row_order_named(self):
+        # rows: upper 0, lower 0, upper 1; the shift is -1e308, the smallest
+        # bound, and both lower 0 and upper 1 overflow when shifted
+        constraints = [((0,), -1.7e308, -1e308), ((1,), None, 1.7e308)]
+        with pytest.raises(BadParameter, match="^the lower bound of constraint 0 is too far"):
+            interval_lp(2, constraints)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(["planted", "grid", "uniform"]))
     def test_sparse_pivots_match_dense_reference(self, seed, shape):

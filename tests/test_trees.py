@@ -857,15 +857,35 @@ class TestTopologyCache:
         with pytest.raises(ValueError):
             _side(topo, *topo.edges[0])[0] = True
 
-    @pytest.mark.parametrize("how", ["constructor", "normalize", "cut_paste"])
-    def test_stored_walk_is_the_walk_from_the_smallest_leaf(self, how):
-        topo = self.built_three_ways()[how]
-        assert topo._walk == _postorder(topo._adjacency, topo.leaves[0])
-
-    def test_one_leaf_topology_keeps_its_walk(self):
-        topo = TreeTopology([3], [])
-        assert topo._walk == ([3], {3: None})
-        assert _edge_splits(topo).shape == (0, 1)
+    def test_kept_walk_is_the_walk_from_the_smallest_leaf_by_position(self):
+        rng = philox(28)
+        contracted = random_topology(9, rng)
+        for _ in range(2):  # each contraction of an internal edge leaves a degree-4 node or more
+            inner = [e for e in contracted.edges if not any(map(contracted.is_leaf, e))]
+            contracted = contract_edge(contracted, inner[int(rng.integers(len(inner)))])
+        topologies = [
+            TreeTopology([3], []),
+            TreeTopology([2, 5], [(2, 5)]),
+            TreeTopology([1, 2, 3], [(1, 4), (4, 5), (2, 5), (3, 5)]),  # 4 has degree 2
+            TreeTopology([1, 2, 3, 4], [(1, 7), (7, 5), (2, 5), (5, 6), (3, 6), (6, 8), (8, 4)]),
+            contracted,
+            *(random_topology(n, rng) for n in (3, 4, 11, 40)),
+            *self.built_three_ways().values(),
+        ]
+        assert max(contracted.degree(v) for v in contracted.nodes) >= 4
+        for topo in topologies:
+            order, row, up, first, leaf_rows = topo._walk
+            walked, parent = _postorder(topo._adjacency, topo.leaves[0])
+            assert order == walked
+            assert row == {v: k for k, v in enumerate(order)}
+            assert len(up) == len(order) - 1
+            assert [order[p] for p in up] == [parent[v] for v in order[:-1]]
+            for k, v in enumerate(order):
+                blocked = [(v, order[up[k]])] if k < len(up) else []
+                assert frozenset(order[first[k] : k + 1]) == component_nodes(topo, v, blocked)
+                assert len(order[first[k] : k + 1]) == len(component_nodes(topo, v, blocked))
+            assert [order[r] for r in leaf_rows] == list(topo.leaves)
+        assert _edge_splits(topologies[0]).shape == (0, 1)
 
 
 class TestQuartetProducts:
