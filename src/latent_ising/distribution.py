@@ -46,7 +46,6 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     _matching_pairs,
-    _pair_offset,
     _path_incidence,
     binary,
     correlations,
@@ -129,15 +128,22 @@ class LeafDistribution:
 
 
 def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -> np.ndarray:
-    """Full-length (2^n) coefficient vector: matching products on even subsets."""
+    """Full-length (2^n) coefficient vector: matching products on even subsets.
+
+    ``value[i, j]`` is the correlation of leaves ``i`` and ``j`` and 1.0 on row
+    and column ``n``, so each meeting the matching walk yields multiplies in
+    its closing pair's correlation, or 1.0 where none closes.
+    """
     if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
     n = topology.leaf_count
     spins = _leaf_axes(n)
-    values = np.append(alpha.values, 1.0)  # offset -1: a subset closing no pair here
+    value = np.ones((n + 1, n + 1))
+    a, b = np.triu_indices(n, 1)  # the vector's pair order
+    value[a, b] = value[b, a] = alpha.values
     coef = 1.0
-    for closing, lo, hi in _matching_pairs(topology, spins):
-        coef = coef * values[np.where(closing, _pair_offset(n, lo, hi), -1)]
+    for mine, child in _matching_pairs(topology, spins):
+        coef = coef * value[mine, child]
     return np.where(functools.reduce(np.logical_xor, spins), 0.0, coef).reshape(-1)
 
 
@@ -422,7 +428,8 @@ def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
         if tree.topology.leaf_count == 1:  # the only path: normalize rejects a lone leaf
             closed = np.array([0.5, 0.5])
         else:
-            norm = normalize(tree)
+            # normalize only renumbers a binary tree; skipping it: verify-n12 59.4 vs 56.2 trials/s
+            norm = tree if tree.topology.is_binary() else normalize(tree)
             closed = closed_form_distribution(norm.topology, correlations(norm))
         shape = np.ones(n, dtype=int)
         shape[n - 1 - np.searchsorted(labels, tree.leaves)] = 2

@@ -31,7 +31,11 @@ def confidence_radius(n: int, delta: float, m: int) -> float:
         raise EmptySample(f"need at least one sample, got {m}")
     if n < 2:
         raise BadParameter(f"need at least two leaves, got {n}")
-    return math.sqrt(2.0 * math.log(n * n / delta) / m)
+    square = 2.0 * math.log(n * n / delta)
+    try:
+        return math.sqrt(square / m)
+    except OverflowError:  # float(m) overflows; math.log takes any int
+        return math.exp(0.5 * (math.log(square) - math.log(m)))
 
 
 def require_sample_size(m: int, n: int) -> None:
@@ -119,7 +123,7 @@ def samples_for_radius(n: int, delta: float, eta: float) -> int:
         raise BadParameter(f"delta must be in (0, 1), got {delta}")
     if n < 2:
         raise BadParameter(f"need at least two leaves, got {n}")
-    try:  # eta * eta may be 0, or the count or twice it beyond float range
+    try:  # eta * eta may be 0, or the count beyond float range
         guess = max(1, math.ceil(2.0 * math.log(n * n / delta) / (eta * eta)))
         lo, hi = guess // 2, 2 * guess  # radius above eta at lo, within it at hi
         while hi - lo > 1:  # bisect, since past 2**53 floats skip integers

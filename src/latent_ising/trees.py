@@ -6,7 +6,8 @@ combinatorial operations: degree normalization, path queries, correlations as
 path products of edge weights, quartet classification, cut-and-paste surgery,
 induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
-of the ``(2,) * n`` table), yielding pairs as they close.  Every
+of the ``(2,) * n`` table), yielding at each node's last child the two leaf
+positions that meet there (``n`` for none), a pair where both are leaves.  Every
 parent-pointer traversal reads one walk over an adjacency mapping,
 ``_postorder``; a topology keeps its validation's from its smallest leaf by
 position, ``_walk = (order, row, up, first, leaf_rows)``: ``order[k]`` is node
@@ -579,38 +580,44 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
             raise UnknownLeaf(f"{v} is not a leaf of the tree")
     if len(members) % 2:
         raise OddSubset(f"subset of size {len(members)} cannot be paired")
-    leaves = topology.leaves
+    leaves, n = topology.leaves, topology.leaf_count
     walk = _matching_pairs(topology, np.isin(leaves, members))
-    return sorted((leaves[lo], leaves[hi]) for _, lo, hi in walk)
+    return sorted((leaves[min(a, b)], leaves[max(a, b)]) for a, b in walk if a < n and b < n)
 
 
 def _matching_pairs(
     topology: TreeTopology, members: Sequence[np.ndarray]
-) -> Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The edge-disjoint matching of every leaf subset, as pairs close.
+) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """The edge-disjoint matching of every leaf subset, as each node meets its
+    last child.
 
     ``members[k]`` says if the ``k``-th smallest leaf is in the subset; the n
     booleans broadcast together, one subset per entry.  The topology's walk
-    is read once by position for all subsets: each node carries at most one
-    unpaired leaf's position, folded into its parent's (at ``up[k]``) as the
-    walk finishes the node, and two meeting are matched.  Where pairs close,
-    this yields the mask of the subsets that close one and the pair's
-    positions ``lo < hi``.  Only a node's last child, which the walk places
-    directly before it, can close a pair there, so pairs come in closing order.
+    is read once by position for all subsets: each node carries the position
+    of at most one unpaired leaf, ``n`` for none, folded into its parent's (at
+    ``up[k]``) as the walk finishes the node.  A first child closes nothing
+    and is stored; at a node's last child, which the walk places directly
+    before it, this yields the two carried positions ``(mine, child)``, a
+    pair closing wherever both are below ``n``, and carries on what
+    ``meet[mine, child]`` says: ``n`` where a pair closes or neither carries
+    a leaf, else the one carried.  So pairs come in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
     order, _, up, _, leaf_rows = topology._walk
-    carried: List[Optional[np.ndarray]] = [-1] * len(order)  # by walk position
+    n = len(leaf_rows)
+    meet = np.full((n + 1, n + 1), n)
+    meet[n, :n] = meet[:n, n] = np.arange(n)
+    carried: List[Optional[np.ndarray]] = [n] * len(order)  # by walk position
     for k, r in enumerate(leaf_rows):
-        carried[r] = np.where(members[k], k, -1)
+        carried[r] = np.where(members[k], k, n)
     for k, p in enumerate(up):
         child, carried[k] = carried[k], None  # folded into its parent's
-        lo, hi = np.minimum(carried[p], child), np.maximum(carried[p], child)
-        pair = lo >= 0
-        if pair.any():
-            yield pair, lo, hi
-        carried[p] = np.where(pair, -1, hi)
+        if k + 1 < p:  # a first child: its parent carries nothing yet
+            carried[p] = child
+        else:
+            yield carried[p], child
+            carried[p] = meet[carried[p], child]
 
 
 def _postorder(

@@ -31,6 +31,7 @@ from latent_ising import (
     closed_form_distribution,
     closed_form_prob,
     closest_relative_matching,
+    contract_edge,
     correlations,
     exact_tv,
     marginal_distribution,
@@ -751,6 +752,85 @@ class TestExactTv:
         # P(x1=x3=+1) * P(x2=x4=+1) with interleaved labels
         x = (1, 1, 1, 1)
         assert dist.prob(x) == pytest.approx(0.375 * (1 - 0.25) / 4)
+
+
+def _renamed(tree: WeightedTree, leaves, internal) -> WeightedTree:
+    """``tree`` with its sorted leaves named ``leaves`` and its internal nodes,
+    in id order, named by the first ids of ``internal``."""
+    topo = tree.topology
+    name = dict(zip(topo.leaves, leaves))
+    name.update(zip(sorted(topo.nodes - set(topo.leaves)), internal))
+    return WeightedTree(
+        TreeTopology(leaves, [(name[u], name[v]) for u, v in topo.edges]),
+        {(name[u], name[v]): w for (u, v), w in tree.theta.items()},
+    )
+
+
+def _chained(tree: WeightedTree, rng) -> WeightedTree:
+    """``tree`` with one to three edges subdivided by a degree-2 node each."""
+    edges, theta = list(tree.topology.edges), dict(tree.theta)
+    for node in range(max(tree.topology.nodes) + 1, max(tree.topology.nodes) + 4):
+        u, v = edges.pop(int(rng.integers(len(edges))))
+        edges += [(u, node), (v, node)]
+        theta[(u, node)], theta[(v, node)] = theta.pop((u, v)), float(rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.5:
+            break
+    return WeightedTree(TreeTopology(tree.leaves, edges), theta)
+
+
+def _contracted(tree: WeightedTree, rng) -> WeightedTree:
+    """``tree`` with one internal edge contracted, leaving a degree-4 node;
+    ``tree`` itself when it has no internal edge."""
+    topo = tree.topology
+    inner = [e for e in topo.edges if not (topo.is_leaf(e[0]) or topo.is_leaf(e[1]))]
+    return contract_edge(tree, inner[int(rng.integers(len(inner)))]) if inner else tree
+
+
+class TestOracleBitsThroughNormalize:
+    """Binary trees reach the closed form without ``normalize``; every other
+    tree goes through it.  These hashes, taken when every tree went through
+    ``normalize``, pin the bits of both paths."""
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2, "67786f0e190c474a792775bae7cb9bc51b888a15fce1d9e431e1a100f054bc55"),
+            (3, "b4412a5331076e5c3b0a0afad179490c73417ec288636f2456686ff94757505d"),
+            (4, "8812373e21f1403c4979fbfc68d3e13d1009bb83504b781a730819926bb6f596"),
+            (5, "0a778b63405c47efce56cff9a813149ca15cf7bcf5b6291fca804738d0fbea2b"),
+            (6, "de9a2902923ca6a36ca1d95f29ac2418524937855a03164050a1eda7df30cd72"),
+            (7, "3d9239cca0d52859da6e5bae3bb7e67ca6ad640b046c17f546ad8b9b44d9db91"),
+            (8, "29a56eb934b35043ca7c0f83c1be704257978c3c22c82883211b30ab9e2f35bd"),
+            (9, "b70a0ace80064a26826ee24691fadc27ce2badff25b45811ad861dcbaede7dcf"),
+            (10, "be490d5920868f02ecd44a50779f358897b5373b1917ae4f9d162dcb87019b32"),
+            (11, "d4531d0985fd963e79baa6ee5af0f151bb9bd111268b9d525e536a4a050c7f88"),
+            (12, "409b737b59b62362bc60fec02cae44b7d6a22dac1ae3e44e72285a4027acafc9"),
+            (13, "04be80bb45743915e6e63fd843e3f8fd4aa0350454aa93f56fd83dbe31949d23"),
+            (14, "4daf7e867dd9cac4ae774191fbb1c1d9d3aee93d712a687078cbd15bcf997588"),
+        ],
+    )
+    def test_exact_tv_and_tables_are_pinned(self, n, digest):
+        rng = philox(1000 + n)
+        hashed = hashlib.sha256()
+        for _ in range(3):
+            a, b = random_weighted_tree(n, rng), random_weighted_tree(n, rng)
+            spare = lambda: (n + 1 + rng.permutation(2 * n)).tolist()  # noqa: E731
+            ra, rb = _renamed(a, a.leaves, spare()), _renamed(b, b.leaves, spare())
+            ca, kb = _chained(a, rng), _contracted(b, rng)
+            labels = (1 + rng.permutation(n)).tolist()
+            cut = int(rng.integers(1, n))
+            left = _renamed(random_weighted_tree(cut, rng), sorted(labels[:cut]), spare())
+            right = _renamed(random_weighted_tree(n - cut, rng), sorted(labels[cut:]),
+                             [v + 2 * n for v in spare()])
+            binary_forest = WeightedForest([left, right])
+            mixed_forest = WeightedForest([_chained(left, rng) if cut > 1 else left,
+                                           _contracted(right, rng)])
+            for model in (a, ra, ca, kb, binary_forest, mixed_forest):
+                hashed.update(LeafDistribution.from_model(model).probabilities.tobytes())
+            for x, y in ((a, b), (ra, rb), (ca, kb), (ra, ca), (binary_forest, mixed_forest),
+                         (binary_forest, a)):
+                hashed.update(exact_tv(x, y).hex().encode())
+        assert hashed.hexdigest() == digest
 
 
 class TestPathRemoved:

@@ -165,6 +165,20 @@ class TestSamplesForRadius:
         with pytest.raises(BadParameter, match=r"^the sample count for radius .* is beyond float"):
             samples_for_radius(4, 0.05, eta)
 
+    @pytest.mark.parametrize("m, scale", [(10**400, 1e-200), (2**1024, 2.0**-512)],
+                             ids=["10**400", "2**1024"])
+    def test_radius_of_counts_beyond_float_range(self, m, scale):
+        # float(m) overflows; the radius itself is a normal float
+        expected = math.sqrt(2.0 * math.log(16 / 0.05)) * scale
+        assert confidence_radius(4, 0.05, m) == pytest.approx(expected, rel=1e-14)
+        assert confidence_radius(4, 0.05, m) <= confidence_radius(4, 0.05, 2**1024 - 2**970 - 1)
+
+    def test_count_whose_bisection_passes_float_range(self):
+        # the count fits a float, but the bisection's upper end, twice it, does not
+        m = samples_for_radius(4, 0.05, 2.6e-154)
+        assert 2 * m > 2**1024
+        assert confidence_radius(4, 0.05, m) <= 2.6e-154 < confidence_radius(4, 0.05, m - 1)
+
     @pytest.mark.parametrize("eta", [1e-11, 1e-150])
     def test_count_past_2_53_found_in_few_steps(self, monkeypatch, eta):
         # above 2**53 a float skips integers, so stepping m by one need not end

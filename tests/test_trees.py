@@ -748,22 +748,21 @@ class TestClosestRelativeMatching:
 
 def _pull_matching_pairs(topology, members):
     """Reference matching: each node pulls its children's carried leaf
-    positions through its neighbours but its parent, in ascending order, and
-    yields at each meeting where pairs close."""
+    positions (``n`` for none) through its neighbours but its parent, in
+    ascending order, and yields its own and its last child's."""
+    n = topology.leaf_count
     leaf_pos = {leaf: k for k, leaf in enumerate(topology.leaves)}
     order, parent = _postorder(topology._adjacency, topology.leaves[0])
     pending = {}
     for v in order:
-        carried = np.where(members[leaf_pos[v]], leaf_pos[v], -1) if v in leaf_pos else -1
-        for w in topology.neighbors(v):
-            if w == parent[v]:
-                continue
-            lo = np.minimum(carried, pending[w])
-            hi = np.maximum(carried, pending.pop(w))
-            pair = lo >= 0
-            if pair.any():
-                yield pair, lo, hi
-            carried = np.where(pair, -1, hi)
+        carried = np.where(members[leaf_pos[v]], leaf_pos[v], n) if v in leaf_pos else n
+        children = [w for w in topology.neighbors(v) if w != parent[v]]
+        for w in children:
+            child = pending.pop(w)
+            if w == children[-1]:
+                yield carried, child
+            closes = (carried < n) & (child < n)
+            carried = np.where(closes, n, np.minimum(carried, child))
         pending[v] = carried
 
 
