@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 import re
+import stat
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -148,13 +150,25 @@ def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    """In-place-free fast Walsh-Hadamard transform (even-subset character sums)."""
+    """In-place-free fast Walsh-Hadamard transform (even-subset character sums).
+
+    Each step runs the radix-2 passes of spans ``h`` and ``2h`` together on
+    the quads ``a0, a1, b0, b1`` at offsets 0, h, 2h, 3h; a last radix-2 pass
+    ends an odd number of them.  The sums and their order are the radix-2 ones.
+    """
     a = vec.copy()
     h = 1
-    while h < a.size:
-        x, y = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
+    while 4 * h <= a.size:
+        (a0, a1), (b0, b1) = a.reshape(-1, 2, 2, h).transpose(1, 2, 0, 3)  # views into a
+        s0, d0, s1, d1 = a0 + a1, a0 - a1, b0 + b1, b0 - b1
+        np.add(s0, s1, out=a0)
+        np.subtract(s0, s1, out=b0)
+        np.add(d0, d1, out=a1)
+        np.subtract(d0, d1, out=b1)
+        h *= 4
+    if h < a.size:
+        x, y = a.reshape(-1, 2, h).transpose(1, 0, 2)
         x[...], y[...] = x + y, x - y
-        h *= 2
     return a
 
 
@@ -291,8 +305,11 @@ def sample(model: Union[WeightedTree, WeightedForest], m: int, seed: int) -> np.
 
 _HEADER = re.compile(r"#\s*n=(?P<n>\d+)\s+m=(?P<m>\d+)")
 
-#: the header ``write_samples`` emits, the only one the byte-grid decoder takes
+#: the header ``write_samples`` emits, the only one the block decoder takes
 _GRID_HEADER = re.compile(rb"# n=(\d+) m=(\d+)\n")
+
+#: the longest first line read as a candidate header: two 20-digit counts fit
+_GRID_HEADER_BYTES = 64
 
 
 def write_samples(path, samples: np.ndarray) -> None:
@@ -300,8 +317,8 @@ def write_samples(path, samples: np.ndarray) -> None:
 
     The layout is the header ``# n=<n> m=<m>`` and then ``m`` rows of ``n``
     three-byte cells, ``+1 `` or ``-1 ``, where the last space of each row is
-    the newline.  ``read_samples`` decodes exactly this layout as one byte
-    grid.  Raises ``EmptySample`` unless ``samples`` is 2-D with ``m, n >= 1``
+    the newline.  ``read_samples`` decodes exactly this layout block by
+    block.  Raises ``EmptySample`` unless ``samples`` is 2-D with ``m, n >= 1``
     and ``BadSpinValue`` unless every entry is -1 or +1.
     """
     samples = np.asarray(samples)
@@ -317,9 +334,10 @@ def write_samples(path, samples: np.ndarray) -> None:
         fh.write(f"# n={n} m={m}\n".encode())
         for start in range(0, m, _BLOCK_ROWS):
             block = samples[start:start + _BLOCK_ROWS]
+            if block.dtype.kind not in "biuf":  # complex, object: signed as block > 0 says
+                block = np.where(block > 0, 1, -1)
             rows = buffer[:len(block)]
-            rows[:, 0::3] = ord("-")
-            np.copyto(rows[:, 0::3], ord("+"), where=block > 0)
+            np.subtract(44, block, out=rows[:, 0::3], casting="unsafe")  # '+' 43, '-' 45
             fh.write(rows)
 
 
@@ -332,41 +350,56 @@ def read_samples(path) -> np.ndarray:
     unequal length, a header that disagrees with the rows and entries other
     than -1 and +1 are rejected.
 
-    The file is read from disk once.  The exact layout ``write_samples``
-    emits is decoded as one byte grid.  Every other layout (other spacing,
-    CRLF, comments, ``+01``, no header, and every malformed file) goes
-    through the token reader.  The grid decoder takes only files on which
-    the token reader returns the same array, so results and errors do not
-    depend on which reader ran.
+    A regular file in the exact layout ``write_samples`` emits is read once,
+    block by block, into the output.  Any other file is read whole and goes
+    through the token reader: other spacing, CRLF, comments, ``+01``, no
+    header, every malformed file, and any file from a pipe.  A written-layout
+    file with a bad cell is read twice, the second time by the token reader.
+    The block decoder takes only files on which the token reader returns the
+    same array, so results and errors do not depend on which reader ran.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    samples = _decode_grid(raw)
-    return _read_tokens(path, raw) if samples is None else samples
+        head = fh.readline(_GRID_HEADER_BYTES)
+        samples = _decode_grid(fh, head)
+        if samples is not None:
+            return samples
+        if fh.seekable():
+            fh.seek(0)
+            raw = fh.read()
+        else:  # a pipe: the head is already read
+            raw = head + fh.read()
+    return _read_tokens(path, raw)
 
 
-def _decode_grid(raw: bytes) -> Optional[np.ndarray]:
-    """The matrix of a file in ``write_samples``' exact layout; None otherwise."""
-    header = _GRID_HEADER.match(raw)
+def _decode_grid(fh, head: bytes) -> Optional[np.ndarray]:
+    """The matrix of a file in ``write_samples``' exact layout; None otherwise.
+
+    ``head`` is the first line of ``fh``, which is read just past it.  Only a
+    regular file qualifies: a pipe's size is not its length, and a pipe could
+    not be read again after a bad block.  Each block of rows is read into one
+    buffer, its signs are decoded, and then with every sign byte set to ``+``
+    the block must equal the all ``+1`` rows.
+    """
+    header = _GRID_HEADER.fullmatch(head)
     if header is None:
         return None
     n, m = int(header[1]), int(header[2])
-    if n < 1 or m < 1 or len(raw) - header.end() != 3 * n * m:
+    status, size = os.fstat(fh.fileno()), len(head) + 3 * n * m
+    if min(n, m) < 1 or not stat.S_ISREG(status.st_mode) or status.st_size != size:
         return None
-    cells = np.frombuffer(raw, np.uint8, offset=header.end()).reshape(m, n, 3)
+    row = np.frombuffer(b"+1 " * (n - 1) + b"+1\n", dtype=np.uint8)
+    template = np.tile(row, (min(m, _BLOCK_ROWS), 1))
+    buffer = np.empty_like(template)
     out = np.empty((m, n), dtype=np.int8)
     for start in range(0, m, _BLOCK_ROWS):
-        block = cells[start:start + _BLOCK_ROWS]
-        sign = block[:, :, 0]
-        minus = sign == ord("-")
-        if not (
-            np.all(minus | (sign == ord("+")))
-            and np.all(block[:, :, 1] == ord("1"))
-            and np.all(block[:, :-1, 2] == ord(" "))
-            and np.all(block[:, -1, 2] == ord("\n"))
-        ):
+        rows = buffer[:min(_BLOCK_ROWS, m - start)]
+        if fh.readinto(rows) != rows.nbytes:
             return None
-        out[start:start + len(block)] = 1 - 2 * minus.view(np.int8)
+        block = out[start:start + len(rows)]
+        np.subtract(44, rows[:, 0::3], out=block, casting="unsafe")  # '+' 1, '-' -1
+        rows[:, 0::3] = ord("+")
+        if not (np.array_equal(rows, template[:len(rows)]) and np.all(np.abs(block) == 1)):
+            return None
     return out
 
 

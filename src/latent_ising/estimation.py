@@ -44,7 +44,7 @@ def require_sample_size(m: int, n: int) -> None:
         raise TooLarge(f"{m} samples of {n} leaves are more than one array can hold")
 
 
-#: rows per block for every pass over a sample matrix; read_samples still holds the whole file
+#: rows per block for every pass over a sample matrix, the sample-file writer and reader's too
 _BLOCK_ROWS = 4096
 
 

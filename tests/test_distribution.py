@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -615,6 +617,34 @@ class TestSampling:
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, draws)
 
+    _SIGNS = np.where(philox(9).random((_BLOCK_ROWS + 5, 6)) < 0.5, -1, 1).astype(np.int8)
+    _SIGNS_SHA = "a54e416722d23ab8291bc67e60565ec3957c861e2919f0a39c91ad38196d0b8f"
+    _ONES_SHA = "a328fbf77fc713e7e5cc84ce8aacdee24cd90f4b8c2b3120288a728d9196a7a1"
+
+    @pytest.mark.parametrize(
+        "samples, digest",
+        [
+            (_SIGNS, _SIGNS_SHA),
+            (_SIGNS.astype(np.int64), _SIGNS_SHA),
+            (_SIGNS.astype(np.float16), _SIGNS_SHA),
+            (_SIGNS.astype(np.float64), _SIGNS_SHA),
+            (_SIGNS.astype(complex), _SIGNS_SHA),
+            (_SIGNS.astype(object), _SIGNS_SHA),
+            (np.asfortranarray(_SIGNS), _SIGNS_SHA),
+            (np.repeat(_SIGNS, 3, axis=1)[:, ::3], _SIGNS_SHA),  # a strided view
+            (np.ones(_SIGNS.shape, dtype=bool), _ONES_SHA),
+            (np.ones(_SIGNS.shape, dtype=np.uint8), _ONES_SHA),
+        ],
+        ids=["int8", "int64", "float16", "float64", "complex", "object", "fortran",
+             "strided", "bool", "uint8"],
+    )
+    def test_written_bytes_pinned(self, tmp_path, samples, digest):
+        path = tmp_path / "draws.dat"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_samples(path, samples)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "samples, error",
         [
@@ -634,31 +664,58 @@ class TestSampling:
         assert not path.exists()
 
     @staticmethod
-    def _with_last_sign(path, draws, byte: bytes) -> None:
-        """Write ``draws``, then replace the sign byte of the last row's first cell."""
+    def _with_sign(path, draws, row: int, byte: bytes) -> None:
+        """Write ``draws``, then replace the sign byte of ``row``'s first cell."""
         write_samples(path, draws)
         raw = path.read_bytes()
-        at = len(raw) - 3 * draws.shape[1]
+        m, n = draws.shape
+        at = len(raw) - 3 * n * (m - row % m)
         path.write_bytes(raw[:at] + byte + raw[at + 1:])
 
-    def test_bad_cell_in_last_grid_block_reaches_token_parser(self, tmp_path):
-        draws = sample(random_model(5, philox(6)), _BLOCK_ROWS + 1, 2)
+    @pytest.mark.parametrize(
+        "row", [0, _BLOCK_ROWS + 7, -1], ids=["first-block", "middle-block", "last-block"]
+    )
+    def test_bad_cell_in_grid_block_reaches_token_parser(self, tmp_path, row):
+        draws = sample(random_model(5, philox(6)), 2 * _BLOCK_ROWS + 1, 2)
         path = tmp_path / "draws.dat"
-        self._with_last_sign(path, draws, b"x")
-        message = f"sample file {re.escape(str(path))} has a non-integer entry"
+        self._with_sign(path, draws, row, b"x")
+        message = f"^sample file {re.escape(str(path))} has a non-integer entry$"
         with pytest.raises(BadSpinValue, match=message):
             read_samples(path)
 
     def test_loose_cell_in_last_grid_block_reaches_token_parser(self, tmp_path, monkeypatch):
         draws = sample(random_model(5, philox(6)), _BLOCK_ROWS + 1, 2)
         path = tmp_path / "draws.dat"
-        self._with_last_sign(path, draws, b" ")  # " 1" is a valid token for +1
+        self._with_sign(path, draws, -1, b" ")  # " 1" is a valid token for +1
         loadtxt, calls = np.loadtxt, []
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
         expected = draws.copy()
         expected[-1, 0] = 1
         assert np.array_equal(read_samples(path), expected)
         assert calls
+
+    @pytest.mark.parametrize("layout", ["written", "loose"])
+    def test_read_from_pipe(self, tmp_path, layout):
+        draws = sample(random_model(6, philox(5)), 2 * _BLOCK_ROWS + 3, 4)  # > a pipe's buffer
+        path = tmp_path / "draws.dat"
+        write_samples(path, draws)
+        raw = path.read_bytes()
+        if layout == "loose":  # no header, so the first line read is a row
+            raw = raw.split(b"\n", 1)[1].replace(b" ", b"\t").replace(b"\n", b"\r\n")
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = read_samples(f"/dev/fd/{read_end}")
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert got.dtype == np.int8 and np.array_equal(got, draws)
 
     def test_write_memory_stays_bounded(self, tmp_path):
         draws = sample(random_model(16, philox(8)), 200_000, 3)
@@ -668,7 +725,7 @@ class TestSampling:
         draws = sample(random_model(16, philox(8)), 200_000, 3)
         path = tmp_path / "draws.dat"
         write_samples(path, draws)
-        budget = path.stat().st_size + draws.nbytes + 2_000_000  # the raw bytes and the output
+        budget = draws.nbytes + 2_000_000  # the output and a few blocks, not the file
         assert peak_bytes(lambda: read_samples(path)) < budget
 
     def test_sample_memory_stays_bounded(self):
