@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import BadParameter
 from .trees import (
-    TIE_TOLERANCE,
     CorrelationVector,
     TreeTopology,
+    _pairing,
     _postorder,
     _rebuild,
     _side,
@@ -114,8 +114,8 @@ def _build_component(strength: CorrelationVector, members: Sequence[int]) -> Tre
 def _attachment_edge(
     adj: Dict[int, List[int]], strength: CorrelationVector, x: int
 ) -> Tuple[int, int]:
-    """Walk the partial tree from its smallest leaf, steering by quartet tests
-    toward x's side.
+    """Walk the partial tree from its smallest leaf, steering by the quartet
+    rule of :func:`trees._pairing` toward x's side.
 
     Each direction from the current node is represented by its leaf most
     strongly correlated with x.  One postorder pass gives every node that
@@ -133,13 +133,7 @@ def _attachment_edge(
     while True:
         directions = sorted(adj[cur])
         reps = [back if d == prev else top[d] for d in directions]
-        products = []
-        for k in range(3):
-            other = [reps[i] for i in range(3) if i != k]
-            products.append(strength.get(x, reps[k]) * strength.get(other[0], other[1]))
-        best = max(products)
-        k = next(i for i, p in enumerate(products) if p >= best - TIE_TOLERANCE)
-        nxt = directions[k]
+        nxt = directions[_pairing(strength, (x, *reps))[1]]  # pairing k puts x with reps[k]
         if nxt == prev or len(adj[nxt]) == 1:
             return (cur, nxt)
         back = max((r for d, r in zip(directions, reps) if d != nxt), key=rank.__getitem__)

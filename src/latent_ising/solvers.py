@@ -6,14 +6,17 @@ variable; for the known-topology fit that is the leaf-pair x edge path
 incidence.  The interval LP has one variable per tree edge and up to two
 rows per leaf pair, and a one-phase simplex with Bland's rule solves it:
 shifting the maximized slack by a constant makes the origin a feasible
-start, so no artificial columns are needed.  A path row touches few edges,
-so a pivot row is mostly zero (about 4% non-zero at 16 leaves); each pivot
-updates only the columns where its row is non-zero, in a column-major
-tableau, and reads the reduced costs from the maximized variable's row
-instead of multiplying out a cost vector.  Both shortcuts skip only
+start, so no artificial columns are needed.  The tableau is condensed: a
+basic variable's column is a unit vector, so only the non-basic variables'
+columns and the right-hand side are stored, one column-major
+m x (n_vars + 2) array for m rows, instead of one more column per slack.  A
+path row touches few edges, so a pivot row is mostly zero (about 4%
+non-zero at 16 leaves); each pivot updates only the columns where its row is
+non-zero, and reads the reduced costs from the maximized variable's row
+instead of multiplying out a cost vector.  These shortcuts skip only
 arithmetic that leaves a finite entry unchanged, so the pivots and the
-result equal the dense update's bit for bit.  Determinism matters more than
-speed.
+result equal the full tableau's dense update bit for bit.  Determinism
+matters more than speed.
 """
 
 from __future__ import annotations
@@ -105,26 +108,29 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     one row layout, :func:`_row_layout`.
     """
     nv = lp.constraints.shape[1]
-    # rows: the bounds in _row_layout's order, then the cap on tau; columns:
-    # x, tau, one slack per row, right-hand side
+    # rows: the bounds in _row_layout's order, then the cap on tau; column
+    # slots: one per non-basic variable (x and tau at the start), then the
+    # right-hand side.  Variables are x, tau, then one slack per row.
     owner, lower_row, rhs = _row_layout(lp)
     m = owner.size + 1
     rhs = np.append(rhs, _SLACK_CAP)
     t0 = min(0.0, rhs.min())
 
-    T = np.zeros((m, nv + m + 2), order="F")
+    T = np.zeros((m, nv + 2), order="F")
     # -sum(x) + tau <= upper - t0 and sum(x) + tau <= -lower - t0
     T[:-1, :nv] = np.where(lp.constraints[owner], np.where(lower_row, 1.0, -1.0)[:, None], 0.0)
     T[:, nv] = 1.0
-    T[np.arange(m), np.arange(nv + 1, nv + m + 1)] = 1.0
     T[:, -1] = rhs - t0
+    nonbasic = np.arange(nv + 1)
     basis = np.arange(nv + 1, nv + 1 + m)
-    tau_row = _simplex_iterate(T, basis, nv)
+    tau_row = _simplex_iterate(T, basis, nonbasic, nv)
 
     x = np.zeros(nv + 1 + m)
     x[basis] = T[:, -1]
     if t0 + x[nv] < -_TOL:
-        bound = int(np.argmax(T[tau_row, nv + 1 : nv + m]))  # dual weights
+        duals = np.zeros(nv + 1 + m)
+        duals[nonbasic] = T[tau_row, :-1]
+        bound = int(np.argmax(duals[nv + 1 : nv + m]))
         k = int(owner[bound])
         side = "lower" if lower_row[bound] else "upper"
         lower = float(lp.lower[k]) if np.isfinite(lp.lower[k]) else None
@@ -137,31 +143,39 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     return -x[:nv]
 
 
-def _simplex_iterate(T: np.ndarray, basis: np.ndarray, objective: int) -> int:
-    """Maximize the variable ``objective`` over the tableau T = [A | b] from a
-    feasible basis that leaves it non-basic, in place, and return the row
-    where it is basic at the optimum; T is column-major so a pivot's columns
+def _simplex_iterate(
+    T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, objective: int
+) -> int:
+    """Maximize the variable ``objective`` over the condensed tableau T, in
+    place, from a feasible basis that leaves it non-basic, and return the row
+    where it is basic at the optimum.
+
+    T holds the column of each non-basic variable, ``nonbasic[j]`` in slot j,
+    then the right-hand side; ``basis[i]`` is the variable basic in row i,
+    whose unit column is not stored.  T is column-major so a pivot's columns
     are contiguous.
 
-    Bland's rule: the first improving column enters; among rows whose ratio
-    is within _TOL of the smallest, the one with the smallest basic column
-    leaves.  With a single unit cost the reduced costs are e_objective minus
-    the objective's row when it is basic, and e_objective otherwise, so the
-    objective enters first and is basic whenever the loop stops.  A pivot
-    updates only the columns where its row is non-zero: on every other column
-    the dense rank-1 update subtracts col * 0 from finite entries, which
-    changes none of them.
+    Bland's rule: the improving variable with the smallest id enters; among
+    rows whose ratio is within _TOL of the smallest, the one with the
+    smallest basic variable leaves.  With a single unit cost the reduced
+    costs are minus the objective's row when it is basic, so the objective
+    enters first and is basic whenever the loop stops.  A pivot swaps the
+    entering and leaving variables' slots: the slot takes the leaving unit
+    column, which the update turns into its new column.  It updates only the
+    columns where the pivot row is non-zero: on every other column the dense
+    rank-1 update subtracts col * 0 from finite entries, which changes none
+    of them.
     """
     objective_row = -1
     for _ in range(_MAX_PIVOTS):
-        entering = objective
-        if objective_row >= 0:
-            reduced = -T[objective_row, :-1]
-            reduced[objective] += 1.0
-            entering = int((reduced > _TOL).argmax())
-            if not reduced[entering] > _TOL:
+        if objective_row < 0:
+            slot = int((nonbasic == objective).argmax())
+        else:
+            improving = (T[objective_row, :-1] < -_TOL).nonzero()[0]
+            if improving.size == 0:
                 return objective_row
-        col = T[:, entering].copy()  # the pivot below overwrites this column
+            slot = int(improving[nonbasic[improving].argmin()])
+        col = T[:, slot].copy()  # the pivot below overwrites this column
         candidates = (col > _TOL).nonzero()[0]
         if candidates.size == 0:  # pragma: no cover - the slack cap bounds t
             raise NoConsistentModel("simplex found an unbounded ray")
@@ -169,6 +183,8 @@ def _simplex_iterate(T: np.ndarray, basis: np.ndarray, objective: int) -> int:
         ties = candidates[ratios <= ratios.min() + _TOL]
         row = int(ties[basis[ties].argmin()])
         pivot_row = T[row] / col[row]
+        pivot_row[slot] = 1.0 / col[row]  # the leaving variable's unit column
+        T[:, slot] = 0.0
         nz = pivot_row.nonzero()[0]
         # column by column: a fancy-indexed T[:, nz] update copies the columns
         # out and scatters them back, several times slower on large tableaux
@@ -176,11 +192,11 @@ def _simplex_iterate(T: np.ndarray, basis: np.ndarray, objective: int) -> int:
             column = T[:, j]
             column -= col * factor
         T[row] = pivot_row
-        basis[row] = entering
-        if entering == objective:
-            objective_row = row
-        elif row == objective_row:
+        basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
+        if nonbasic[slot] == objective:
             objective_row = -1
+        elif basis[row] == objective:
+            objective_row = row
     raise NoConsistentModel(f"simplex did not finish within {_MAX_PIVOTS} pivots")
 
 

@@ -59,7 +59,7 @@ from .errors import (
 
 Edge = Tuple[int, int]
 
-#: absolute tolerance used when deciding that two cross-products tie
+#: relative tolerance under which a cross-product ties with the largest one
 TIE_TOLERANCE = 1e-12
 
 
@@ -510,24 +510,31 @@ def correlations(tree: WeightedTree) -> CorrelationVector:
 _SPLIT_ORDER = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
+def _pairing(alpha: CorrelationVector, q: Sequence[int]) -> Tuple[List[float], int]:
+    """The three |correlation| cross-products of ``q`` in ``_SPLIT_ORDER``, and
+    the winning pairing: the first whose product is within the relative
+    ``TIE_TOLERANCE`` of the largest (the first when all are 0)."""
+    products = [
+        abs(alpha.get(q[a], q[b])) * abs(alpha.get(q[c], q[d])) for a, b, c, d in _SPLIT_ORDER
+    ]
+    best = max(products)
+    return products, next(k for k, p in enumerate(products) if p >= best * (1.0 - TIE_TOLERANCE))
+
+
 def quartet_split(alpha: CorrelationVector, quartet: Sequence[int]) -> QuartetSplit:
     """Classify four leaves by the largest cross-product of |correlations|.
 
-    Exact ties (within ``TIE_TOLERANCE``) resolve to the lexicographically
-    smallest split so the outcome is deterministic.
+    Products within the relative ``TIE_TOLERANCE`` of the largest tie, and
+    ties resolve to the lexicographically smallest split, so the outcome is
+    deterministic and does not change when every correlation is scaled.
     """
     if len(set(quartet)) != 4:
         raise UnknownPair(f"quartet needs four distinct leaves, got {tuple(quartet)}")
     q = tuple(sorted(quartet))
-    products = [
-        abs(alpha.get(q[ia], q[ib])) * abs(alpha.get(q[ic], q[id_]))
-        for ia, ib, ic, id_ in _SPLIT_ORDER
-    ]
-    best = max(products)
-    chosen = next(k for k, p in enumerate(products) if p >= best - TIE_TOLERANCE)
+    products, chosen = _pairing(alpha, q)
     ia, ib, ic, id_ = _SPLIT_ORDER[chosen]
     split = ((q[ia], q[ib]), (q[ic], q[id_]))
-    return QuartetSplit(q, split, best - min(products))
+    return QuartetSplit(q, split, max(products) - min(products))
 
 
 def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:

@@ -173,7 +173,7 @@ def test_bench_csv_format(tmp_path, capsys, model_file):
 
 def test_domain_error_exit_code(tmp_path, capsys):
     big = tmp_path / "big.nwk"
-    run_cli(capsys, "gen", "--n", "20", "--low", "0.2", "--high", "0.8",
+    run_cli(capsys, "gen", "--n", "21", "--low", "0.2", "--high", "0.8",
             "--seed", "1", "--out", str(big))
     code, out, err = run_cli(capsys, "eval-tv", str(big), str(big))
     assert code == 1
@@ -413,7 +413,7 @@ def test_bench_without_a_slope_is_a_domain_error(
 
 def test_repeated_main_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     steps = [
-        ["gen", "--n", "15", "--seed", "1", "--out", "big.nwk"],
+        ["gen", "--n", "21", "--seed", "1", "--out", "big.nwk"],
         ["eval-tv", "big.nwk", "big.nwk"],  # TooLarge: exit 1
         ["learn-known"],  # missing required flags: exit 2
         ["gen", "--n", "5", "--seed", "2", "--out", "a.nwk"],

@@ -766,7 +766,7 @@ class TestExactTv:
         ids=["exact_tv", "closed_form_distribution", "marginal_distribution"],
     )
     def test_too_large_guard(self, evaluate):
-        topo = TreeTopology(range(1, 16), [(k, 16) for k in range(1, 16)])
+        topo = TreeTopology(range(1, 22), [(k, 22) for k in range(1, 22)])
         wt = WeightedTree(topo, {e: 0.0 for e in topo.edges})
         with pytest.raises(TooLarge):
             evaluate(wt)
@@ -776,9 +776,9 @@ class TestExactTv:
             edges = [(k, 100) for k in leaves]
             return WeightedTree(TreeTopology(leaves, edges), dict.fromkeys(edges, 0.5))
 
-        # 15 leaves each, so a table would raise TooLarge: the label check runs first
+        # 21 leaves each, so a table would raise TooLarge: the label check runs first
         with pytest.raises(DimensionMismatch, match="leaf sets differ"):
-            exact_tv(star(range(1, 16)), star(range(2, 17)))
+            exact_tv(star(range(1, 22)), star(range(2, 23)))
         with pytest.raises(DimensionMismatch, match="leaf sets differ"):
             exact_tv(four_leaf_example(), WeightedForest([star([1, 2, 3])]))
 
@@ -800,6 +800,25 @@ class TestExactTv:
             for tree in forest.components:
                 expected *= marginalize_prob(tree, [x[leaf] for leaf in tree.leaves])
             assert abs(table[mask] - expected) <= 1e-12
+
+    def test_lone_leaf_shortcut_matches_the_closed_form(self):
+        # the forest table writes [0.5, 0.5] for a lone leaf instead of running
+        # the closed form; the closed form gives the same bytes
+        rng = philox(77)
+        labels = (1 + rng.permutation(9)).tolist()
+        parts = [labels[:1], labels[1:5], labels[5:6], labels[6:]]
+        forest = WeightedForest([
+            _renamed(random_weighted_tree(len(p), rng), sorted(p), range(100 * k, 100 * k + 9))
+            for k, p in enumerate(parts, start=1)
+        ])
+        want = np.ones([2] * 9)
+        for tree in forest.components:
+            shape = np.ones(9, dtype=int)
+            shape[8 - np.searchsorted(forest.leaves, tree.leaves)] = 2
+            want = want * closed_form_distribution(tree.topology, correlations(tree)).reshape(shape)
+        got = LeafDistribution.from_model(forest).probabilities
+        assert sum(tree.topology.leaf_count == 1 for tree in forest.components) == 2
+        assert got.tobytes() == want.reshape(-1).tobytes()
 
     def test_forest_table_marginalizes_componentwise(self):
         left = WeightedTree(TreeTopology([1, 3], [(1, 3)]), {(1, 3): 0.5})

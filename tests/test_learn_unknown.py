@@ -18,6 +18,7 @@ from latent_ising import (
     correlations,
     exact_tv,
     fit_known,
+    forest_correlations,
     learn_unknown,
     learn_unknown_from_correlations,
     normalize,
@@ -165,12 +166,19 @@ class TestComponentFit:
 class TestLearnUnknownAtScale:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(2, 64), st.integers(0, 10**6))
-    @example(64, 5)  # the reconstruction misplaces a near-zero edge; eta is infeasible
-    @example(55, 244)  # a fit in the bisection has a log-weight a rounding error above 0
+    @example(64, 5)  # absolute quartet ties misplaced a near-zero edge; eta was infeasible
+    @example(55, 244)  # so did they here, and a bisection fit had a log-weight above 0
     def test_exact_correlations_never_raise(self, n, seed):
         truth = random_weighted_tree(n, philox(seed), -0.9, 0.9)
         forest = learn_unknown_from_correlations(correlations(truth), 1e-9)
         assert forest.leaves == tuple(range(1, n + 1))
+
+    @pytest.mark.parametrize("n, seed", [(48, 0), (48, 23), (64, 12)])
+    def test_exact_correlations_are_matched(self, n, seed):
+        truth = random_weighted_tree(n, np.random.default_rng([n, seed]), -0.9, 0.9)
+        alpha = correlations(truth)
+        forest = learn_unknown_from_correlations(alpha, 1e-9)
+        assert forest_correlations(forest).max_abs_difference(alpha) <= 1e-6
 
     def test_noisy_correlations_n8_to_n14(self):
         # exact correlations plus uniform +-1e-3 noise, learned at eta = 1e-3.

@@ -18,6 +18,7 @@ from latent_ising import (
     correlations,
     fit_known,
     random_topology,
+    random_weighted_tree,
     reconstruct_forest,
     topologies_equal,
 )
@@ -141,6 +142,23 @@ class TestReconstruction:
             topologies_equal(x, y) for x, y in zip(a.components, b.components)
         )
 
+    def test_common_scale_changes_nothing(self):
+        for seed in range(3):
+            alpha = correlations(random_weighted_tree(16, np.random.default_rng(seed), 0.3, 0.8))
+            scaled = CorrelationVector(alpha.labels, alpha.values * 1e-7)
+            want = reconstruct_forest(alpha, 0.01, 0.0).components
+            got = reconstruct_forest(scaled, 0.01, 0.0).components
+            assert [(c.leaves, c.edges) for c in got] == [(c.leaves, c.edges) for c in want]
+
+    @pytest.mark.parametrize("seed", [0, 7, 9])
+    def test_exact_input_recovers_a_128_leaf_tree(self, seed):
+        # distant leaves' cross-products are far below 1e-12 here, so an
+        # absolute tie tolerance would send the insertion walk the wrong way
+        truth = random_weighted_tree(128, np.random.default_rng(seed), 0.3, 0.8)
+        rec = reconstruct_forest(correlations(truth), 0.01, 0.0)
+        assert len(rec.components) == 1
+        assert topologies_equal(rec.components[0], truth.topology)
+
     def test_components_are_pinned(self):
         # exact and noisy input at radii that leave 1-, 2- and 3-leaf
         # components as well as larger ones
@@ -193,7 +211,7 @@ def _reference_attachment_edge(adj, strength, x):
             other = [reps[i] for i in range(3) if i != k]
             products.append(strength.get(x, reps[k]) * strength.get(other[0], other[1]))
         best = max(products)
-        k = next(i for i, p in enumerate(products) if p >= best - 1e-12)
+        k = next(i for i, p in enumerate(products) if p >= best * (1.0 - 1e-12))
         nxt = directions[k]
         if nxt == prev or len(adj[nxt]) == 1:
             return (cur, nxt)

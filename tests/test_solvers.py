@@ -15,12 +15,13 @@ from latent_ising import (
     correlations,
     gf2_solve,
     lp_feasible,
+    random_weighted_tree,
     solvers,
 )
 from latent_ising.errors import BadParameter
 from latent_ising.trees import CorrelationVector, TreeTopology
 
-from conftest import philox, random_model
+from conftest import peak_bytes, philox, random_model
 
 STAR = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
 
@@ -239,6 +240,13 @@ class TestIntervalLp:
         else:
             assert not isinstance(got, Infeasible)
             assert np.array_equal(got, want)
+
+    def test_memory_stays_bounded(self):
+        # the tableau keeps one column per non-basic variable, not one per
+        # slack: 0.9 MB here, where a column per slack took 6 MB
+        tree = random_weighted_tree(32, np.random.default_rng(32), 0.3, 0.8)
+        lp, _ = build_interval_lp(tree.topology, correlations(tree), 1e-3)
+        assert peak_bytes(lambda: lp_feasible(lp)) < 2_000_000
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

@@ -899,7 +899,8 @@ class TestQuartetProducts:
                 abs(alpha.get(q[a], q[b])) * abs(alpha.get(q[c], q[d]))
                 for a, b, c, d in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
             ]
-            first = next(k for k, p in enumerate(want) if p >= max(want) - TIE_TOLERANCE)
+            # the first product within the relative tolerance of the largest wins
+            first = next(k for k, p in enumerate(want) if p >= max(want) * (1 - TIE_TOLERANCE))
             split = quartet_split(alpha, q)
             assert split.split == (
                 ((q[0], q[1]), (q[2], q[3])),
@@ -909,6 +910,15 @@ class TestQuartetProducts:
             assert split.gap == max(want) - min(want)
             ties += want.count(max(want)) > 1
         assert ties > 0
+
+    def test_splits_ignore_a_common_scale(self):
+        # distant leaves' products fall far below any absolute tolerance, yet a
+        # common factor changes no comparison between them
+        for seed in range(3):
+            alpha = correlations(random_weighted_tree(16, np.random.default_rng(seed), 0.3, 0.8))
+            scaled = CorrelationVector(alpha.labels, alpha.values * 1e-7)
+            for q in itertools.combinations(alpha.labels, 4):
+                assert quartet_split(scaled, q).split == quartet_split(alpha, q).split
 
     def test_uncovered_leaf_rejected(self):
         alpha = correlations(four_leaf_example())
