@@ -48,6 +48,7 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     _matching_pairs,
+    _pair_index,
     _path_incidence,
     binary,
     correlations,
@@ -141,7 +142,7 @@ def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -
     n = topology.leaf_count
     spins = _leaf_axes(n)
     value = np.ones((n + 1, n + 1))
-    a, b = np.triu_indices(n, 1)  # the vector's pair order
+    a, b = _pair_index(n)
     value[a, b] = value[b, a] = alpha.values
     coef = 1.0
     for mine, child in _matching_pairs(topology, spins):
@@ -509,7 +510,7 @@ def path_removed(
         raise DimensionMismatch("correlation vector covers a different leaf set")
     incidence = _path_incidence(topology)
     removal = np.isin(topology.leaves, members)
-    a, b = np.triu_indices(topology.leaf_count, 1)
+    a, b = _pair_index(topology.leaf_count)
     removed_edges = incidence[removal[a] & removal[b]].any(axis=0)
     hit = incidence[:, removed_edges].any(axis=1)
     return CorrelationVector(alpha.labels, np.where(hit, 0.0, alpha.values))

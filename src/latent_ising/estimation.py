@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadSpinValue, DimensionMismatch, EmptySample, TooLarge
-from .trees import CorrelationVector
+from .trees import CorrelationVector, _pair_index
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationRepor
         block = samples[start:start + _BLOCK_ROWS].astype(np.float32)
         gram += block.T @ block
     gram /= m
-    values = gram[np.triu_indices(n, k=1)]
+    values = gram[_pair_index(n)]
     alpha_hat = CorrelationVector(range(1, n + 1), np.clip(values, -1.0, 1.0))
     return EstimationReport(alpha_hat=alpha_hat, m=m, delta=delta, eta=eta)
 

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import BadParameter, LeafSetMismatch
-from .trees import CorrelationVector, WeightedTree, _path_products, diameter
+from .trees import CorrelationVector, WeightedTree, _pair_index, _path_products, diameter
 
 
 class WeightedForest:
@@ -61,7 +61,7 @@ def forest_correlations(forest: WeightedForest) -> CorrelationVector:
     for comp in forest.components:
         at = np.searchsorted(labels, comp.leaves)
         dense[np.ix_(at, at)] = _path_products(comp)[1][comp.topology._walk[4]].T
-    return CorrelationVector(labels, dense[np.triu_indices(len(labels), 1)])  # [a, b]: a to b
+    return CorrelationVector(labels, dense[_pair_index(len(labels))])  # [a, b]: a to b
 
 
 def forest_diameter(forest: WeightedForest) -> int:

@@ -41,6 +41,7 @@ from .trees import (
     _attach,
     _detach,
     _edge_splits,
+    _pair_index,
     _path_products,
     _side,
     path_nodes,
@@ -156,7 +157,7 @@ def interpolate(
     rounds = 0
     n = source.leaf_count
     magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
-    a, b = np.triu_indices(n, 1)
+    a, b = _pair_index(n)
     magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
     row, signal = _path_products(target)
     np.abs(signal, out=signal)

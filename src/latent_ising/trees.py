@@ -259,7 +259,7 @@ class CorrelationVector:
         if missing:
             raise UnknownLeaf(f"leaf {missing[0]} not covered by this vector")
         pos = np.array([self._pos[v] for v in leaves], dtype=np.intp)
-        a, b = np.triu_indices(len(leaves), 1)
+        a, b = _pair_index(len(leaves))
         return CorrelationVector(leaves, self.values[_pair_offset(self.n, pos[a], pos[b])])
 
     def abs(self) -> "CorrelationVector":
@@ -280,6 +280,14 @@ class CorrelationVector:
 def _pair_offset(n: int, a: int, b: int) -> int:
     # positions 0 <= a < b < n in lexicographic pair order
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+def _pair_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a, b)``: every pair of positions ``a < b < n`` in the vector's pair
+    order, the :func:`_pair_offset` order; the same arrays and dtype as
+    numpy's strict upper-triangle indices, at a fraction of their cost."""
+    r = np.arange(n)
+    return np.less.outer(r, r).nonzero()
 
 
 @dataclass(frozen=True)
@@ -363,7 +371,7 @@ def _path_incidence(topology: TreeTopology) -> np.ndarray:
     """(n(n-1)/2, |E|) boolean: row p marks the edges that separate leaf pair
     p, which are its path edges; pairs come in :func:`_pair_offset` order."""
     splits = _edge_splits(topology)
-    a, b = np.triu_indices(topology.leaf_count, 1)
+    a, b = _pair_index(topology.leaf_count)
     return (splits[:, a] != splits[:, b]).T
 
 
@@ -503,7 +511,7 @@ def correlations(tree: WeightedTree) -> CorrelationVector:
     """Pairwise leaf correlations: each path's weight product, from its smaller leaf."""
     labels = tree.topology.leaves
     products = _path_products(tree)[1][tree.topology._walk[4]]  # [j, i]: from leaf i to leaf j
-    a, b = np.triu_indices(len(labels), 1)
+    a, b = _pair_index(len(labels))
     return CorrelationVector(labels, products[b, a])
 
 

@@ -21,9 +21,10 @@ from latent_ising import (
     random_weighted_tree,
     sample,
 )
+from latent_ising import learn_known
 from latent_ising.errors import BadParameter
 from latent_ising.learn_known import build_interval_lp
-from latent_ising.solvers import Gf2System, gf2_solve
+from latent_ising.solvers import Gf2System, gf2_solve, lp_feasible
 
 from conftest import philox, random_model, three_leaf_star
 
@@ -109,6 +110,23 @@ class TestFitKnown:
         assert report["max_magnitude_error"] <= 0.01 + 1e-9
         assert report["sign_equations"] == 3
 
+    def test_log_weights_above_zero_are_clamped(self, monkeypatch):
+        """The simplex can leave a log-weight a rounding error above 0; such an
+        edge gets magnitude exactly 1.0 (not exp of it, which WeightedTree
+        rejects as outside [-1, 1]), signed by the GF(2) solution."""
+        truth = random_model(6, philox(7), magnitude=(0.3, 0.9), signed=True)
+        alpha = correlations(truth)
+        lp, _ = build_interval_lp(truth.topology, alpha, 1e-3)
+        point = lp_feasible(lp)
+        above = np.arange(point.size) % 3 == 0
+        point[above] = 5e-10
+        monkeypatch.setattr(learn_known, "lp_feasible", lambda program: point.copy())
+        fit = fit_known(truth.topology, alpha, 1e-3)
+        strong = np.abs(alpha.values) > 1e-3
+        bits = gf2_solve(Gf2System(lp.constraints[strong], alpha.values[strong] < 0))
+        theta = np.array([fit.tree.theta[e] for e in truth.topology.edges])
+        assert np.array_equal(np.abs(theta[above]), np.ones(above.sum()))
+        assert np.array_equal(np.signbit(theta), bits.astype(bool))
 
     def test_sign_system_solves_past_63_edges(self):
         truth = random_model(40, philox(13), magnitude=(0.3, 0.9), signed=True)

@@ -442,7 +442,22 @@ class TestArrayInputs:
         with pytest.raises(BadParameter, match="rhs must be an array"):
             Gf2System(self.MATRIX, rhs)
 
-    @pytest.mark.parametrize("rhs", [np.array([0, 2]), np.array([-1, 0]), np.array([0.5, 1.0])])
-    def test_rhs_must_be_bits(self, rhs):
-        with pytest.raises(BadParameter, match="non-bit rhs"):
+    @pytest.mark.parametrize(
+        "rhs, bad",
+        [(np.array([0, 2]), 1), (np.array([-1, 0]), 0), (np.array([0.5, 1.0]), 0),
+         (np.array([1.0, np.nan]), 1), (np.array(["0", "1"]), 0),
+         (np.array([1, None], dtype=object), 1)],
+        ids=[f"rhs{k}" for k in range(6)],
+    )
+    def test_rhs_must_be_bits(self, rhs, bad):
+        with pytest.raises(BadParameter, match=f"equation {bad} has non-bit rhs"):
             Gf2System(self.MATRIX, rhs)
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [np.array([True, False]), np.array([1.0, 0.0]), np.array([1, 0], dtype=object),
+         np.array([1 + 0j, 0j])],
+        ids=["bool", "float", "object", "complex"],
+    )
+    def test_bit_rhs_accepted(self, rhs):
+        assert np.array_equal(gf2_solve(Gf2System(self.MATRIX, rhs)), [1, 1])

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from latent_ising.trees import (
     _detach,
     _edge_splits,
     _matching_pairs,
+    _pair_index,
+    _pair_offset,
     _path_incidence,
     _postorder,
     _side,
@@ -387,6 +390,20 @@ class TestPath:
         topo = TreeTopology([1, 2], [(1, 2)])
         with pytest.raises(UnknownLeaf):
             path(topo, 1, 9)
+
+
+class TestPairIndex:
+    def test_matches_triu_indices(self):
+        for n in range(71):
+            a, b = _pair_index(n)
+            want_a, want_b = np.triu_indices(n, 1)
+            assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
+            assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+            assert np.array_equal(_pair_offset(n, a, b), np.arange(n * (n - 1) // 2))
+
+    def test_the_package_has_one_pair_index(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        assert [p.name for p in src.rglob("*.py") if "triu_indices" in p.read_text()] == []
 
 
 class TestCorrelations:
