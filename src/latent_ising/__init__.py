@@ -28,7 +28,6 @@ from .trees import (
     TreeTopology,
     WeightedTree,
     binary,
-    canonical_splits,
     closest_relative_matching,
     contract_edge,
     correlations,

@@ -89,9 +89,8 @@ def empirical_correlations(samples: np.ndarray, delta: float) -> EstimationRepor
     for start in range(0, m, _BLOCK_ROWS):
         block = samples[start:start + _BLOCK_ROWS].astype(np.float32)
         gram += block.T @ block
-    gram /= m
-    values = gram[_pair_index(n)]
-    alpha_hat = CorrelationVector(range(1, n + 1), np.clip(values, -1.0, 1.0))
+    gram /= m  # integers of magnitude <= m over m: within [-1, 1] exactly
+    alpha_hat = CorrelationVector(range(1, n + 1), gram[_pair_index(n)])
     return EstimationReport(alpha_hat=alpha_hat, m=m, delta=delta, eta=eta)
 
 

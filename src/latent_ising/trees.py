@@ -247,8 +247,8 @@ class CorrelationVector:
         return float(self.values[self.index(i, j)])
 
     def pairs(self) -> Iterable[Tuple[int, int, float]]:
-        for a, b in itertools.combinations(range(self.n), 2):
-            yield self.labels[a], self.labels[b], float(self.values[_pair_offset(self.n, a, b)])
+        for (i, j), value in zip(itertools.combinations(self.labels, 2), self.values.tolist()):
+            yield i, j, value
 
     def restrict(self, leaves: Iterable[int]) -> "CorrelationVector":
         """The vector over a subset of the labels, in its own pair order."""
@@ -548,28 +548,6 @@ def quartet_split(alpha: CorrelationVector, quartet: Sequence[int]) -> QuartetSp
 def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:
     """Max minus min of the three |correlation| cross-products."""
     return quartet_split(alpha, quartet).gap
-
-
-def canonical_splits(topology: TreeTopology) -> frozenset:
-    """All structurally resolved quartet splits; the canonical form of a topology.
-
-    Two degree-2-free trees on the same leaf set are isomorphic exactly when
-    these sets agree.  Quartets meeting at a single node (possible after edge
-    contractions) are unresolved and omitted.
-    """
-    pairs = itertools.combinations(topology.leaves, 2)
-    dist = dict(zip(pairs, _path_incidence(topology).sum(axis=1).tolist()))
-    splits = set()
-    for q in itertools.combinations(topology.leaves, 4):
-        sums = [
-            dist[q[ia], q[ib]] + dist[q[ic], q[id_]] for ia, ib, ic, id_ in _SPLIT_ORDER
-        ]
-        smallest = min(sums)
-        winners = [k for k, s in enumerate(sums) if s == smallest]
-        if len(winners) == 1:
-            ia, ib, ic, id_ = _SPLIT_ORDER[winners[0]]
-            splits.add(((q[ia], q[ib]), (q[ic], q[id_])))
-    return frozenset(splits)
 
 
 def topologies_equal(a: TreeTopology, b: TreeTopology) -> bool:

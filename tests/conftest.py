@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -90,6 +91,44 @@ def random_model(
 @pytest.fixture
 def rng():
     return philox(0)
+
+
+# ---------------------------------------------------------------------------
+# structural oracle for topology equality
+
+
+#: the three ways to pair up a sorted quartet (a, b, c, d): ab|cd, ac|bd, ad|bc
+QUARTET_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+
+
+def canonical_splits(topology: TreeTopology) -> frozenset:
+    """All structurally resolved quartet splits, ``((a, b), (c, d))`` for ab|cd.
+
+    Two degree-2-free trees on the same leaf set are isomorphic exactly when
+    these sets agree.  Quartets meeting at a single node (possible after edge
+    contractions) are unresolved and omitted.  Path lengths come from a plain
+    BFS over ``neighbors``, so the oracle shares no code with the split table
+    that ``topologies_equal`` reads.
+    """
+    dist = {}
+    for leaf in topology.leaves:
+        depth = {leaf: 0}
+        queue = deque([leaf])
+        while queue:
+            v = queue.popleft()
+            for w in topology.neighbors(v):
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        dist[leaf] = depth
+    splits = set()
+    for q in itertools.combinations(topology.leaves, 4):
+        sums = [dist[q[a]][q[b]] + dist[q[c]][q[d]] for a, b, c, d in QUARTET_PAIRINGS]
+        smallest = min(sums)
+        if sums.count(smallest) == 1:
+            a, b, c, d = QUARTET_PAIRINGS[sums.index(smallest)]
+            splits.add(((q[a], q[b]), (q[c], q[d])))
+    return frozenset(splits)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from latent_ising import (
     LeafSetMismatch,
     TreeTopology,
     WeightedTree,
-    canonical_splits,
     closest_relative_matching,
     correlations,
     diameter,
@@ -36,7 +35,7 @@ from latent_ising import (
 from latent_ising.distribution import closed_form_distribution
 from latent_ising.trees import _attach, _side
 
-from conftest import caterpillar, philox, random_model
+from conftest import canonical_splits, caterpillar, philox, random_model
 
 CAT4 = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
 FLIP4 = TreeTopology([1, 2, 3, 4], [(1, 5), (3, 5), (5, 6), (2, 6), (4, 6)])

@@ -23,7 +23,6 @@ from latent_ising import (
     WeightedForest,
     WeightedTree,
     binary,
-    canonical_splits,
     closest_relative_matching,
     contract_edge,
     correlations,
@@ -57,7 +56,7 @@ from latent_ising.trees import (
     edge_key,
 )
 
-from conftest import caterpillar, four_leaf_example, philox, three_leaf_star
+from conftest import canonical_splits, caterpillar, four_leaf_example, philox, three_leaf_star
 
 
 def reshaped(topo: TreeTopology, rng, contractions: int, subdivisions: int) -> TreeTopology:
@@ -816,6 +815,11 @@ class TestCanonicalForm:
         extra_leaf=st.booleans(),
         shape=st.tuples(*[st.integers(0, 2)] * 4),
     )
+    # one contraction each, subdivided: the same edge contracted (equal) or not
+    @example(n=24, seed=0, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
+    @example(n=24, seed=1, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
+    @example(n=40, seed=28, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
+    @example(n=40, seed=0, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
     def test_split_sets_agree_with_quartet_sets(self, n, seed, same_base, extra_leaf, shape):
         rng = philox(seed)
         base = random_topology(n, rng)
