@@ -815,10 +815,11 @@ class TestCanonicalForm:
         extra_leaf=st.booleans(),
         shape=st.tuples(*[st.integers(0, 2)] * 4),
     )
-    # one contraction each, subdivided: the same edge contracted (equal) or not
-    @example(n=24, seed=0, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
+    # equal by construction: the base subdivided twice against the base itself
+    @example(n=24, seed=0, same_base=True, extra_leaf=False, shape=(0, 2, 0, 0))
+    @example(n=40, seed=0, same_base=True, extra_leaf=False, shape=(0, 2, 0, 0))
+    # unequal as these seeds draw: each side contracts a different internal edge
     @example(n=24, seed=1, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
-    @example(n=40, seed=28, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
     @example(n=40, seed=0, same_base=True, extra_leaf=False, shape=(1, 2, 1, 1))
     def test_split_sets_agree_with_quartet_sets(self, n, seed, same_base, extra_leaf, shape):
         rng = philox(seed)
