@@ -13,6 +13,13 @@ The weaker of the two candidate nodes moves: the side whose strongest
 correlation to the future common neighbor, read from the target's path
 products (``trees._path_products``), is smaller.  That choice keeps every
 changed quartet close to a tie when the two models have close correlations.
+
+Nothing is derived twice: the target's cherries are read once from its
+adjacency, and each working block carries its leaves' sorted positions and
+its root, the working-tree node that, cut from the rest, keeps exactly the
+block's leaves.  Each epoch's last paste returns the renumbering that carries
+the roots on; the merged block's root is the pasted node, or the common
+neighbour when the pair was already a cherry.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +47,6 @@ from .trees import (
     _Cut,
     _attach,
     _detach,
-    _edge_splits,
     _pair_index,
     _path_products,
     _side,
@@ -96,7 +102,7 @@ class InterpolationTrace:
     @cached_property
     def topologies(self) -> Tuple[TreeTopology, ...]:
         return tuple(
-            step if isinstance(step, TreeTopology) else _attach(*step) for step in self.steps
+            step if isinstance(step, TreeTopology) else _attach(*step)[0] for step in self.steps
         )
 
     @property
@@ -128,7 +134,7 @@ def sequence(topology: TreeTopology, i: int, j: int) -> List[TreeTopology]:
     if len(nodes) - 1 < 3:
         raise AlreadyCherry(f"nodes {i} and {j} are already adjacent or a cherry")
     cut = _detach(topology, i, nodes[1])
-    return [_attach(cut, (nodes[r], nodes[r + 1])) for r in range(1, len(nodes) - 1)]
+    return [_attach(cut, (nodes[r], nodes[r + 1]))[0] for r in range(1, len(nodes) - 1)]
 
 
 def interpolate(
@@ -161,68 +167,52 @@ def interpolate(
     magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
     row, signal = _path_products(target)
     np.abs(signal, out=signal)
-    working = set(source.leaves)
-    block: Dict[int, FrozenSet[int]] = {leaf: frozenset([leaf]) for leaf in source.leaves}
-    while len(working) >= 4:
+    # every target cherry (i, j, p), i < j around p, in the order of the pairs (i, j)
+    cherries = sorted(
+        (i, j, p)
+        for p in target_topology.nodes
+        for i, j in itertools.combinations(target_topology.neighbors(p), 2)
+    )
+    # each working block, keyed by its target node: the node of ``current``
+    # that roots it, and its leaves' sorted positions
+    root = {leaf: leaf for leaf in source.leaves}
+    members = {leaf: [k] for k, leaf in enumerate(source.leaves)}
+    while len(root) >= 4:
         rounds += 1
-        snapshot = sorted(working)
-        for i, j in itertools.combinations(snapshot, 2):
-            if i not in working or j not in working:
+        live = set(root)  # blocks merged in this round wait for the next
+        for i, j, p in cherries:
+            if i not in live or j not in live:
                 continue
-            p = _common_neighbor(target_topology, i, j)
-            if p is None:
-                continue
-            roots = dict(zip((i, j), _block_roots(current, block[i], block[j])))
-            if _common_neighbor(current, roots[i], roots[j]) is None:
-                mover, anchor = _pick_weaker(signal[row[p]], source.leaves, block, i, j)
+            live -= {i, j}
+            ends = {i: root.pop(i), j: root.pop(j)}
+            joined = _common_neighbor(current, ends[i], ends[j])
+            if joined is None:
+                # the side with the weaker peak |signal| to p moves; on a tie, i
+                peak = signal[row[p]]
+                stronger = peak[members[i]].max() > peak[members[j]].max()
+                mover, anchor = (j, i) if stronger else (i, j)
+                anchored = frozenset(source.leaves[k] for k in members[anchor])
                 epochs += 1
                 for blocks, max_gap, paste in _epoch_moves(
-                    current, roots[mover], roots[anchor], magnitudes
+                    current, ends[mover], ends[anchor], magnitudes
                 ):
-                    moves.append(Move(epochs, rounds, mover, block[anchor], blocks, max_gap))
+                    moves.append(Move(epochs, rounds, mover, anchored, blocks, max_gap))
                     steps.append(paste)
-                current = steps[-1] = _attach(*steps[-1])
-            working.discard(i)
-            working.discard(j)
-            working.add(p)
-            block[p] = block[i] | block[j]
+                current, renumber = _attach(*paste)
+                steps[-1] = current
+                root = {w: renumber[r] for w, r in root.items()}
+                joined = renumber[paste[0].t]  # the cut's t joins the new cherry
+            root[p] = joined
+            members[p] = members.pop(i) + members.pop(j)
     return InterpolationTrace(tuple(steps), tuple(moves), epochs, rounds)
-
-
-def _pick_weaker(
-    signal: np.ndarray, leaves: Tuple[int, ...], block: Dict[int, FrozenSet[int]], i: int, j: int
-) -> Tuple[int, int]:
-    """(mover, anchor): the side with the weaker peak ``signal``, the |product of
-    target weights| from each sorted leaf to the future common neighbor, moves.
-    Ties do not switch, so the lexicographically first candidate moves."""
-    peak_i, peak_j = (signal[np.searchsorted(leaves, list(block[k]))].max() for k in (i, j))
-    return (j, i) if peak_i > peak_j else (i, j)
-
-
-def _block_roots(topology: TreeTopology, *blocks: FrozenSet[int]) -> List[int]:
-    """For each block, the node whose detached component holds exactly its
-    leaves, found in the topology's edge-split table."""
-    roots = []
-    for leaves in blocks:
-        if len(leaves) == 1:  # beats the table search: 92.2 vs 87.3 trials/s, interpolate-n20
-            roots.append(min(leaves))
-            continue
-        splits = _edge_splits(topology)
-        block = np.array([leaf in leaves for leaf in topology.leaves])
-        same = (splits == block).all(axis=1)
-        hits = np.flatnonzero(same | (splits != block).all(axis=1))
-        if hits.size == 0:
-            raise MalformedTree(f"no edge detaches exactly the block {sorted(leaves)}")
-        u, v = topology.edges[hits[0]]
-        roots.append(v if same[hits[0]] else u)
-    return roots
 
 
 def _epoch_moves(
     current: TreeTopology, ra: int, rb: int, magnitudes: np.ndarray
 ) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], float, Paste]]:
     """(blocks, max_gap, paste record) of each paste of ``ra`` along its path
-    to ``rb``.
+    to ``rb``, the roots of the moving and the anchored block that
+    :func:`interpolate` carries, so each is one end of its block's edge.
 
     A leaf's position counts the path edges it lies beyond, seen from ra;
     paste k changes exactly the quartets with one leaf at each of positions
@@ -273,7 +263,7 @@ def trace_to_json(trace: InterpolationTrace) -> dict:
                 "epoch": m.epoch,
                 "round": m.round,
                 "moved": m.moved,
-                "block": sorted(m.block),
+                "block": list(m.blocks[0]),
                 "changed_quartets": m.quartet_count,
                 "max_gap": m.max_gap,
             }

@@ -29,8 +29,8 @@ tree reaches canonical form through two steps, each written once:
 nodes canonically and builds and validates the tree once.  ``_rebuild`` is
 the two in a row, and every surgery but cut-and-paste ends in it.
 Cut-and-paste splits them: ``_detach`` cuts the moved side off and splices
-once, and each ``_attach`` pastes it onto one target edge and renumbers, so
-many pastes of one cut share it.
+once, and each ``_attach`` pastes it onto one target edge and returns the tree
+with its renumbering, so many pastes of one cut share it.
 
 All values are immutable after construction; every operation returns a new
 object, so instances are safe to share across threads.  A topology's split
@@ -340,7 +340,13 @@ def component_nodes(topology: TreeTopology, start: int, blocked: Iterable[Edge])
 
 def diameter(topology: TreeTopology) -> int:
     """Longest leaf-to-leaf path length in edges (0 for a single leaf)."""
-    return int(_path_incidence(topology).sum(axis=1).max(initial=0))
+    up = topology._walk[2]
+    down = [0] * (len(up) + 1)  # longest path down to a leaf, by walk position
+    best = 0
+    for k, p in enumerate(up):  # k's path joins the longest below p so far
+        best = max(best, down[p] + down[k] + 1)
+        down[p] = max(down[p], down[k] + 1)
+    return best
 
 
 def _edge_splits(topology: TreeTopology) -> np.ndarray:
@@ -663,11 +669,12 @@ def _detach(topology: TreeTopology, u: int, v: int) -> _Cut:
     return _Cut(topology.leaves, adjacency, t, _splice(adjacency, topology._leaf_set))
 
 
-def _attach(cut: _Cut, target: Edge) -> TreeTopology:
+def _attach(cut: _Cut, target: Edge) -> Tuple[TreeTopology, Dict[int, int]]:
     """Paste the cut-off side into the middle of ``target``, an edge of the
     uncut tree on v's side: ``t`` joins it, and the result is renumbered and
     built once.  Bringing the target edge through the splices first makes
-    this the tree that splicing after the paste would give."""
+    this the tree that splicing after the paste would give.  Returns the tree
+    with the renumbering of the cut's nodes, ``t`` included."""
     r, s = target
     for x, a, b in cut.spliced:  # an edge through x now runs from a to b
         if x == r or x == s:
@@ -679,7 +686,7 @@ def _attach(cut: _Cut, target: Edge) -> TreeTopology:
         r: [t if w == s else w for w in adjacency[r]],
         s: [t if w == r else w for w in adjacency[s]],
     }
-    return _renumber(cut.leaves, pasted)[0]
+    return _renumber(cut.leaves, pasted)
 
 
 def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopology:
@@ -699,7 +706,7 @@ def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopol
     v_side = component_nodes(topology, v, [(u, v)])
     if r not in v_side or s not in v_side:
         raise InvalidCut(f"target ({r}, {s}) lies in the component being moved")
-    return _attach(_detach(topology, u, v), target)
+    return _attach(_detach(topology, u, v), target)[0]
 
 
 def induced_subtree(topology: TreeTopology, subset: Iterable[int]) -> TreeTopology:

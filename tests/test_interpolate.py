@@ -168,7 +168,7 @@ class TestInterpolate:
         # pasting in reverse order first shows no paste mutates the shared cut
         fresh = run()
         backwards = [
-            step if isinstance(step, TreeTopology) else _attach(*step)
+            step if isinstance(step, TreeTopology) else _attach(*step)[0]
             for step in reversed(fresh.steps)
         ]
         want = [topology.edges for topology in trace.topologies]
@@ -326,6 +326,61 @@ class TestInterpolate:
                          toward[k] & ~toward[k + 1], toward[k + 1])
                 assert move.blocks == tuple(tuple(sorted(labels[m].tolist())) for m in masks)
                 assert move.max_gap == max(quartet_gap(alpha, q) for q in move.changed_quartets)
+
+    def test_carried_roots_match_the_split_table(self, monkeypatch):
+        # interpolate carries each block's root through every renumbering; at
+        # each epoch both must be the node that the split table says roots it
+        module = importlib.import_module("latent_ising.interpolate")
+        calls = []
+        real = module._epoch_moves
+        monkeypatch.setattr(
+            module, "_epoch_moves", lambda *args: calls.append(args[:3]) or real(*args)
+        )
+        cases = []
+        rng = philox(53)
+        for n in range(4, 33):
+            source = random_topology(n, rng)
+            target = random_model(n, rng, magnitude=(0.25, 0.85))
+            cases.append((source, target, correlations(random_model(n, rng))))
+        for n, seed in itertools.product((6, 11, 17), range(3)):  # the signed, noisy corpus
+            rng = philox(500 + 10 * n + seed)
+            source = random_model(n, rng, magnitude=(0.1, 0.9), signed=True)
+            target = random_model(n, rng, magnitude=(0.1, 0.9), signed=True)
+            alpha = correlations(source)
+            noisy = np.clip(alpha.values + rng.normal(0.0, 0.05, alpha.values.size), -1.0, 1.0)
+            cases.append((source.topology, target, CorrelationVector(alpha.labels, noisy)))
+        merged = set()
+        for source, target, alpha in cases:
+            calls.clear()
+            trace = interpolate(source, target, alpha)
+            firsts = [next(ms) for _, ms in itertools.groupby(trace.moves, lambda m: m.epoch)]
+            assert len(calls) == len(firsts) == trace.epochs
+            for (current, ra, rb), move in zip(calls, firsts):
+                assert ra == block_root(current, move.block)
+                assert rb == block_root(current, move.anchor)
+                merged.update((len(move.block) > 1, len(move.anchor) > 1))
+        assert merged == {False, True}
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (32, 1, "d59df0fcc6e51ade63e02552fc18d34f9500feeaaa539f5cea6207957b8dc6bb"),
+            (32, 2, "1cb0a56f2c6736effde70edee115522fcaf3eb900d3c44b3b7933c3282410d05"),
+            (64, 1, "e925e95269978058be5ddf5010ef777cf062a6e1fafc4f9bf86f8179bcaf061e"),
+            (64, 2, "80b5d3cd02fa55821afb444bff5fcf347b467ece6c86bfb832d740008860c973"),
+        ],
+    )
+    def test_large_trace_and_topologies_are_pinned(self, n, seed, digest):
+        # the summary and every materialized tree, beyond the n = 20 pins
+        rng = philox(seed)
+        source = random_weighted_tree(n, rng, 0.25, 0.85)
+        target = random_weighted_tree(n, rng, 0.25, 0.85)
+        trace = interpolate(source.topology, target, correlations(source))
+        text = json.dumps(trace_to_json(trace), sort_keys=True)
+        sha = hashlib.sha256(text.encode())
+        for topology in trace.topologies:
+            sha.update(repr(topology.edges).encode())
+        assert sha.hexdigest() == digest
 
     @pytest.mark.parametrize(
         "seed, digest",

@@ -56,7 +56,14 @@ from latent_ising.trees import (
     edge_key,
 )
 
-from conftest import canonical_splits, caterpillar, four_leaf_example, philox, three_leaf_star
+from conftest import (
+    canonical_splits,
+    caterpillar,
+    four_leaf_example,
+    peak_bytes,
+    philox,
+    three_leaf_star,
+)
 
 
 def reshaped(topo: TreeTopology, rng, contractions: int, subdivisions: int) -> TreeTopology:
@@ -632,7 +639,7 @@ class TestDetachAttach:
         for r, s in topo.edges:
             target = (r, s) if rng.random() < 0.5 else (s, r)
             if r in v_side and s in v_side:
-                pasted = _attach(cut, target)
+                pasted = _attach(cut, target)[0]
                 assert same_tree(pasted, cut_paste(topo, u, v, target))
                 assert same_tree(pasted, _reference_cut_paste(topo, u, v, target))
             else:
@@ -806,6 +813,24 @@ class TestCanonicalForm:
         assert diameter(caterpillar(6)) == 5
         assert diameter(TreeTopology([1, 2], [(1, 2)])) == 1
         assert diameter(TreeTopology([1], [])) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_diameter_is_the_longest_incidence_row(self, seed):
+        # the walk's fold against the path-edge counts of every leaf pair, on
+        # binary, contracted (degree >= 4) and subdivided (degree-2) trees
+        rng = philox(700 + seed)
+        for n in (1, 2, 3, 5, 9, 17, 33, 64):
+            base = random_topology(n, rng)
+            shapes = [base, reshaped(base, rng, 2, 0), reshaped(base, rng, 0, 3)]
+            if n >= 4:
+                shapes.append(chained_and_contracted(rng, n))
+            for topo in shapes:
+                assert diameter(topo) == _path_incidence(topo).sum(axis=1).max(initial=0)
+
+    def test_diameter_memory_is_bounded(self):
+        # the incidence table would be (130816, 1021) booleans, ~134 MB
+        topo = random_topology(512, philox(512))
+        assert peak_bytes(lambda: diameter(topo)) < 1_000_000
 
     @settings(max_examples=200, deadline=None)
     @given(
