@@ -7,7 +7,8 @@ the two become a cherry; each round sweeps the current working set of
 blocks.  Per move it records the set of quartets whose induced split
 changes, which is exactly the combinatorial quantity the total-variation
 localization arguments charge against.  That set is the product of four
-disjoint leaf blocks, each read from the working tree's edge-split table.
+disjoint leaf blocks, read off the working tree's kept walk by
+``trees.path_nodes`` and ``trees._beyond``.
 
 The weaker of the two candidate nodes moves: the side whose strongest
 correlation to the future common neighbor, read from the target's path
@@ -46,10 +47,10 @@ from .trees import (
     WeightedTree,
     _Cut,
     _attach,
+    _beyond,
     _detach,
     _pair_index,
     _path_products,
-    _side,
     path_nodes,
 )
 
@@ -214,19 +215,22 @@ def _epoch_moves(
     to ``rb``, the roots of the moving and the anchored block that
     :func:`interpolate` carries, so each is one end of its block's edge.
 
-    A leaf's position counts the path edges it lies beyond, seen from ra;
-    paste k changes exactly the quartets with one leaf at each of positions
-    0 (ra's side), 1..k, k+1 and above k+1.  The leaves are sorted by position
-    once and ``magnitudes``, the dense |alpha| matrix over ``current``'s
-    sorted leaves, is gathered in that order, so every block is a slice.  ra
-    is cut once; each target is a path edge beyond nodes[1], on the far side
-    of the cut, so a paste is the shared cut and its target edge, built only
-    by :func:`_attach`.
+    The path, and the leaves beyond each of its edges, are read off
+    ``current``'s walk (:func:`path_nodes`, :func:`_beyond`).  A leaf's
+    position counts the path edges it lies beyond, seen from ra; paste k
+    changes exactly the quartets with one leaf at each of positions 0 (ra's
+    side), 1..k, k+1 and above k+1.  The leaves are sorted by position once
+    and ``magnitudes``, the dense |alpha| matrix over ``current``'s sorted
+    leaves, is gathered in that order, so every block is a slice.  ra is cut
+    once; each target is a path edge beyond nodes[1], on the far side of the
+    cut, so a paste is the shared cut and its target edge, built only by
+    :func:`_attach`.
     """
     nodes = path_nodes(current, ra, rb)
     length = len(nodes) - 1  # >= 3: blocks are not adjacent and not a cherry
+    rows = [current._walk[1][v] for v in nodes]
     # row q: the leaves beyond path edge q, seen from ra
-    toward = np.array([_side(current, u, v) for u, v in zip(nodes, nodes[1:])])
+    toward = _beyond(current, np.array([rows[:-1], rows[1:]]).T)
     position = toward.sum(axis=0)
     order = np.argsort(position)
     labels = np.array(current.leaves)[order].tolist()

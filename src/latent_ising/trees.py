@@ -13,14 +13,16 @@ parent-pointer traversal reads one walk over an adjacency mapping,
 position, ``_walk = (order, row, up, first, leaf_rows)``: ``order[k]`` is node
 k, the root last, ``row`` maps a node to its position, ``up[k]`` is the
 parent's, ``order[first[k]:k + 1]`` are the nodes below node k and
-``leaf_rows[i]`` is sorted leaf i's.  The split table, the path products, the
-matching, marginalization (the three fold each node into its parent, in lists
-by position) and the sampler (root first) read these and derive none.  Batched
-path questions (which edges a pair's path uses, whether two topologies
-agree, which leaves lie beyond an edge, through ``_side``, and which edges
-an induced subtree keeps) are answered from one table of edge bipartitions
-per topology, ``_edge_splits``, and every path product (correlations, interpolation's
-signal peaks) from the leaf-to-node products, ``_path_products``.  Two loops
+``leaf_rows[i]`` is sorted leaf i's.  ``path_nodes``, the split table, the
+path products, the matching, marginalization (the three fold each node into
+its parent, in lists by position) and the sampler (root first) read these and
+derive none.  Batched path questions (which edges a pair's path uses, whether
+two topologies agree, which leaves lie beyond an edge, through ``_side``, and
+which edges an induced subtree keeps) are answered from one table of edge
+bipartitions per topology, ``_edge_splits``: ``_beyond`` over every edge, the
+one broadcast of subtree slices that interpolation reads on one path's edges.
+Every path product (correlations, interpolation's signal peaks) comes from
+the leaf-to-node products, ``_path_products``.  Two loops
 walk on their own: ``_renumber``'s BFS, whose order is the canonical
 numbering, and ``component_nodes``, the plain reachability check that
 cut-and-paste validates its target with and the tests hold ``_side`` to.  A
@@ -304,18 +306,21 @@ class QuartetSplit:
 
 
 def path_nodes(topology: TreeTopology, a: int, b: int) -> List[int]:
-    """Node sequence of the unique simple path from a to b (inclusive)."""
+    """Node sequence of the unique simple path from a to b (inclusive), read
+    off the topology's walk: an ancestor comes after every node below it, so
+    the end at the smaller position climbs until the two meet."""
     if a == b:
         raise UnknownPair(f"path endpoints coincide: {a}")
     if a not in topology._adjacency:
         raise UnknownLeaf(f"node {a} not in tree")
     if b not in topology._adjacency:
         raise UnknownLeaf(f"node {b} not in tree")
-    parent = _postorder(topology._adjacency, b)[1]
-    nodes = [a]
-    while nodes[-1] != b:
-        nodes.append(parent[nodes[-1]])
-    return nodes
+    order, row, up, _, _ = topology._walk
+    head, tail = [row[a]], [row[b]]  # positions from a and from b, up to where they meet
+    while head[-1] != tail[-1]:
+        lower = head if head[-1] < tail[-1] else tail
+        lower.append(up[lower[-1]])
+    return [order[k] for k in head + tail[-2::-1]]
 
 
 def path(topology: TreeTopology, i: int, j: int) -> List[Edge]:
@@ -349,17 +354,25 @@ def diameter(topology: TreeTopology) -> int:
     return best
 
 
-def _edge_splits(topology: TreeTopology) -> np.ndarray:
-    """(|E|, n) read-only boolean: row k marks the sorted leaves on v's side of
-    ``topology.edges[k] = (u, v)``, read off the walk's subtree slices in one
-    broadcast.  Built on first read and kept on the topology."""
-    if topology._splits is not None:
-        return topology._splits
-    _, row, _, first, leaf_rows = topology._walk
-    ends = np.array([(row[u], row[v]) for u, v in topology.edges], dtype=np.intp).reshape(-1, 2)
+def _beyond(topology: TreeTopology, ends: np.ndarray) -> np.ndarray:
+    """(k, n) boolean: row q marks the sorted leaves on the second end's side
+    of the edge between the walk positions ``ends[q]``, read off the walk's
+    subtree slices in one broadcast."""
+    _, _, _, first, leaf_rows = topology._walk
     child = ends.min(axis=1)[:, None]  # the end away from the root, which the walk puts first
     below = (np.take(first, child) <= leaf_rows) & (leaf_rows <= child)
-    splits = below ^ (ends[:, :1] == child)  # u below v: v's side is the rest
+    return below ^ (ends[:, :1] == child)  # the first end below: the second's side is the rest
+
+
+def _edge_splits(topology: TreeTopology) -> np.ndarray:
+    """(|E|, n) read-only boolean: row k marks the sorted leaves on v's side of
+    ``topology.edges[k] = (u, v)``, from :func:`_beyond` over every edge.
+    Built on first read and kept on the topology."""
+    if topology._splits is not None:
+        return topology._splits
+    row = topology._walk[1]
+    ends = np.array([(row[u], row[v]) for u, v in topology.edges], dtype=np.intp).reshape(-1, 2)
+    splits = _beyond(topology, ends)
     splits.flags.writeable = False
     topology._splits = splits
     return splits

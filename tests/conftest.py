@@ -131,6 +131,24 @@ def canonical_splits(topology: TreeTopology) -> frozenset:
     return frozenset(splits)
 
 
+def reference_path(topology: TreeTopology, a: int, b: int) -> list:
+    """The nodes of the path from a to b, both included: a plain BFS from a
+    over ``neighbors`` with a parent dict, so the oracle shares no code with
+    the walk that ``path_nodes`` reads."""
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for w in topology.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    nodes = [b]
+    while nodes[-1] != a:
+        nodes.append(parent[nodes[-1]])
+    return nodes[::-1]
+
+
 # ---------------------------------------------------------------------------
 # ground-truth oracles for the reconstruction contract
 

@@ -23,7 +23,6 @@ from latent_ising import (
     induced_subtree,
     interpolate,
     is_cherry,
-    path_nodes,
     path_removed,
     quartet_gap,
     random_topology,
@@ -35,7 +34,7 @@ from latent_ising import (
 from latent_ising.distribution import closed_form_distribution
 from latent_ising.trees import _attach, _side
 
-from conftest import canonical_splits, caterpillar, philox, random_model
+from conftest import canonical_splits, caterpillar, philox, random_model, reference_path
 
 CAT4 = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
 FLIP4 = TreeTopology([1, 2, 3, 4], [(1, 5), (3, 5), (5, 6), (2, 6), (4, 6)])
@@ -175,6 +174,17 @@ class TestInterpolate:
         assert [topology.edges for topology in reversed(backwards)] == want
         assert [topology.edges for topology in fresh.topologies] == want
         assert trace.final.edges == trace.topologies[-1].edges
+
+    def test_epochs_build_no_split_table(self):
+        # each epoch reads its path and leaf positions off the kept walk, so
+        # no tree the trace keeps has built its edge-split table
+        rng = philox(20)
+        source = random_topology(20, rng)
+        target = random_model(20, rng, magnitude=(0.25, 0.85))
+        trace = interpolate(source, target, correlations(random_model(20, rng)))
+        built = [step for step in trace.steps if isinstance(step, TreeTopology)]
+        assert trace.epochs > 1 and len(built) == trace.epochs + 1
+        assert all(topology._splits is None for topology in built)
 
     def test_leaf_set_mismatch(self):
         other = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
@@ -317,7 +327,7 @@ class TestInterpolate:
             epoch = list(epoch)
             before = trace.topologies[epoch[0][0]]
             ra, rb = block_root(before, epoch[0][1].block), block_root(before, epoch[0][1].anchor)
-            nodes = path_nodes(before, ra, rb)
+            nodes = reference_path(before, ra, rb)
             assert len(epoch) == len(nodes) - 3
             toward = [_side(before, a, b) for a, b in zip(nodes, nodes[1:])]
             labels = np.array(before.leaves)

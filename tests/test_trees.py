@@ -62,6 +62,7 @@ from conftest import (
     four_leaf_example,
     peak_bytes,
     philox,
+    reference_path,
     three_leaf_star,
 )
 
@@ -107,7 +108,8 @@ def chained_and_contracted(rng, n: int) -> TreeTopology:
 
 def _reference_correlations(tree: WeightedTree) -> np.ndarray:
     """Path products in pair order, each multiplied from the smaller leaf a to b."""
-    walks = (path_nodes(tree.topology, a, b) for a, b in itertools.combinations(tree.leaves, 2))
+    pairs = itertools.combinations(tree.leaves, 2)
+    walks = (reference_path(tree.topology, a, b) for a, b in pairs)
     return np.array([math.prod(map(tree.weight, nodes, nodes[1:])) for nodes in walks])
 
 
@@ -396,6 +398,33 @@ class TestPath:
         topo = TreeTopology([1, 2], [(1, 2)])
         with pytest.raises(UnknownLeaf):
             path(topo, 1, 9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 40), st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3),
+        st.booleans(),
+    )
+    @example(40, 0, 3, 3, True)
+    @example(40, 1, 0, 0, False)
+    def test_path_nodes_is_the_bfs_path(self, n, seed, contractions, subdivisions, relabel):
+        # every ordered pair of nodes, internal and degree-2 nodes included
+        rng = philox(seed)
+        topo = reshaped(random_topology(n, rng), rng, contractions, subdivisions)
+        if relabel:
+            labels = (np.sort(rng.choice(10 * n, size=n, replace=False)) + 1).tolist()
+            topo = relabeled(WeightedTree(topo, dict.fromkeys(topo.edges, 1.0)), labels).topology
+        for a, b in itertools.permutations(sorted(topo.nodes), 2):
+            assert path_nodes(topo, a, b) == reference_path(topo, a, b)
+
+    def test_path_nodes_reads_the_kept_walk(self, monkeypatch):
+        topo = reshaped(random_topology(20, philox(3)), philox(4), 2, 2)
+
+        def walk_again(*args):
+            raise AssertionError("path_nodes ran a fresh walk")
+
+        monkeypatch.setattr("latent_ising.trees._postorder", walk_again)
+        for a, b in itertools.permutations(sorted(topo.nodes), 2):
+            path_nodes(topo, a, b)
 
 
 class TestPairIndex:
