@@ -259,19 +259,20 @@ def _epoch_moves(
 
 def trace_to_json(trace: InterpolationTrace) -> dict:
     """JSON-friendly summary: per-move changed-quartet sizes and bounds."""
+    moves = [
+        {
+            "epoch": m.epoch,
+            "round": m.round,
+            "moved": m.moved,
+            "block": list(m.blocks[0]),
+            "changed_quartets": m.quartet_count,
+            "max_gap": m.max_gap,
+        }
+        for m in trace.moves
+    ]
     return {
         "epochs": trace.epochs,
         "rounds": trace.rounds,
-        "moves": [
-            {
-                "epoch": m.epoch,
-                "round": m.round,
-                "moved": m.moved,
-                "block": list(m.blocks[0]),
-                "changed_quartets": m.quartet_count,
-                "max_gap": m.max_gap,
-            }
-            for m in trace.moves
-        ],
-        "total_changed_quartets": sum(m.quartet_count for m in trace.moves),
+        "moves": moves,
+        "total_changed_quartets": sum(m["changed_quartets"] for m in moves),
     }

@@ -11,7 +11,9 @@ degree 2 are contracted on parsing (weights multiply).  A forest is one
 tree per line; a singleton component is a bare label line like ``7;``.
 
 Reading splits the whitespace-free text into tokens with one pattern and
-walks them with a stack of open groups; writing is one bottom-up pass.
+walks them with a stack of open groups; the edges it collects always form a
+tree, built and validated once in canonical form.  Writing folds the
+topology's kept walk bottom-up, rooted at the smallest leaf's neighbour.
 Neither recurses, so both work at any nesting depth.
 """
 
@@ -22,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from .errors import MalformedTree
 from .forest import WeightedForest
-from .trees import TreeTopology, WeightedTree, _postorder, _rebuild, edge_key
+from .trees import WeightedTree, _rebuild, edge_key
 
 
 def serialize_tree(tree: WeightedTree) -> str:
@@ -30,24 +32,25 @@ def serialize_tree(tree: WeightedTree) -> str:
     leaves = topology.leaves
     if len(leaves) == 1:
         return f"{leaves[0]};"
-    root = topology.neighbors(leaves[0])[0]
+    order, _, up, _, _ = topology._walk
+    root = order[-2]  # the smallest leaf's neighbour, which the walk puts right before it
     if topology.is_leaf(root):  # a single edge; longer chains render generically
         return f"({leaves[0]}:{tree.weight(leaves[0], root)!r},{root}:1.0);"
 
-    # bottom-up, each subtree keeps its smallest leaf, which orders it among
-    # its siblings, and its text
-    order, parent = _postorder(topology._adjacency, root)
-    low: Dict[int, int] = {}
-    text: Dict[int, str] = {}
-    for v in order:
-        weight = "" if parent[v] is None else f":{tree.weight(parent[v], v)!r}"
+    # the walk folded bottom-up, rooted at ``root``: each finished node hands
+    # its parent its smallest leaf, which orders it among its siblings, and
+    # its text; the walk's own root, the smallest leaf, is ``root``'s child
+    done: List[List[Tuple[int, str]]] = [[] for _ in order]  # children, by walk position
+    done[-2].append((leaves[0], f"{leaves[0]}:{tree.weight(leaves[0], root)!r}"))
+    for k, p in enumerate(up):
+        v = order[k]
+        weight = f":{tree.weight(order[p], v)!r}" if v != root else ""
         if topology.is_leaf(v):
-            low[v], text[v] = v, f"{v}{weight}"
+            done[p].append((v, f"{v}{weight}"))
             continue
-        kids = sorted((w for w in topology.neighbors(v) if w != parent[v]), key=low.__getitem__)
-        low[v] = low[kids[0]]
-        text[v] = "(" + ",".join(text.pop(w) for w in kids) + f"){weight}"
-    return text[root] + ";"
+        kids = sorted(done[k])
+        done[p].append((kids[0][0], "(" + ",".join(text for _, text in kids) + f"){weight}"))
+    return done[-1][0][1] + ";"
 
 
 #: whitespace between two characters of one label or weight
@@ -112,8 +115,9 @@ def parse_tree(text: str) -> WeightedTree:
     for u, v, w in edges:
         a, b = (ids.setdefault(x, base + len(ids) + 1) if x < 0 else x for x in (u, v))
         theta[edge_key(a, b)] = w
-    raw = TreeTopology(leaves, list(theta))  # the parsed graph is outside input
-    return WeightedTree(*_rebuild(raw.leaves, raw.edges, theta))
+    # every group and leaf hangs from one parent edge and no label repeats, so
+    # the edges form a tree, and the one build in _rebuild sees every fault
+    return WeightedTree(*_rebuild(leaves, theta, theta))
 
 
 def _weight(tokens: List[Tuple[int, str]], i: int) -> Tuple[float, int]:

@@ -14,19 +14,19 @@ position, ``_walk = (order, row, up, first, leaf_rows)``: ``order[k]`` is node
 k, the root last, ``row`` maps a node to its position, ``up[k]`` is the
 parent's, ``order[first[k]:k + 1]`` are the nodes below node k and
 ``leaf_rows[i]`` is sorted leaf i's.  ``path_nodes``, the split table, the
-path products, the matching, marginalization (the three fold each node into
-its parent, in lists by position) and the sampler (root first) read these and
-derive none.  Batched path questions (which edges a pair's path uses, whether
-two topologies agree, which leaves lie beyond an edge, through ``_side``, and
-which edges an induced subtree keeps) are answered from one table of edge
-bipartitions per topology, ``_edge_splits``: ``_beyond`` over every edge, the
-one broadcast of subtree slices that interpolation reads on one path's edges.
-Every path product (correlations, interpolation's signal peaks) comes from
-the leaf-to-node products, ``_path_products``.  Two loops
-walk on their own: ``_renumber``'s BFS, whose order is the canonical
-numbering, and ``component_nodes``, the plain reachability check that
-cut-and-paste validates its target with and the tests hold ``_side`` to.  A
-tree reaches canonical form through two steps, each written once:
+path products, the matching, marginalization, the Newick writer (the four
+fold each node into its parent, in lists by position), the sampler (root
+first) and cut-and-paste's target check (the subtree slice at the cut edge's
+lower end) read these and derive none.  Batched path questions (which edges
+a pair's path uses, whether two topologies agree, which leaves lie beyond an
+edge, through ``_side``, and which edges an induced subtree keeps) are
+answered from one table of edge bipartitions per topology, ``_edge_splits``:
+``_beyond`` over every edge, the one broadcast of subtree slices that
+interpolation reads on one path's edges.  Every path product (correlations,
+interpolation's signal peaks) comes from the leaf-to-node products,
+``_path_products``.  One loop walks on its own: ``_renumber``'s BFS, whose
+order is the canonical numbering.  A tree reaches canonical form through two
+steps, each written once:
 ``_splice`` splices out degree-2 nodes, and ``_renumber`` renumbers internal
 nodes canonically and builds and validates the tree once.  ``_rebuild`` is
 the two in a row, and every surgery but cut-and-paste ends in it.
@@ -43,7 +43,6 @@ readers at worst build equal tables.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -327,20 +326,6 @@ def path(topology: TreeTopology, i: int, j: int) -> List[Edge]:
     """Ordered edge list of the unique path between two leaves."""
     nodes = path_nodes(topology, i, j)
     return [edge_key(u, v) for u, v in zip(nodes, nodes[1:])]
-
-
-def component_nodes(topology: TreeTopology, start: int, blocked: Iterable[Edge]) -> frozenset:
-    """Nodes reachable from ``start`` without crossing any blocked edge."""
-    blocked_set = {edge_key(u, v) for u, v in blocked}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in topology.neighbors(v):
-            if w not in seen and edge_key(v, w) not in blocked_set:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
 
 
 def diameter(topology: TreeTopology) -> int:
@@ -716,8 +701,10 @@ def cut_paste(topology: TreeTopology, u: int, v: int, target: Edge) -> TreeTopol
     r, s = target
     if not topology.has_edge(r, s):
         raise InvalidCut(f"target ({r}, {s}) is not an edge")
-    v_side = component_nodes(topology, v, [(u, v)])
-    if r not in v_side or s not in v_side:
+    _, row, _, first, _ = topology._walk
+    low = min(row[u], row[v])  # the lower end of (u, v): the nodes below it are first[low]..low
+    # v's side is that slice when v is the lower end, and the rest of the walk when u is
+    if not all((first[low] <= row[x] <= low) == (low == row[v]) for x in (r, s)):
         raise InvalidCut(f"target ({r}, {s}) lies in the component being moved")
     return _attach(_detach(topology, u, v), target)[0]
 

@@ -149,6 +149,22 @@ def reference_path(topology: TreeTopology, a: int, b: int) -> list:
     return nodes[::-1]
 
 
+def component_nodes(topology: TreeTopology, start: int, blocked) -> frozenset:
+    """Nodes reachable from ``start`` without crossing any blocked edge: a
+    plain BFS over ``neighbors``, so the oracle shares no code with the kept
+    walk whose subtree slices ``_side`` and ``cut_paste`` read."""
+    blocked_set = {tuple(sorted(e)) for e in blocked}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in topology.neighbors(v):
+            if w not in seen and tuple(sorted((v, w))) not in blocked_set:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
 # ---------------------------------------------------------------------------
 # ground-truth oracles for the reconstruction contract
 

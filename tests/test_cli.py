@@ -1,5 +1,6 @@
 """CLI workbench: subcommands, exit codes, reproducible reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -535,3 +536,91 @@ def test_undecodable_tree_file_is_a_domain_error(tmp_path, capsys, samples_file,
     assert json.loads(err)["error"] == "MalformedTree"
     assert out == ""
     assert not out_file.exists()
+
+
+#: the pinned pipeline, written as shell commands in order, each with the
+#: sha256 of the file it writes (``--out`` or its stdout) where one is pinned;
+#: CI's "Installed entry point" step also runs a few through the installed script
+_CI_PINS = [
+    ("latent-ising gen --n 6 --low 0.3 --high 0.8 --seed 1 --out truth.nwk", None),
+    ("latent-ising gen --n 6 --low 0.3 --high 0.8 --seed 3 --out other.nwk", None),
+    ("latent-ising sample --tree truth.nwk --m 5000 --seed 2 --out draws.txt",
+     "c0f9de86eb457c34b64974da253b87fba7a9b0e7e2a2f35c72d5ea92701409ce"),
+    ("latent-ising estimate --samples draws.txt --out estimate.json",
+     "16c17422f2a0363918aa98cb47986327142321efbc2196b841e4fc2bfcbd72b4"),
+    ("cat draws.txt | latent-ising estimate --samples /dev/stdin --out piped.json",
+     "16c17422f2a0363918aa98cb47986327142321efbc2196b841e4fc2bfcbd72b4"),
+    ("latent-ising learn-known --tree truth.nwk --samples draws.txt --out fit.nwk",
+     "daaca2996e4f5b91077b29a8c41c7b82cafab8d7fd826607dcbaf948504bc63f"),
+    ("latent-ising learn-unknown --samples draws.txt --out forest.nwk",
+     "58e38bb130fb44a06c060988b44915c7145ed3dcc9f73cafb97741fa84142c08"),
+    ("latent-ising eval-tv truth.nwk fit.nwk > tv_fit.json",
+     "92c6da941995ff08713154c628bfaacdfe098e953a766e56c003b9351611acc7"),
+    ("latent-ising eval-tv truth.nwk forest.nwk > tv_forest.json",
+     "4fc20ee9efc27aae22e5ca8df7432fead62d49661d40802f9790d334aa792c97"),
+    ("latent-ising gen --n 12 --low -0.9 --high 0.9 --seed 5 --out a12.nwk", None),
+    ("latent-ising gen --n 12 --low -0.9 --high 0.9 --seed 6 --out b12.nwk", None),
+    ("latent-ising eval-tv a12.nwk b12.nwk > tv_12.json",
+     "5e3d50ed00a5c6896827e7ecaf4d7ca951625d9517edf0f7ad836d18fbcd3fae"),
+    ("latent-ising gen --n 20 --low -0.9 --high 0.9 --seed 7 --out a20.nwk", None),
+    ("latent-ising gen --n 20 --low -0.9 --high 0.9 --seed 8 --out b20.nwk", None),
+    ("latent-ising eval-tv a20.nwk b20.nwk > tv_20.json",
+     "9783d43ee42cfa98a61a81672caa4a65dbe2ea92c656af7bb3ca5af73f4b3b40"),
+    ("latent-ising interpolate --source a20.nwk --target b20.nwk --out trace20.json",
+     "abe6dd2f8e247d2b4525ce7a39b5025337d2570d924259ae2b5b33444b52824e"),
+    ("latent-ising gen --n 64 --low -0.9 --high 0.9 --seed 11 --out a64.nwk", None),
+    ("latent-ising gen --n 64 --low -0.9 --high 0.9 --seed 12 --out b64.nwk", None),
+    ("latent-ising interpolate --source a64.nwk --target b64.nwk --out trace64.json",
+     "d94e75dbcecedb3c77e7beb42a5cf939b66c785f98703852a9b1f7c1339d8bcb"),
+    ("latent-ising gen --n 12 --low -0.9 --high 0.9 --seed 9 --out truth12.nwk", None),
+    ("latent-ising sample --tree truth12.nwk --m 5000 --seed 10 --out draws12.txt", None),
+    ("latent-ising learn-known --tree truth12.nwk --samples draws12.txt --out fit12.nwk",
+     "e80648e6c925722d88ccbaf40fa85c8780ea6352898f10022de4df011348a459"),
+    ("latent-ising learn-unknown --samples draws12.txt --out forest12.nwk",
+     "06cd78efae1f5ea71b6d65245d2e98b7795286c86f7152cc4c1a0f3df47bd433"),
+    ("latent-ising eval-tv truth12.nwk fit12.nwk > tv_fit12.json",
+     "d024f968ec6989caeec64068c3d22d16f5a0c1a935da8c8fc187753a110bc7aa"),
+    ("latent-ising eval-tv truth12.nwk forest12.nwk > tv_forest12.json",
+     "c8c9aec3d9eb4901deec6fc5edb0aa09c4815c95d229eb186d14d3ea530343d6"),
+    ("latent-ising test-identity --samples draws.txt --tree truth.nwk --eps 0.1 > identity.json",
+     "0685ff146af8f82f6de1b4dc87e49ffc3223702851b6e3f4f543ee30a64ae3ce"),
+    ("latent-ising interpolate --source truth.nwk --target other.nwk --out trace.json",
+     "a87d2942a130ecde2991ff5c1893ae681292daff28f2a00f82090053800daabc"),
+    ("latent-ising bench --tree truth.nwk --m-list 2000,8000 --trials 2 --out bench.csv",
+     "e9d14d69e9bd66c40dd5161310fb102a54c7835d333de83691f4549b4e14086f"),
+]
+
+
+def _main_on_piped_stdin(argv, writer) -> int:
+    """``main(argv)`` with file descriptor 0 read from ``writer``'s standard
+    output through a pipe, as a shell pipeline feeds it."""
+    with subprocess.Popen(writer, stdout=subprocess.PIPE) as feeder:
+        saved = os.dup(0)
+        try:
+            os.dup2(feeder.stdout.fileno(), 0)
+            return main(argv)
+        finally:
+            # restoring fd 0, then leaving the block, closes the pipe's read
+            # ends, so an unread rest cannot block the writer
+            os.dup2(saved, 0)
+            os.close(saved)
+
+
+def test_ci_entry_point_pins(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert sum(digest is not None for _, digest in _CI_PINS) == 18
+    for line, digest in _CI_PINS:
+        piped, _, command = line.rpartition(" | ")
+        command, _, redirect = command.partition(" > ")
+        argv = command.split()[1:]
+        if piped:
+            code = _main_on_piped_stdin(argv, piped.split())
+        else:
+            code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, line
+        if redirect:
+            Path(redirect).write_text(out)
+        if digest is not None:
+            written = redirect or argv[argv.index("--out") + 1]
+            assert hashlib.sha256(Path(written).read_bytes()).hexdigest() == digest, line

@@ -32,6 +32,7 @@ from latent_ising import (
     trace_to_json,
 )
 from latent_ising.distribution import closed_form_distribution
+from latent_ising.interpolate import Move
 from latent_ising.trees import _attach, _side
 
 from conftest import canonical_splits, caterpillar, philox, random_model, reference_path
@@ -407,6 +408,18 @@ class TestInterpolate:
         trace = interpolate(source.topology, target, correlations(source))
         text = json.dumps(trace_to_json(trace), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_trace_json_counts_each_move_once(self, monkeypatch):
+        rng = philox(1)
+        source = random_weighted_tree(20, rng, 0.25, 0.85)
+        target = random_weighted_tree(20, rng, 0.25, 0.85)
+        trace = interpolate(source.topology, target, correlations(source))
+        counted = []
+        count = Move.quartet_count.fget
+        monkeypatch.setattr(Move, "quartet_count", property(lambda m: counted.append(m) or count(m)))
+        payload = trace_to_json(trace)
+        assert counted == list(trace.moves)
+        assert payload["total_changed_quartets"] == sum(map(count, trace.moves))
 
     def test_trace_json_with_singleton_and_merged_moves_is_pinned(self):
         # signed weights and noisy correlations, so epochs move both single

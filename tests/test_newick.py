@@ -1,5 +1,6 @@
 """Extended-Newick round trips."""
 
+import hashlib
 import json
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_ising import newick as newick_module
+from latent_ising import trees as trees_module
 from latent_ising import (
     MalformedTree,
     TreeTopology,
@@ -98,6 +101,8 @@ def test_malformed_inputs():
         ("(1,2,);", "expected a leaf label at position 5"),
         ("(1,(2,3)4);", "expected ')' at position 8"),
         ("((1,2));", "internal node 4 dangles with degree 1"),
+        ("(((1,2),3));", "internal node 6 dangles with degree 1"),
+        ("(((1,2)));", "internal node 4 dangles with degree 1"),  # numbered after splicing
         ("(7);", "one-leaf tree must have no edges"),
         ("((7));", "one-leaf tree must have no edges"),
         ("(7:0.5);", "one-leaf tree must have no edges"),
@@ -195,6 +200,72 @@ def test_serializer_matches_recursive_reference(seed):
         trees += [contracted, normalize(contracted)]
     for tree in trees:
         assert serialize_tree(tree) == _recursive_serialize(tree)
+
+
+def _writer_corpus():
+    """Seeded trees for the serializer pins: random binary trees from n = 1 to
+    200, degree-2 nodes (a two-leaf chain included), degree-4 hubs, and leaves
+    not labeled 1..n."""
+    rng = philox(2)
+    trees = [random_weighted_tree(n, rng, -0.95, 0.95) for n in (1, 2, 3, 4, 5, 20, 64, 200)]
+    for leaves, edges in (
+        ([1, 2], [(1, 3), (2, 3)]),
+        ([1, 2, 3], [(1, 4), (4, 5), (2, 5), (3, 5)]),  # 4 has degree 2
+        ([1, 2, 3, 4], [(1, 7), (7, 5), (2, 5), (5, 6), (3, 6), (6, 8), (8, 4)]),
+    ):
+        topology = TreeTopology(leaves, edges)
+        trees.append(WeightedTree(topology, dict(zip(topology.edges, rng.uniform(-1, 1, 7)))))
+    for n in (6, 9, 20):
+        tree = random_weighted_tree(n, rng, -0.95, 0.95)
+        inner = [e for e in tree.topology.edges if not any(map(tree.topology.is_leaf, e))]
+        trees.append(contract_edge(tree, inner[int(rng.integers(len(inner)))]))  # a degree-4 hub
+        labels = sorted((rng.choice(10 * n, n, replace=False) + 1).tolist())
+        rename = dict(zip(tree.leaves, labels))
+        internal = sorted(set(tree.topology.nodes) - set(rename))
+        rename.update(zip(internal, range(labels[-1] + 1, labels[-1] + 1 + len(internal))))
+        trees.append(
+            WeightedTree(
+                TreeTopology(labels, [(rename[u], rename[v]) for u, v in tree.topology.edges]),
+                {(rename[u], rename[v]): w for (u, v), w in tree.theta.items()},
+            )
+        )
+    return trees
+
+
+def test_serializer_output_is_pinned():
+    text = "\n".join(map(serialize_tree, _writer_corpus()))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c9da446d2f6056c351b45dad243a4040dce35035c33258df6491d4eb5d978b1b"
+
+
+def test_serializer_reads_the_kept_walk(monkeypatch):
+    trees = _writer_corpus()
+
+    def walk_again(*args):
+        raise AssertionError("serialize_tree ran a fresh walk")
+
+    # wherever the writer could reach a walk: the trees module, or a name of its own
+    for module in (trees_module, newick_module):
+        monkeypatch.setattr(module, "_postorder", walk_again, raising=False)
+    for tree in trees:
+        serialize_tree(tree)
+
+
+def test_parse_tree_builds_one_topology_per_tree(monkeypatch):
+    texts = [serialize_tree(tree) for tree in _writer_corpus()]
+    texts += ["((1:0.5,2:0.5):0.8,(3:0.5,4:0.5):1.0);", "(((1,2)),((3)),4);"]
+    built = []
+    init = TreeTopology.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TreeTopology, "__init__", counted)
+    for text in texts:
+        built.clear()
+        parse_tree(text)
+        assert len(built) == 1, text
 
 
 def test_deep_caterpillar_round_trips_and_samples(tmp_path, capsys):

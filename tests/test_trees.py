@@ -52,13 +52,13 @@ from latent_ising.trees import (
     _path_incidence,
     _postorder,
     _side,
-    component_nodes,
     edge_key,
 )
 
 from conftest import (
     canonical_splits,
     caterpillar,
+    component_nodes,
     four_leaf_example,
     peak_bytes,
     philox,
@@ -622,6 +622,32 @@ class TestCutPaste:
         topo = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
         with pytest.raises(InvalidCut):
             cut_paste(topo, 6, 5, (3, 6))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_checks_and_their_order_match_the_bfs_oracle(self, n):
+        # every cut edge and target in both orientations, degree-2 and
+        # degree-4 nodes included; the target is checked before the cut
+        rng = philox(n)
+        for topo in (random_topology(n, rng), reshaped(random_topology(n, rng), rng, 2, 2)):
+            both = [*topo.edges, *((b, a) for a, b in topo.edges)]
+            u, v = both[0]
+            with pytest.raises(InvalidCut, match=rf"^\({u}, {u}\) is not an edge$"):
+                cut_paste(topo, u, u, (u, v))
+            with pytest.raises(InvalidCut, match=rf"^target \({u}, {u}\) is not an edge$"):
+                cut_paste(topo, u, v, (u, u))
+            for u, v in both:
+                v_side = component_nodes(topo, v, [(u, v)])
+                for r, s in both:
+                    if r not in v_side or s not in v_side:
+                        message = f"target ({r}, {s}) lies in the component being moved"
+                    elif topo.degree(v) == 2:
+                        message = f"cutting ({u}, {v}) leaves node {v} dangling"
+                    else:
+                        assert cut_paste(topo, u, v, (r, s)).leaves == topo.leaves
+                        continue
+                    with pytest.raises(InvalidCut) as exc:
+                        cut_paste(topo, u, v, (r, s))
+                    assert str(exc.value) == message
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
