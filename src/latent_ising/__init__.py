@@ -26,7 +26,9 @@ from .trees import (
     CorrelationVector,
     QuartetSplit,
     TreeTopology,
+    WeightedForest,
     WeightedTree,
+    as_forest,
     binary,
     closest_relative_matching,
     contract_edge,
@@ -43,7 +45,6 @@ from .trees import (
     random_weighted_tree,
     topologies_equal,
 )
-from .forest import WeightedForest, as_forest, forest_correlations, forest_diameter
 from .distribution import (
     LeafDistribution,
     closed_form_distribution,

@@ -33,13 +33,19 @@ from .estimation import (
     require_unit_labels,
 )
 from .distribution import _generator, exact_tv, read_samples, sample, write_samples
-from .forest import WeightedForest, as_forest
 from .identity import test_identity
 from .interpolate import interpolate, trace_to_json
 from .learn_known import fit_known, fit_report, learn_from_samples_known
 from .learn_unknown import choose_params, learn_unknown_from_correlations
 from .newick import parse_model, serialize_forest, serialize_tree
-from .trees import correlations, diameter, normalize, random_weighted_tree
+from .trees import (
+    WeightedForest,
+    as_forest,
+    correlations,
+    diameter,
+    normalize,
+    random_weighted_tree,
+)
 
 
 def _read_model(path: str):

@@ -42,14 +42,15 @@ from .errors import (
     UnknownPair,
 )
 from .estimation import _BLOCK_ROWS, _all_spins, require_sample_size
-from .forest import WeightedForest, as_forest
 from .trees import (
     CorrelationVector,
     TreeTopology,
+    WeightedForest,
     WeightedTree,
     _matching_pairs,
     _pair_index,
     _path_incidence,
+    as_forest,
     binary,
     correlations,
     normalize,
@@ -99,7 +100,7 @@ def _leaf_axes(n: int) -> List[np.ndarray]:
 
 
 class LeafDistribution:
-    """Dense leaf distribution indexed by configuration bitmask."""
+    """Dense leaf distribution indexed by configuration bitmask, read-only."""
 
     __slots__ = ("labels", "probabilities")
 
@@ -116,6 +117,9 @@ class LeafDistribution:
             raise DimensionMismatch("probabilities do not sum to 1")
         self.probabilities = np.clip(probabilities, 0.0, None)
         self.probabilities.flags.writeable = False
+
+    def __reduce__(self):
+        return LeafDistribution, (self.labels, self.probabilities)
 
     @classmethod
     def from_model(cls, model: Model) -> "LeafDistribution":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadParameter
 from .estimation import empirical_correlations, require_sample_columns
-from .forest import as_forest, forest_correlations, forest_diameter
+from .trees import as_forest, correlations, diameter
 
 #: constant from the different-topology total-variation bound
 DEFAULT_TV_CONSTANT = 42.0
@@ -68,9 +68,8 @@ def test_identity(
     ref = as_forest(reference)
     require_sample_columns(samples, ref.leaves, "reference")
     report = empirical_correlations(samples, delta)
-    reference_alpha = forest_correlations(ref)
-    statistic = report.alpha_hat.max_abs_difference(reference_alpha)
-    d = max(1, forest_diameter(ref))
+    statistic = report.alpha_hat.max_abs_difference(correlations(ref))
+    d = max(1, *(diameter(c.topology) for c in ref.components))
     threshold = report.eta + eps / (DEFAULT_TV_CONSTANT * ref.n ** 5 * d)
     decision = "reject" if statistic > threshold else "accept"
     return TestVerdict(decision=decision, statistic=statistic, threshold=threshold)

@@ -166,8 +166,8 @@ def interpolate(
     magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
     a, b = _pair_index(n)
     magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
-    row, signal = _path_products(target)
-    np.abs(signal, out=signal)
+    row = target_topology._walk[1]  # a target node's position in its walk
+    signal = np.abs(_path_products(target))
     # every target cherry (i, j, p), i < j around p, in the order of the pairs (i, j)
     cherries = sorted(
         (i, j, p)

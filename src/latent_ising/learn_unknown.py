@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import BadParameter, NoConsistentModel
 from .estimation import empirical_correlations
-from .forest import WeightedForest
 from .learn_known import fit_known
 from .reconstruct import reconstruct_forest
-from .trees import CorrelationVector, TreeTopology, WeightedTree
+from .trees import CorrelationVector, TreeTopology, WeightedForest, WeightedTree
 
 #: smallest fitting radius used when correlations are exact
 MIN_FIT_RADIUS = 1e-9

@@ -23,8 +23,7 @@ import re
 from typing import Dict, List, Tuple
 
 from .errors import MalformedTree
-from .forest import WeightedForest
-from .trees import WeightedTree, _rebuild, edge_key
+from .trees import WeightedForest, WeightedTree, _rebuild, edge_key
 
 
 def serialize_tree(tree: WeightedTree) -> str:

@@ -1,9 +1,13 @@
-"""Unrooted leaf-labeled trees: topology, surgery, and path correlations.
+"""Unrooted leaf-labeled trees and forests: topology, surgery, and path correlations.
 
 A tree Ising model lives on an unrooted tree whose observed nodes are the
-leaves.  This module holds the topology representation plus the purely
-combinatorial operations: degree normalization, path queries, correlations as
-path products of edge weights, quartet classification, cut-and-paste surgery,
+leaves.  A forest, independent trees on disjoint leaf sets, is the output of
+the unknown-topology learner and the reference of identity testing; a tree is
+read as the one-component forest (``as_forest``).  This module holds the
+topology, weighted-tree and forest types plus the purely combinatorial
+operations: degree normalization, path queries, correlations of a tree or a
+forest as path products of edge weights (0 between components), quartet
+classification, cut-and-paste surgery,
 induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
 of the ``(2,) * n`` table), yielding at each node's last child the two leaf
@@ -34,8 +38,11 @@ Cut-and-paste splits them: ``_detach`` cuts the moved side off and splices
 once, and each ``_attach`` pastes it onto one target edge and returns the tree
 with its renumbering, so many pastes of one cut share it.
 
-All values are immutable after construction; every operation returns a new
-object, so instances are safe to share across threads.  A topology's split
+All values are immutable after construction: edge weights are a read-only
+mapping, arrays are read-only, and a pickled topology, tree or correlation
+vector is rebuilt through its constructor, so it is validated again and its
+arrays are read-only again.  Every operation returns a new object, so
+instances are safe to share across threads.  A topology's split
 table is filled on first read and never changes afterwards, so concurrent
 readers at worst build equal tables.
 """
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +59,7 @@ import numpy as np
 from .errors import (
     BadParameter,
     InvalidCut,
+    LeafSetMismatch,
     MalformedTree,
     OddSubset,
     TooFewLeaves,
@@ -164,12 +173,15 @@ class TreeTopology:
             len(ns) == 3 for v, ns in self._adjacency.items() if v not in self._leaf_set
         )
 
+    def __reduce__(self):
+        return TreeTopology, (self.leaves, self.edges)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"TreeTopology(leaves={self.leaves}, edges={list(self.edges)})"
 
 
 class WeightedTree:
-    """A topology together with one weight in [-1, 1] per edge."""
+    """A topology together with one weight in [-1, 1] per edge, read-only."""
 
     __slots__ = ("topology", "theta")
 
@@ -184,9 +196,12 @@ class WeightedTree:
         for e, w in normalized.items():
             if not abs(w) <= 1.0 + 1e-12:  # NaN fails this too
                 raise MalformedTree(f"weight {w} on edge {e} outside [-1, 1]")
-        self.theta: Dict[Edge, float] = {
-            e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges
-        }
+        self.theta: Mapping[Edge, float] = MappingProxyType(
+            {e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges}
+        )
+
+    def __reduce__(self):
+        return WeightedTree, (self.topology, dict(self.theta))
 
     def weight(self, u: int, v: int) -> float:
         return self.theta[edge_key(u, v)]
@@ -196,7 +211,45 @@ class WeightedTree:
         return self.topology.leaves
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WeightedTree({self.topology!r}, {self.theta!r})"
+        return f"WeightedTree({self.topology!r}, {dict(self.theta)!r})"
+
+
+class WeightedForest:
+    """Disjoint weighted trees; component leaf sets partition the label set."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: Iterable[WeightedTree]):
+        comps = sorted(components, key=lambda t: t.topology.leaves[0])
+        seen: set = set()
+        for comp in comps:
+            overlap = seen.intersection(comp.topology.leaves)
+            if overlap:
+                raise LeafSetMismatch(f"leaves {sorted(overlap)} appear in two components")
+            seen.update(comp.topology.leaves)
+        if not comps:
+            raise LeafSetMismatch("a forest needs at least one component")
+        self.components: Tuple[WeightedTree, ...] = tuple(comps)
+
+    @property
+    def leaves(self) -> Tuple[int, ...]:
+        return tuple(sorted(itertools.chain.from_iterable(c.topology.leaves for c in self.components)))
+
+    @property
+    def n(self) -> int:
+        return len(self.leaves)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"WeightedForest({list(self.components)!r})"
+
+
+def as_forest(model) -> WeightedForest:
+    """Wrap a single weighted tree as a one-component forest."""
+    if isinstance(model, WeightedForest):
+        return model
+    if isinstance(model, WeightedTree):
+        return WeightedForest([model])
+    raise BadParameter(f"cannot interpret {type(model).__name__} as a forest")
 
 
 class CorrelationVector:
@@ -224,6 +277,9 @@ class CorrelationVector:
         self._pos = {lab: k for k, lab in enumerate(self.labels)}
         if len(self._pos) != n:
             raise UnknownPair(f"repeated leaf labels in {self.labels}")
+
+    def __reduce__(self):
+        return CorrelationVector, (self.labels, self.values)
 
     @classmethod
     def from_pairs(cls, labels: Iterable[int], pairs: Mapping[Edge, float]) -> "CorrelationVector":
@@ -494,13 +550,12 @@ def normalize(tree: WeightedTree) -> WeightedTree:
 # correlations and quartets
 
 
-def _path_products(tree: WeightedTree) -> Tuple[Dict[int, int], np.ndarray]:
-    """The one path-product walk: ``(row, products)``, where ``row`` maps each
-    node to its walk position and ``products[row[v], i]`` is the product of the
-    weights from sorted leaf i to node v, multiplied from the leaf.  An upward
-    pass fills each row at the nodes below it, positions ``first[k] .. k`` of
-    the topology's walk, and a downward pass fills the rest."""
-    order, row, up, first, leaf_rows = tree.topology._walk
+def _path_products(tree: WeightedTree) -> np.ndarray:
+    """The one path-product walk: ``products[k, i]`` is the product of the
+    weights from sorted leaf i to the node at walk position k, multiplied from
+    the leaf.  An upward pass fills each row at the nodes below it, positions
+    ``first[k] .. k`` of the topology's walk, and a downward pass fills the rest."""
+    order, _, up, first, leaf_rows = tree.topology._walk
     weight = [tree.weight(v, order[p]) for v, p in zip(order, up)]
     products = np.ones((len(order), len(order)))  # [r, c]: from order[c] to order[r]
     for k, u in enumerate(up):
@@ -508,15 +563,19 @@ def _path_products(tree: WeightedTree) -> Tuple[Dict[int, int], np.ndarray]:
     for k in reversed(range(len(up))):
         products[k, : first[k]] = products[up[k], : first[k]] * weight[k]
         products[k, k + 1 :] = products[up[k], k + 1 :] * weight[k]
-    return row, products[:, leaf_rows]
+    return products[:, leaf_rows]
 
 
-def correlations(tree: WeightedTree) -> CorrelationVector:
-    """Pairwise leaf correlations: each path's weight product, from its smaller leaf."""
-    labels = tree.topology.leaves
-    products = _path_products(tree)[1][tree.topology._walk[4]]  # [j, i]: from leaf i to leaf j
-    a, b = _pair_index(len(labels))
-    return CorrelationVector(labels, products[b, a])
+def correlations(model) -> CorrelationVector:
+    """Pairwise leaf correlations of a weighted tree or forest: each path's
+    weight product, from its smaller leaf; pairs across components are 0."""
+    forest = as_forest(model)
+    labels = forest.leaves
+    dense = np.zeros((len(labels), len(labels)))  # [a, b]: from leaf a to leaf b
+    for tree in forest.components:
+        at = np.searchsorted(labels, tree.leaves)
+        dense[np.ix_(at, at)] = _path_products(tree)[tree.topology._walk[4]].T
+    return CorrelationVector(labels, dense[_pair_index(len(labels))])
 
 
 _SPLIT_ORDER = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))

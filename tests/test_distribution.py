@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import os
+import pickle
 import re
+import struct
 import threading
 import warnings
 
@@ -282,6 +284,17 @@ class TestMarginalization:
     def test_malformed_probability_vector_rejected(self, probabilities, message):
         with pytest.raises(DimensionMismatch, match=re.escape(message)):
             LeafDistribution([1, 2], np.array(probabilities))
+
+    def test_pickles_through_its_constructor(self):
+        dist = LeafDistribution.from_model(random_weighted_tree(6, philox(61), -1.0, 1.0))
+        back = pickle.loads(pickle.dumps(dist))
+        assert back.labels == dist.labels
+        assert back.probabilities.tobytes() == dist.probabilities.tobytes()
+        assert not back.probabilities.flags.writeable
+        coin = LeafDistribution([1], [0.25, 0.75])
+        tampered = pickle.dumps(coin).replace(struct.pack("<d", 0.75), struct.pack("<d", 0.5))
+        with pytest.raises(DimensionMismatch, match="do not sum to 1"):
+            pickle.loads(tampered)
 
 
 _SPINS = ["+1", "-1", "1", "+01"]

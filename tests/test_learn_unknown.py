@@ -18,7 +18,6 @@ from latent_ising import (
     correlations,
     exact_tv,
     fit_known,
-    forest_correlations,
     learn_unknown,
     learn_unknown_from_correlations,
     normalize,
@@ -178,7 +177,7 @@ class TestLearnUnknownAtScale:
         truth = random_weighted_tree(n, np.random.default_rng([n, seed]), -0.9, 0.9)
         alpha = correlations(truth)
         forest = learn_unknown_from_correlations(alpha, 1e-9)
-        assert forest_correlations(forest).max_abs_difference(alpha) <= 1e-6
+        assert correlations(forest).max_abs_difference(alpha) <= 1e-6
 
     def test_noisy_correlations_n8_to_n14(self):
         # exact correlations plus uniform +-1e-3 noise, learned at eta = 1e-3.

@@ -1,7 +1,10 @@
 """Topology representation, normalization, surgery, and quartet machinery."""
 
+import hashlib
 import itertools
 import math
+import pickle
+import struct
 from collections import deque
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from latent_ising import (
     AlreadyCherry,
+    BadParameter,
     CorrelationVector,
     InvalidCut,
     MalformedTree,
@@ -28,7 +32,6 @@ from latent_ising import (
     correlations,
     cut_paste,
     diameter,
-    forest_correlations,
     induced_subtree,
     normalize,
     parse_tree,
@@ -104,6 +107,28 @@ def chained_and_contracted(rng, n: int) -> TreeTopology:
     ids = n + 1 + 2 * rng.permutation(len(internal))
     rename = {**{leaf: leaf for leaf in topo.leaves}, **dict(zip(internal, ids.tolist()))}
     return TreeTopology(topo.leaves, [(rename[u], rename[v]) for u, v in topo.edges])
+
+
+def _correlation_corpus():
+    """Seeded models for the pinned correlation hash: trees at n = 1-40, each
+    plain, with degree-4 nodes and with degree-2 nodes, and forests of 1-30
+    leaves whose components' labels interleave, singletons among them."""
+    for n in range(1, 41):
+        rng = philox(1000 + n)
+        for contractions, subdivisions in ((0, 0), (2, 0), (0, 2), (1, 1)):
+            topo = reshaped(random_topology(n, rng), rng, contractions, subdivisions)
+            yield WeightedTree(topo, dict(zip(topo.edges, rng.uniform(-1, 1, len(topo.edges)))))
+    for seed in range(60):
+        rng = philox(2000 + seed)
+        n = 1 + seed % 30
+        labels = (1 + rng.permutation(3 * n)[:n]).tolist()
+        components = []
+        while labels:
+            size = min(len(labels), int(rng.integers(1, 7)))
+            part, labels = labels[:size], labels[size:]
+            tree = random_weighted_tree(size, rng, -1.0, 1.0)
+            components.append(relabeled(tree, part))
+        yield WeightedForest(components)
 
 
 def _reference_correlations(tree: WeightedTree) -> np.ndarray:
@@ -487,7 +512,7 @@ class TestCorrelations:
                 WeightedTree(TreeTopology([7], []), {}),
             ]
         )
-        alpha = forest_correlations(forest)
+        alpha = correlations(forest)
         assert alpha.labels == forest.leaves
         home = {leaf: k for k, c in enumerate(forest.components) for leaf in c.leaves}
         for i, j, value in alpha.pairs():
@@ -496,6 +521,31 @@ class TestCorrelations:
         for comp in forest.components:
             within = CorrelationVector(comp.leaves, _reference_correlations(comp))
             assert np.array_equal(alpha.restrict(comp.leaves).values, within.values)
+
+    def test_pinned_over_seeded_trees_and_forests(self):
+        """One reader for trees and forests: the hash was computed from the
+        separate tree and forest readers that it replaced."""
+        digest = hashlib.sha256()
+        for model in _correlation_corpus():
+            alpha = correlations(model)
+            digest.update(np.asarray(alpha.labels, dtype=np.int64).tobytes())
+            digest.update(alpha.values.tobytes())
+        assert digest.hexdigest() == (
+            "1b7088c59f91914f7beb93e236728f56a481ec9cbc226dc9dc5dcf531e42aebb"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
+    def test_a_tree_reads_as_its_one_component_forest(self, n):
+        rng = philox(70 + n)
+        topo = reshaped(random_topology(n, rng), rng, 1, 1)
+        tree = WeightedTree(topo, dict(zip(topo.edges, rng.uniform(-1, 1, len(topo.edges)))))
+        alone, wrapped = correlations(tree), correlations(WeightedForest([tree]))
+        assert alone.labels == wrapped.labels
+        assert alone.values.tobytes() == wrapped.values.tobytes()
+
+    def test_non_model_rejected(self):
+        with pytest.raises(BadParameter, match="cannot interpret TreeTopology"):
+            correlations(random_topology(5, philox(3)))
 
     def test_restrict_keeps_each_pair_value(self):
         alpha = correlations(random_weighted_tree(9, philox(5), -0.9, 0.9))
@@ -987,6 +1037,43 @@ class TestTopologyCache:
                 assert len(order[first[k] : k + 1]) == len(component_nodes(topo, v, blocked))
             assert [order[r] for r in leaf_rows] == list(topo.leaves)
         assert _edge_splits(topologies[0]).shape == (0, 1)
+
+
+class TestImmutability:
+    def test_weights_are_read_only(self):
+        tree = random_weighted_tree(5, np.random.default_rng(0), 0.3, 0.8)
+        edge = tree.topology.edges[0]
+        with pytest.raises(TypeError):
+            tree.theta[edge] = 3.0
+        assert tree.weight(*edge) == tree.theta[edge] <= 0.8
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_pickle_round_trip_keeps_values_and_read_only_arrays(self, n):
+        tree = random_weighted_tree(n, philox(40 + n), -1.0, 1.0)
+        splits = _edge_splits(tree.topology)
+        back = pickle.loads(pickle.dumps(tree))
+        assert (back.leaves, back.topology.edges) == (tree.leaves, tree.topology.edges)
+        assert back.theta == tree.theta
+        with pytest.raises(TypeError):
+            back.theta[(0, 1)] = 0.5
+        again = _edge_splits(back.topology)
+        assert again.tobytes() == splits.tobytes() and not again.flags.writeable
+        alpha = correlations(tree)
+        copied = pickle.loads(pickle.dumps(alpha))
+        assert copied.labels == alpha.labels
+        assert copied.values.tobytes() == alpha.values.tobytes()
+        assert not copied.values.flags.writeable
+
+    def test_unpickling_validates(self):
+        tree = random_weighted_tree(4, philox(43), 0.3, 0.8)
+        weight = struct.pack(">d", tree.theta[tree.topology.edges[0]])
+        tampered = pickle.dumps(tree).replace(weight, struct.pack(">d", 3.0))
+        with pytest.raises(MalformedTree, match="outside \\[-1, 1\\]"):
+            pickle.loads(tampered)
+        alpha = correlations(tree)
+        tampered = pickle.dumps(alpha).replace(alpha.values[:1].tobytes(), struct.pack("=d", 2.0))
+        with pytest.raises(UnknownPair, match="outside"):
+            pickle.loads(tampered)
 
 
 class TestQuartetProducts:
