@@ -50,6 +50,8 @@ from .trees import (
     _matching_pairs,
     _pair_index,
     _path_incidence,
+    _ReadOnly,
+    _set,
     as_forest,
     binary,
     correlations,
@@ -99,13 +101,13 @@ def _leaf_axes(n: int) -> List[np.ndarray]:
     return [np.array([False, True]).reshape((2,) + (1,) * k) for k in range(n)]
 
 
-class LeafDistribution:
+class LeafDistribution(_ReadOnly):
     """Dense leaf distribution indexed by configuration bitmask, read-only."""
 
     __slots__ = ("labels", "probabilities")
 
     def __init__(self, labels: Iterable[int], probabilities: np.ndarray):
-        self.labels = tuple(sorted(labels))
+        _set(self, "labels", tuple(sorted(labels)))
         if len(set(self.labels)) != len(self.labels):
             raise DimensionMismatch(f"repeated leaf labels in {self.labels}")
         probabilities = np.asarray(probabilities, dtype=float)
@@ -115,7 +117,7 @@ class LeafDistribution:
             raise DimensionMismatch("negative or NaN probability")
         if not abs(probabilities.sum() - 1.0) <= 1e-9:
             raise DimensionMismatch("probabilities do not sum to 1")
-        self.probabilities = np.clip(probabilities, 0.0, None)
+        _set(self, "probabilities", probabilities.clip(0.0, None))
         self.probabilities.flags.writeable = False
 
     def __reduce__(self):

@@ -238,6 +238,7 @@ def _epoch_moves(
     ends = np.cumsum(np.bincount(position, minlength=length + 1)).tolist()
     cut = _detach(current, ra, nodes[1])
     a = slice(0, ends[0])
+    block_a = tuple(sorted(labels[a]))
     for k in range(1, length - 1):
         b, c, d = slice(ends[0], ends[k]), slice(ends[k], ends[k + 1]), slice(ends[k + 1], None)
         # the pairings ab|cd, ac|bd, ad|bc broadcast over (a, b, c, d); the gap is
@@ -251,7 +252,7 @@ def _epoch_moves(
         np.minimum(low, other, out=low)
         high -= low
         yield (
-            tuple(tuple(sorted(labels[s])) for s in (a, b, c, d)),
+            (block_a, *(tuple(sorted(labels[s])) for s in (b, c, d))),
             float(high.max(initial=0.0)),
             (cut, (nodes[k + 1], nodes[k + 2])),
         )

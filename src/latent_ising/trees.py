@@ -35,16 +35,17 @@ steps, each written once:
 nodes canonically and builds and validates the tree once.  ``_rebuild`` is
 the two in a row, and every surgery but cut-and-paste ends in it.
 Cut-and-paste splits them: ``_detach`` cuts the moved side off and splices
-once, and each ``_attach`` pastes it onto one target edge and returns the tree
-with its renumbering, so many pastes of one cut share it.
+once, sharing every neighbour tuple of the topology that neither touches, and
+each ``_attach`` pastes it onto one target edge and returns the tree with its
+renumbering, so many pastes of one cut share it.
 
-All values are immutable after construction: edge weights are a read-only
-mapping, arrays are read-only, and a pickled topology, tree or correlation
-vector is rebuilt through its constructor, so it is validated again and its
-arrays are read-only again.  Every operation returns a new object, so
-instances are safe to share across threads.  A topology's split
-table is filled on first read and never changes afterwards, so concurrent
-readers at worst build equal tables.
+All values are immutable after construction: no attribute can be rebound or
+deleted, edge weights are a read-only mapping, arrays are read-only, and a
+pickled model is rebuilt through its constructor, so it is validated again.
+Every operation returns a new object, so instances are safe to share across
+threads.  A topology's split table is filled on first read, by
+``_edge_splits`` only, and never changes afterwards, so concurrent readers at
+worst build equal tables.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .errors import (
 )
 
 Edge = Tuple[int, int]
+_set = object.__setattr__  # binds a slot of a ``_ReadOnly`` value, in its constructor
 
 #: relative tolerance under which a cross-product ties with the largest one
 TIE_TOLERANCE = 1e-12
@@ -78,7 +80,18 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class TreeTopology:
+class _ReadOnly:
+    """Slots that only the constructor binds, through ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class TreeTopology(_ReadOnly):
     """Unrooted tree over labeled leaves.
 
     Leaves carry external integer labels (a full model uses ``1..n``);
@@ -94,13 +107,13 @@ class TreeTopology:
     __slots__ = ("leaves", "edges", "_adjacency", "_leaf_set", "_walk", "_splits")
 
     def __init__(self, leaves: Iterable[int], edges: Iterable[Edge]):
-        self.leaves: Tuple[int, ...] = tuple(sorted(set(leaves)))
+        _set(self, "leaves", tuple(sorted(set(leaves))))
         if not self.leaves:
             raise MalformedTree("a tree needs at least one leaf")
         keyed = [(u, v) if u < v else (v, u) for u, v in edges]  # edge_key, inlined
         keyed.sort()
-        self.edges: Tuple[Edge, ...] = tuple(keyed)
-        self._leaf_set = frozenset(self.leaves)
+        _set(self, "edges", tuple(keyed))
+        _set(self, "_leaf_set", frozenset(self.leaves))
 
         adjacency: Dict[int, List[int]] = {v: [] for v in self.leaves}
         for u, v in self.edges:
@@ -112,8 +125,8 @@ class TreeTopology:
             raise MalformedTree("duplicate edge")
         # sorted edges give each node its smaller neighbours, then its larger
         # ones, both ascending, so every list is already sorted
-        self._adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
-        self._splits: Optional[np.ndarray] = None  # filled by _edge_splits
+        _set(self, "_adjacency", {v: tuple(ns) for v, ns in adjacency.items()})
+        _set(self, "_splits", None)  # filled by _edge_splits
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -137,12 +150,12 @@ class TreeTopology:
                 raise MalformedTree(f"internal node {v} collides with leaf labels")
             elif deg < 2:
                 raise MalformedTree(f"internal node {v} dangles with degree {deg}")
-        row = {v: k for k, v in enumerate(order)}
+        row = dict(zip(order, range(len(order))))
         up = [row[parent[v]] for v in order[:-1]]  # the root comes last
         first = list(range(len(order)))
         for k, p in enumerate(up):  # a node's subtree ends at it, after its children's
-            first[p] = min(first[p], first[k])
-        self._walk = (order, row, up, first, [row[leaf] for leaf in self.leaves])  # never mutated
+            first[p] = first[k] if first[k] < first[p] else first[p]
+        _set(self, "_walk", (order, row, up, first, [row[leaf] for leaf in self.leaves]))
 
     @property
     def nodes(self) -> frozenset:
@@ -180,14 +193,14 @@ class TreeTopology:
         return f"TreeTopology(leaves={self.leaves}, edges={list(self.edges)})"
 
 
-class WeightedTree:
+class WeightedTree(_ReadOnly):
     """A topology together with one weight in [-1, 1] per edge, read-only."""
 
     __slots__ = ("topology", "theta")
 
     def __init__(self, topology: TreeTopology, theta: Mapping[Edge, float]):
-        self.topology = topology
-        normalized = {edge_key(u, v): float(w) for (u, v), w in theta.items()}
+        _set(self, "topology", topology)
+        normalized = {((u, v) if u < v else (v, u)): float(w) for (u, v), w in theta.items()}
         for e in topology.edges:
             if e not in normalized:
                 raise MalformedTree(f"edge {e} has no weight")
@@ -196,9 +209,8 @@ class WeightedTree:
         for e, w in normalized.items():
             if not abs(w) <= 1.0 + 1e-12:  # NaN fails this too
                 raise MalformedTree(f"weight {w} on edge {e} outside [-1, 1]")
-        self.theta: Mapping[Edge, float] = MappingProxyType(
-            {e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges}
-        )
+        clipped = {e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges}
+        _set(self, "theta", MappingProxyType(clipped))
 
     def __reduce__(self):
         return WeightedTree, (self.topology, dict(self.theta))
@@ -214,7 +226,7 @@ class WeightedTree:
         return f"WeightedTree({self.topology!r}, {dict(self.theta)!r})"
 
 
-class WeightedForest:
+class WeightedForest(_ReadOnly):
     """Disjoint weighted trees; component leaf sets partition the label set."""
 
     __slots__ = ("components",)
@@ -223,13 +235,16 @@ class WeightedForest:
         comps = sorted(components, key=lambda t: t.topology.leaves[0])
         seen: set = set()
         for comp in comps:
-            overlap = seen.intersection(comp.topology.leaves)
-            if overlap:
-                raise LeafSetMismatch(f"leaves {sorted(overlap)} appear in two components")
+            if not seen.isdisjoint(comp.topology.leaves):
+                overlap = sorted(seen.intersection(comp.topology.leaves))
+                raise LeafSetMismatch(f"leaves {overlap} appear in two components")
             seen.update(comp.topology.leaves)
         if not comps:
             raise LeafSetMismatch("a forest needs at least one component")
-        self.components: Tuple[WeightedTree, ...] = tuple(comps)
+        _set(self, "components", tuple(comps))
+
+    def __reduce__(self):
+        return WeightedForest, (self.components,)
 
     @property
     def leaves(self) -> Tuple[int, ...]:
@@ -252,7 +267,7 @@ def as_forest(model) -> WeightedForest:
     raise BadParameter(f"cannot interpret {type(model).__name__} as a forest")
 
 
-class CorrelationVector:
+class CorrelationVector(_ReadOnly):
     """Pairwise leaf correlations, one value in [-1, 1] per unordered pair.
 
     The vector may hold true path products, empirical estimates, or an
@@ -263,18 +278,18 @@ class CorrelationVector:
     __slots__ = ("labels", "values", "_pos")
 
     def __init__(self, labels: Iterable[int], values: np.ndarray):
-        self.labels: Tuple[int, ...] = tuple(sorted(labels))
+        _set(self, "labels", tuple(sorted(labels)))
         n = len(self.labels)
         values = np.asarray(values, dtype=float)
         if values.shape != (n * (n - 1) // 2,):
             raise UnknownPair(
                 f"need {n * (n - 1) // 2} pair values for {n} leaves, got {values.shape}"
             )
-        if not np.all(np.abs(values) <= 1.0 + 1e-9):  # NaN fails the test too
+        if not (np.abs(values) <= 1.0 + 1e-9).all():  # NaN fails the test too
             raise UnknownPair("correlation outside [-1, 1]")
-        self.values = np.clip(values, -1.0, 1.0)
+        _set(self, "values", values.clip(-1.0, 1.0))
         self.values.flags.writeable = False
-        self._pos = {lab: k for k, lab in enumerate(self.labels)}
+        _set(self, "_pos", {lab: k for k, lab in enumerate(self.labels)})
         if len(self._pos) != n:
             raise UnknownPair(f"repeated leaf labels in {self.labels}")
 
@@ -399,9 +414,9 @@ def _beyond(topology: TreeTopology, ends: np.ndarray) -> np.ndarray:
     """(k, n) boolean: row q marks the sorted leaves on the second end's side
     of the edge between the walk positions ``ends[q]``, read off the walk's
     subtree slices in one broadcast."""
-    _, _, _, first, leaf_rows = topology._walk
+    first, leaf_rows = map(np.asarray, topology._walk[3:])
     child = ends.min(axis=1)[:, None]  # the end away from the root, which the walk puts first
-    below = (np.take(first, child) <= leaf_rows) & (leaf_rows <= child)
+    below = (first[child] <= leaf_rows) & (leaf_rows <= child)
     return below ^ (ends[:, :1] == child)  # the first end below: the second's side is the rest
 
 
@@ -415,7 +430,7 @@ def _edge_splits(topology: TreeTopology) -> np.ndarray:
     ends = np.array([(row[u], row[v]) for u, v in topology.edges], dtype=np.intp).reshape(-1, 2)
     splits = _beyond(topology, ends)
     splits.flags.writeable = False
-    topology._splits = splits
+    _set(topology, "_splits", splits)
     return splits
 
 
@@ -439,24 +454,22 @@ def _path_incidence(topology: TreeTopology) -> np.ndarray:
 # normalization
 
 
-def _splice(adjacency: Dict[int, List[int]], leaf_set) -> List[Tuple[int, int, int]]:
+def _splice(adjacency: Dict[int, Sequence[int]], leaf_set) -> List[Tuple[int, int, int]]:
     """Splice out every degree-2 internal node of ``adjacency``, in place.
 
     A splice leaves every other degree alone, so one ascending pass finds
-    them all.  Returns each spliced node with the two neighbours it joined,
-    ``(node, a, b)``, in splice order.
+    them all; the two it joins get fresh lists.  Returns each spliced node
+    with the two neighbours it joined, ``(node, a, b)``, in splice order.
     """
     spliced = []
     for v in sorted(adjacency):
         if v in leaf_set or len(adjacency[v]) != 2:
             continue
         a, b = adjacency.pop(v)
-        adjacency[a].remove(v)
-        adjacency[b].remove(v)
         if b in adjacency[a]:
             raise MalformedTree("contraction produced a parallel edge")
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+        adjacency[a] = [w for w in adjacency[a] if w != v] + [b]
+        adjacency[b] = [w for w in adjacency[b] if w != v] + [a]
         spliced.append((v, a, b))
     return spliced
 
@@ -703,10 +716,11 @@ def _postorder(
 class _Cut(NamedTuple):
     """A tree with the edge (u, v) cut, ready for :func:`_attach`: ``u`` hangs
     from the fresh node ``t``, one above every node, and the degree-2 nodes
-    the cut leaves are spliced out, each recorded as ``(node, a, b)``."""
+    the cut leaves are spliced out, each recorded as ``(node, a, b)``.  A node
+    neither touches keeps the topology's own tuple: nothing writes through."""
 
     leaves: Tuple[int, ...]
-    adjacency: Dict[int, List[int]]
+    adjacency: Dict[int, Sequence[int]]
     t: int
     spliced: List[Tuple[int, int, int]]
 
@@ -719,9 +733,9 @@ def _detach(topology: TreeTopology, u: int, v: int) -> _Cut:
     if topology.degree(v) == 2:
         raise InvalidCut(f"cutting ({u}, {v}) leaves node {v} dangling")
     t = max(topology._adjacency) + 1
-    adjacency = {x: list(ns) for x, ns in topology._adjacency.items()}
-    adjacency[u][adjacency[u].index(v)] = t
-    adjacency[v].remove(u)
+    adjacency = dict(topology._adjacency)
+    adjacency[u] = [t if w == v else w for w in adjacency[u]]
+    adjacency[v] = [w for w in adjacency[v] if w != u]
     adjacency[t] = [u]
     return _Cut(topology.leaves, adjacency, t, _splice(adjacency, topology._leaf_set))
 

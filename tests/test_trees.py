@@ -1,5 +1,6 @@
 """Topology representation, normalization, surgery, and quartet machinery."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -18,6 +19,7 @@ from latent_ising import (
     BadParameter,
     CorrelationVector,
     InvalidCut,
+    LeafDistribution,
     MalformedTree,
     OddSubset,
     TooFewLeaves,
@@ -751,6 +753,32 @@ class TestDetachAttach:
                 with pytest.raises(InvalidCut, match="component being moved"):
                     cut_paste(topo, u, v, target)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_cut_shares_and_never_writes_through(self, seed):
+        # every cut of plain and chained trees, so cuts that splice v or a
+        # chain's degree-2 nodes are included, pasted at every valid target
+        rng = philox(70 + seed)
+        topo = random_topology(9, rng) if seed % 2 else chained_and_contracted(rng, 9)
+        adjacency, walk = list(topo._adjacency.items()), repr(topo._walk)
+        spliced_any = False
+        for u, v in [*topo.edges, *((b, a) for a, b in topo.edges)]:
+            if topo.degree(v) == 2:
+                continue
+            cut = _detach(topo, u, v)
+            spliced = {x for x, _, _ in cut.spliced}
+            spliced_any |= bool(spliced)
+            written = {u, v, cut.t, *(w for _, a, b in cut.spliced for w in (a, b))}
+            assert set(cut.adjacency) == (topo.nodes - spliced) | {cut.t}
+            for x, ns in cut.adjacency.items():
+                assert (ns is topo._adjacency.get(x)) == (x not in written)
+            v_side = component_nodes(topo, v, [(u, v)])
+            for r, s in topo.edges:
+                if r in v_side and s in v_side:
+                    assert _attach(cut, (r, s))[0].leaves == topo.leaves
+            assert list(topo._adjacency.items()) == adjacency
+            assert repr(topo._walk) == walk
+        assert spliced_any
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(4, 24), st.integers(0, 10**6), st.booleans())
     def test_sequence_is_one_cut_paste_per_path_edge(self, n, seed, plain):
@@ -1001,8 +1029,11 @@ class TestTopologyCache:
     @pytest.mark.parametrize("how", ["constructor", "normalize", "cut_paste"])
     def test_split_table_is_built_once_and_read_only(self, how):
         topo = self.built_three_ways()[how]
+        assert topo._splits is None  # filled on first read, by _edge_splits only
         splits = _edge_splits(topo)
-        assert _edge_splits(topo) is splits
+        assert topo._splits is splits and _edge_splits(topo) is splits
+        with pytest.raises(AttributeError):
+            topo._splits = None
         with pytest.raises(ValueError):
             splits[0, 0] = not splits[0, 0]
         with pytest.raises(ValueError):
@@ -1014,14 +1045,33 @@ class TestTopologyCache:
         for _ in range(2):  # each contraction of an internal edge leaves a degree-4 node or more
             inner = [e for e in contracted.edges if not any(map(contracted.is_leaf, e))]
             contracted = contract_edge(contracted, inner[int(rng.integers(len(inner)))])
+        chained = chained_and_contracted(rng, 12)
+        cuts = [  # every third cut of a chained tree, each pasted at every target on v's side
+            (_detach(chained, u, v), component_nodes(chained, v, [(u, v)]))
+            for u, v in [*chained.edges, *((b, a) for a, b in chained.edges)][::3]
+            if chained.degree(v) != 2
+        ]
+        assert any(cut.spliced for cut, _ in cuts)
+        weighted = WeightedTree(contracted, {e: 0.5 for e in contracted.edges})
         topologies = [
             TreeTopology([3], []),
             TreeTopology([2, 5], [(2, 5)]),
             TreeTopology([1, 2, 3], [(1, 4), (4, 5), (2, 5), (3, 5)]),  # 4 has degree 2
             TreeTopology([1, 2, 3, 4], [(1, 7), (7, 5), (2, 5), (5, 6), (3, 6), (6, 8), (8, 4)]),
             contracted,
+            chained,
             *(random_topology(n, rng) for n in (3, 4, 11, 40)),
             *self.built_three_ways().values(),
+            *(
+                _attach(cut, (r, s))[0]
+                for cut, v_side in cuts
+                for r, s in chained.edges
+                if r in v_side and s in v_side
+            ),
+            normalize(weighted).topology,  # splits the degree-4 nodes
+            normalize(random_weighted_tree(17, rng)).topology,
+            parse_tree("((1:0.5,2:-0.3,3:0.7):0.9,(4:0.2,5:0.6,6:-0.8,7:0.4):0.3,8:0.5);").topology,
+            parse_tree("(((2:0.5,(9:0.4,1:0.3):0.2):0.9):0.8,5:0.1,(3:0.2,4:0.6):0.7);").topology,
         ]
         assert max(contracted.degree(v) for v in contracted.nodes) >= 4
         for topo in topologies:
@@ -1039,7 +1089,52 @@ class TestTopologyCache:
         assert _edge_splits(topologies[0]).shape == (0, 1)
 
 
+def every_model_kind():
+    tree = random_weighted_tree(5, np.random.default_rng(0), 0.3, 0.8)
+    return {
+        "topology": tree.topology,
+        "tree": tree,
+        "forest": WeightedForest([tree]),
+        "correlations": correlations(tree),
+        "distribution": LeafDistribution.from_model(tree),
+    }
+
+
 class TestImmutability:
+    @pytest.mark.parametrize("kind", sorted(every_model_kind()))
+    def test_attributes_cannot_be_rebound_or_deleted(self, kind):
+        model = every_model_kind()[kind]
+        if kind == "topology":
+            _edge_splits(model)  # a filled split table is read-only too
+        for name in type(model).__slots__:
+            value = getattr(model, name)
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(model, name, value)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(model, name)
+            assert getattr(model, name) is value
+        with pytest.raises(AttributeError):
+            model.extra = 1
+
+    def test_rebinding_the_weights_leaves_the_distribution_alone(self):
+        tree = random_weighted_tree(5, np.random.default_rng(0), 0.3, 0.8)
+        alpha = correlations(tree)
+        with pytest.raises(AttributeError):
+            tree.theta = {e: 3.0 for e in tree.topology.edges}
+        with pytest.raises(AttributeError):
+            alpha.values = np.full(len(alpha.values), 5.0)
+        table = marginal_distribution(tree)
+        assert table.min() >= 0.0 and abs(table.sum() - 1.0) < 1e-12
+        assert np.abs(alpha.values).max() <= 0.8
+
+    def test_forest_pickles_and_copies_through_its_constructor(self):
+        forest = every_model_kind()["forest"]
+        for back in (pickle.loads(pickle.dumps(forest)), copy.copy(forest), copy.deepcopy(forest)):
+            assert back.leaves == forest.leaves
+            (comp,) = back.components
+            assert comp.topology.edges == forest.components[0].topology.edges
+            assert comp.theta == forest.components[0].theta
+
     def test_weights_are_read_only(self):
         tree = random_weighted_tree(5, np.random.default_rng(0), 0.3, 0.8)
         edge = tree.topology.edges[0]
