@@ -32,7 +32,7 @@ from .estimation import (
     require_sample_columns,
     require_unit_labels,
 )
-from .distribution import _generator, exact_tv, read_samples, sample, write_samples
+from .distribution import _generator, _overwrite, exact_tv, read_samples, sample, write_samples
 from .identity import test_identity
 from .interpolate import interpolate, trace_to_json
 from .learn_known import fit_known, fit_report, learn_from_samples_known
@@ -57,6 +57,11 @@ def _read_model(path: str):
     return parse_model(text)
 
 
+def _write_artifact(path: str, text: str) -> None:
+    with _overwrite(path) as fh:
+        fh.write(text.encode())
+
+
 def _read_tree(path: str):
     model = _read_model(path)
     if isinstance(model, WeightedForest):
@@ -71,8 +76,7 @@ def _read_tree(path: str):
 def _cmd_gen(args) -> Dict:
     tree = random_weighted_tree(args.n, _generator(args.seed), args.low, args.high)
     text = serialize_tree(tree)
-    with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+    _write_artifact(args.out, text + "\n")
     return {"edges": len(tree.topology.edges), "diameter": diameter(tree.topology)}
 
 
@@ -88,8 +92,7 @@ def _cmd_sample(args) -> Dict:
 def _cmd_estimate(args) -> Dict:
     samples = read_samples(args.samples)
     report = empirical_correlations(samples, args.delta)
-    with open(args.out, "w") as fh:
-        fh.write(report_to_json(report) + "\n")
+    _write_artifact(args.out, report_to_json(report) + "\n")
     return {"n": report.alpha_hat.n, "m": report.m, "eta": report.eta}
 
 
@@ -99,8 +102,7 @@ def _cmd_learn_known(args) -> Dict:
     require_sample_columns(samples, topology.leaves, "tree")
     report = empirical_correlations(samples, args.delta)
     fit = fit_known(topology, report.alpha_hat, report.eta)
-    with open(args.out, "w") as fh:
-        fh.write(serialize_tree(fit.tree) + "\n")
+    _write_artifact(args.out, serialize_tree(fit.tree) + "\n")
     return fit_report(fit, report.alpha_hat)
 
 
@@ -109,8 +111,7 @@ def _cmd_learn_unknown(args) -> Dict:
     estimate = empirical_correlations(samples, args.delta)
     config = choose_params(estimate.eta, estimate.alpha_hat.n)
     forest = learn_unknown_from_correlations(estimate.alpha_hat, estimate.eta)
-    with open(args.out, "w") as fh:
-        fh.write(serialize_forest(forest))
+    _write_artifact(args.out, serialize_forest(forest))
     per_component = [
         {
             "leaves": list(c.topology.leaves),
@@ -147,8 +148,7 @@ def _cmd_interpolate(args) -> Dict:
     target = normalize(_read_tree(args.target))
     trace = interpolate(source.topology, target, correlations(source))
     payload = trace_to_json(trace)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write_artifact(args.out, json.dumps(payload, sort_keys=True) + "\n")
     return {
         "epochs": trace.epochs,
         "rounds": trace.rounds,
@@ -212,8 +212,7 @@ def _cmd_bench(args) -> Dict:
         body = "\n".join(lines) + "\n"
     else:
         body = json.dumps(rows, sort_keys=True) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(body)
+    _write_artifact(args.out, body)
     return {"rows": len(rows), "decay_exponent": slope}
 
 

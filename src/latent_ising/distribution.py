@@ -22,6 +22,7 @@ of its components' closed-form tables, each broadcast over its own leaves.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import os
@@ -319,6 +320,28 @@ _GRID_HEADER = re.compile(rb"# n=(\d+) m=(\d+)\n")
 _GRID_HEADER_BYTES = 64
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """Open ``path`` for writing as a binary file, overwriting it in place.
+
+    The file is created if missing and opened without ``O_TRUNC``; when the
+    block exits, by an exception too, a regular file is cut to exactly the
+    bytes written.  A symlink is written through, and a FIFO or a device is
+    never truncated.  Truncating a non-empty file to zero on open would make
+    ext4 (``auto_da_alloc``) start writeback at close.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_samples(path, samples: np.ndarray) -> None:
     """Write an (m, n) matrix of -1/+1 spins as a sample file.
 
@@ -327,6 +350,9 @@ def write_samples(path, samples: np.ndarray) -> None:
     the newline.  ``read_samples`` decodes exactly this layout block by
     block.  Raises ``EmptySample`` unless ``samples`` is 2-D with ``m, n >= 1``
     and ``BadSpinValue`` unless every entry is -1 or +1.
+
+    An existing file is overwritten in place: a symlink is written through,
+    and a FIFO or a device is not truncated.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or min(samples.shape) < 1:
@@ -337,7 +363,7 @@ def write_samples(path, samples: np.ndarray) -> None:
     buffer = np.full((min(m, _BLOCK_ROWS), 3 * n), ord(" "), dtype=np.uint8)
     buffer[:, 1::3] = ord("1")
     buffer[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"# n={n} m={m}\n".encode())
         for start in range(0, m, _BLOCK_ROWS):
             block = samples[start:start + _BLOCK_ROWS]

@@ -206,10 +206,12 @@ class WeightedTree(_ReadOnly):
                 raise MalformedTree(f"edge {e} has no weight")
         if len(normalized) != len(topology.edges):
             raise MalformedTree("weight map mentions edges not in the tree")
+        clipped = {e: normalized[e] for e in topology.edges}
         for e, w in normalized.items():
-            if not abs(w) <= 1.0 + 1e-12:  # NaN fails this too
-                raise MalformedTree(f"weight {w} on edge {e} outside [-1, 1]")
-        clipped = {e: min(1.0, max(-1.0, normalized[e])) for e in topology.edges}
+            if not abs(w) <= 1.0:  # only the tolerated overshoot is clamped
+                if not abs(w) <= 1.0 + 1e-12:  # NaN fails this too
+                    raise MalformedTree(f"weight {w} on edge {e} outside [-1, 1]")
+                clipped[e] = 1.0 if w > 0 else -1.0
         _set(self, "theta", MappingProxyType(clipped))
 
     def __reduce__(self):

@@ -1,10 +1,13 @@
 """CLI workbench: subcommands, exit codes, reproducible reports."""
 
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -538,6 +541,91 @@ def test_undecodable_tree_file_is_a_domain_error(tmp_path, capsys, samples_file,
     assert not out_file.exists()
 
 
+#: the commands that write an ``--out`` file
+_WRITER_CASES = [argv for argv, _ in _REPORT_CASES if "{out}" in argv]
+
+
+def _write_out(capsys, model_file, samples_file, argv, out):
+    return run_cli(capsys, *_fill(argv, tree=model_file, samples=samples_file, out=out))
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES, ids=lambda argv: argv[0])
+def test_out_overwrites_a_longer_file_in_place(tmp_path, capsys, model_file, samples_file, argv):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert _write_out(capsys, model_file, samples_file, argv, fresh)[0] == 0
+    old.write_bytes(b"x" * (fresh.stat().st_size + 5000))
+    inode = old.stat().st_ino
+    assert _write_out(capsys, model_file, samples_file, argv, old)[0] == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES, ids=lambda argv: argv[0])
+def test_out_symlink_is_written_through(tmp_path, capsys, model_file, samples_file, argv):
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    assert _write_out(capsys, model_file, samples_file, argv, fresh)[0] == 0
+    target.write_bytes(b"x" * (fresh.stat().st_size + 5000))
+    link.symlink_to(target)
+    assert _write_out(capsys, model_file, samples_file, argv, link)[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES, ids=lambda argv: argv[0])
+def test_out_fifo_is_written_not_truncated(
+    tmp_path, capsys, monkeypatch, model_file, samples_file, argv
+):
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    assert _write_out(capsys, model_file, samples_file, argv, fresh)[0] == 0
+    os.mkfifo(fifo)
+    truncated = []
+    monkeypatch.setattr(os, "ftruncate", lambda *args: truncated.append(args))
+    got = []
+    # a daemon, so a writer that never opens the FIFO fails the test, not hangs it
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = _write_out(capsys, model_file, samples_file, argv, fifo)[0]
+    reader.join(timeout=30)
+    assert code == 0 and got == [fresh.read_bytes()]
+    assert truncated == [] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES, ids=lambda argv: argv[0])
+def test_out_dev_null(capsys, model_file, samples_file, argv):
+    assert _write_out(capsys, model_file, samples_file, argv, os.devnull)[0] == 0
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "full device"])
+def test_out_that_cannot_be_written_is_a_file_error(
+    tmp_path, capsys, model_file, samples_file, argv, where
+):
+    if where == "directory":
+        out, error, code = str(tmp_path), "IsADirectoryError", errno.EISDIR
+    elif where == "missing parent":
+        out, error, code = str(tmp_path / "missing" / "out"), "FileNotFoundError", errno.ENOENT
+    else:
+        out, error, code = "/dev/full", "OSError", errno.ENOSPC
+        if not os.path.exists(out):
+            pytest.skip("no /dev/full on this system")
+    message = f"[Errno {code}] {os.strerror(code)}"
+    if where != "full device":  # the open fails, so the error names the path
+        message += f": {out!r}"
+    status, stdout, err = _write_out(capsys, model_file, samples_file, argv, out)
+    assert status == 1 and stdout == ""
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_out_read_only_file_is_left_alone(tmp_path, capsys, model_file):
+    out = tmp_path / "locked.nwk"
+    out.write_bytes(b"keep")
+    out.chmod(0o444)
+    code, _, err = run_cli(capsys, "gen", "--n", "5", "--out", str(out))
+    assert code == 1 and json.loads(err)["error"] == "PermissionError"
+    assert out.read_bytes() == b"keep"
+
+
 #: the pinned pipeline, written as shell commands in order, each with the
 #: sha256 of the file it writes (``--out`` or its stdout) where one is pinned;
 #: CI's "Installed entry point" step also runs a few through the installed script
@@ -624,3 +712,30 @@ def test_ci_entry_point_pins(tmp_path, capsys, monkeypatch):
         if digest is not None:
             written = redirect or argv[argv.index("--out") + 1]
             assert hashlib.sha256(Path(written).read_bytes()).hexdigest() == digest, line
+
+
+def test_ci_entry_point_pins_hold_over_longer_files(tmp_path, capsys, monkeypatch):
+    # the second replay overwrites every artifact of the first, each padded
+    # longer, so every pinned write is a shrinking overwrite in place
+    monkeypatch.chdir(tmp_path)
+    for replay in range(2):
+        if replay:
+            for path in tmp_path.iterdir():
+                with open(path, "ab") as fh:
+                    fh.write(b"padding\n" * 512)
+        for line, digest in _CI_PINS:
+            piped, _, command = line.rpartition(" | ")
+            command, _, redirect = command.partition(" > ")
+            argv = command.split()[1:]
+            if piped:
+                code = _main_on_piped_stdin(argv, piped.split())
+            else:
+                code = main(argv)
+            out = capsys.readouterr().out
+            assert code == 0, (replay, line)
+            if redirect:
+                Path(redirect).write_text(out)
+            if digest is not None:
+                written = redirect or argv[argv.index("--out") + 1]
+                assert hashlib.sha256(Path(written).read_bytes()).hexdigest() == digest, (
+                    replay, line)

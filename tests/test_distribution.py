@@ -1,10 +1,12 @@
 """Closed form vs marginalization, sampling, exact TV, path removal."""
 
+import errno
 import hashlib
 import itertools
 import os
 import pickle
 import re
+import signal
 import struct
 import threading
 import warnings
@@ -51,6 +53,7 @@ from latent_ising import (
 from latent_ising.distribution import (
     _BLOCK_ROWS,
     _marginalize,
+    _overwrite,
     config_index,
     even_subset_coefficients,
 )
@@ -746,6 +749,45 @@ class TestSampling:
         model = random_model(n, philox(8))
         budget = m * n + 1.5 * _BLOCK_ROWS * (2 * n - 2) * 8  # the output and one block's words
         assert peak_bytes(lambda: sample(model, m, 3)) < budget
+
+
+class TestOverwrite:
+    def test_exception_leaves_the_written_prefix(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 10_000)
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with _overwrite(path) as fh:
+                fh.write(b"prefix")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"prefix"
+
+    def test_truncates_when_the_final_flush_fails(self, tmp_path):
+        # a file size limit fails the flush past 4096 bytes; the stale tail
+        # beyond what reached the file is cut all the same
+        resource = pytest.importorskip("resource")
+        if signal.getsignal(signal.SIGXFSZ) != signal.SIG_IGN:
+            pytest.skip("SIGXFSZ would end the process instead of failing the write")
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 10_000)
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, limits[1]))
+        try:
+            with pytest.raises(OSError) as exc:
+                with _overwrite(path) as fh:
+                    fh.write(b"y" * 5000)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        assert exc.value.errno == errno.EFBIG
+        assert path.read_bytes() == b"y" * 4096
+
+    def test_write_samples_over_a_longer_file(self, tmp_path):
+        draws = sample(random_model(5, philox(3)), 40, 1)
+        fresh, old = tmp_path / "fresh.dat", tmp_path / "old.dat"
+        write_samples(fresh, draws)
+        old.write_bytes(b"+1 " * 10_000)
+        write_samples(old, draws)
+        assert old.read_bytes() == fresh.read_bytes()
+        assert np.array_equal(read_samples(old), draws)
 
 
 class TestExactTv:

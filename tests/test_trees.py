@@ -43,6 +43,7 @@ from latent_ising import (
     random_topology,
     random_weighted_tree,
     sequence,
+    serialize_tree,
     topologies_equal,
 )
 from latent_ising.distribution import marginal_distribution
@@ -341,6 +342,19 @@ class TestValidation:
         with pytest.raises(MalformedTree):
             WeightedTree(topo, {(1, 4): 0.5})
 
+    def test_tolerated_overshoot_is_clamped_bit_for_bit(self):
+        topo = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
+        given = [1 + 1e-13, -(1 + 1e-13), -0.0, 0.25, -1.0]
+        # reversed keys and order: theta follows topology.edges all the same
+        theta = {(v, u): w for (u, v), w in reversed(list(zip(topo.edges, given)))}
+        wt = WeightedTree(topo, theta)
+        assert list(wt.theta) == list(topo.edges)
+        want = [min(1.0, max(-1.0, w)) for w in given]
+        assert [struct.pack("<d", w) for w in wt.theta.values()] == [
+            struct.pack("<d", w) for w in want
+        ]
+        assert want[:3] == [1.0, -1.0, 0.0] and math.copysign(1.0, wt.theta[topo.edges[2]]) == -1.0
+
 
 class TestNormalize:
     def test_already_binary_unchanged(self):
@@ -391,6 +405,14 @@ class TestNormalize:
         np.testing.assert_allclose(
             correlations(norm).values, correlations(wt).values, atol=1e-15
         )
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_identity_on_parsed_trees(self, n):
+        # _model_table passes a binary tree on without normalizing it
+        tree = parse_tree(serialize_tree(random_weighted_tree(n, philox(n), -0.9, 0.9)))
+        norm = normalize(tree)
+        assert norm.topology.edges == tree.topology.edges
+        assert list(norm.theta.items()) == list(tree.theta.items())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
