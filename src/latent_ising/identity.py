@@ -68,7 +68,7 @@ def test_identity(
     ref = as_forest(reference)
     require_sample_columns(samples, ref.leaves, "reference")
     report = empirical_correlations(samples, delta)
-    statistic = report.alpha_hat.max_abs_difference(correlations(ref))
+    statistic = report.alpha_hat.max_abs_difference(correlations(reference))
     d = max(1, *(diameter(c.topology) for c in ref.components))
     threshold = report.eta + eps / (DEFAULT_TV_CONSTANT * ref.n ** 5 * d)
     decision = "reject" if statistic > threshold else "accept"

@@ -43,9 +43,12 @@ All values are immutable after construction: no attribute can be rebound or
 deleted, edge weights are a read-only mapping, arrays are read-only, and a
 pickled model is rebuilt through its constructor, so it is validated again.
 Every operation returns a new object, so instances are safe to share across
-threads.  A topology's split table is filled on first read, by
-``_edge_splits`` only, and never changes afterwards, so concurrent readers at
-worst build equal tables.
+threads.  What is derived from a value may be kept on it, filled on first read
+by one function each and never changed afterwards, so concurrent readers at
+worst build equal values: a topology's split table (``_splits``, by
+``_edge_splits``), and a weighted tree's or forest's correlations (``_alpha``,
+by ``correlations``) and dense leaf table (``_table``, by
+``distribution._model_table``).  A pickled or copied value keeps none of them.
 """
 
 from __future__ import annotations
@@ -194,12 +197,18 @@ class TreeTopology(_ReadOnly):
 
 
 class WeightedTree(_ReadOnly):
-    """A topology together with one weight in [-1, 1] per edge, read-only."""
+    """A topology together with one weight in [-1, 1] per edge, read-only.
 
-    __slots__ = ("topology", "theta")
+    Once read, its correlations and its dense leaf table (2^n float64, at
+    most 8 MB at the 20-leaf cap) are kept on it for as long as it lives.
+    """
+
+    __slots__ = ("topology", "theta", "_alpha", "_table")
 
     def __init__(self, topology: TreeTopology, theta: Mapping[Edge, float]):
         _set(self, "topology", topology)
+        _set(self, "_alpha", None)  # filled by correlations
+        _set(self, "_table", None)  # filled by distribution._model_table
         normalized = {((u, v) if u < v else (v, u)): float(w) for (u, v), w in theta.items()}
         for e in topology.edges:
             if e not in normalized:
@@ -229,9 +238,12 @@ class WeightedTree(_ReadOnly):
 
 
 class WeightedForest(_ReadOnly):
-    """Disjoint weighted trees; component leaf sets partition the label set."""
+    """Disjoint weighted trees; component leaf sets partition the label set.
 
-    __slots__ = ("components",)
+    Like a tree, it keeps its correlations and its dense leaf table once read.
+    """
+
+    __slots__ = ("components", "_alpha", "_table")
 
     def __init__(self, components: Iterable[WeightedTree]):
         comps = sorted(components, key=lambda t: t.topology.leaves[0])
@@ -244,6 +256,8 @@ class WeightedForest(_ReadOnly):
         if not comps:
             raise LeafSetMismatch("a forest needs at least one component")
         _set(self, "components", tuple(comps))
+        _set(self, "_alpha", None)  # filled by correlations
+        _set(self, "_table", None)  # filled by distribution._model_table
 
     def __reduce__(self):
         return WeightedForest, (self.components,)
@@ -536,6 +550,8 @@ def normalize(tree: WeightedTree) -> WeightedTree:
     if tree.topology.leaf_count < 2:
         raise MalformedTree("normalization needs at least two leaves")
     topology, weights = _rebuild(tree.leaves, tree.topology.edges, tree.theta)
+    if topology.is_binary():  # nothing to split, and renumbering a canonical tree is the identity
+        return WeightedTree(topology, weights)
     adjacency = {v: list(ns) for v, ns in topology._adjacency.items()}
     # a split changes only the degrees of the node and of its new node, whose
     # id tops every other, so one pass over the growing id list splits them all
@@ -583,14 +599,21 @@ def _path_products(tree: WeightedTree) -> np.ndarray:
 
 def correlations(model) -> CorrelationVector:
     """Pairwise leaf correlations of a weighted tree or forest: each path's
-    weight product, from its smaller leaf; pairs across components are 0."""
+    weight product, from its smaller leaf; pairs across components are 0.
+
+    Computed on first read and kept on ``model`` itself as ``_alpha``, so every
+    later call returns the same read-only vector."""
     forest = as_forest(model)
+    if model._alpha is not None:
+        return model._alpha
     labels = forest.leaves
     dense = np.zeros((len(labels), len(labels)))  # [a, b]: from leaf a to leaf b
     for tree in forest.components:
         at = np.searchsorted(labels, tree.leaves)
         dense[np.ix_(at, at)] = _path_products(tree)[tree.topology._walk[4]].T
-    return CorrelationVector(labels, dense[_pair_index(len(labels))])
+    alpha = CorrelationVector(labels, dense[_pair_index(len(labels))])
+    _set(model, "_alpha", alpha)
+    return alpha
 
 
 _SPLIT_ORDER = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))

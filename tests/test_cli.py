@@ -10,9 +10,19 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from latent_ising import BadParameter, DimensionMismatch, EmptySample, parse_tree
+import latent_ising.distribution as distribution
+from latent_ising import (
+    BadParameter,
+    DimensionMismatch,
+    EmptySample,
+    correlations,
+    normalize,
+    parse_tree,
+    random_weighted_tree,
+)
 from latent_ising.cli import bench_sweep, main
 
 
@@ -173,6 +183,33 @@ def test_bench_csv_format(tmp_path, capsys, model_file):
     assert lines[0] == "m,trial,tv"
     assert len(lines) == 5
     assert "\r" not in out_csv.read_text()
+
+
+def test_bench_csv_is_pinned(tmp_path, capsys):
+    tree, out_csv = tmp_path / "truth8.nwk", tmp_path / "bench8.csv"
+    assert main(["gen", "--n", "8", "--low", "-0.9", "--high", "0.9", "--seed", "13",
+                 "--out", str(tree)]) == 0
+    assert main(["bench", "--tree", str(tree), "--m-list", "500,2000", "--trials", "3",
+                 "--format", "csv", "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert digest == "4e2bb36cf796634f89be0b96dadd2c6e1f52e283802d9196276b7ec72f4ef14e"
+
+
+def test_bench_sweep_builds_the_truth_table_once(monkeypatch):
+    built = []
+    real = distribution.even_subset_coefficients
+
+    def counted(topology, alpha):
+        built.append(alpha.values.tobytes())
+        return real(topology, alpha)
+
+    monkeypatch.setattr(distribution, "even_subset_coefficients", counted)
+    tree = random_weighted_tree(8, np.random.default_rng(13), -0.9, 0.9)
+    rows = bench_sweep(tree, [500, 2000], 3, 0.05, 0)
+    truth = correlations(normalize(tree)).values.tobytes()
+    assert len(built) == 1 + len(rows)  # the truth once, then one table per fit
+    assert built.count(truth) == 1
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

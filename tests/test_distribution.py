@@ -1,5 +1,6 @@
 """Closed form vs marginalization, sampling, exact TV, path removal."""
 
+import copy
 import errno
 import hashlib
 import itertools
@@ -50,6 +51,7 @@ from latent_ising import (
     sample,
     write_samples,
 )
+import latent_ising.distribution as distribution_module
 from latent_ising.distribution import (
     _BLOCK_ROWS,
     _marginalize,
@@ -962,6 +964,102 @@ class TestOracleBitsThroughNormalize:
                          (binary_forest, a)):
                 hashed.update(exact_tv(x, y).hex().encode())
         assert hashed.hexdigest() == digest
+
+
+def _rebuilt(model):
+    """A tree or forest equal to ``model``, built afresh through its constructors."""
+    if isinstance(model, WeightedForest):
+        return WeightedForest([_rebuilt(tree) for tree in model.components])
+    return WeightedTree(TreeTopology(model.leaves, model.topology.edges), dict(model.theta))
+
+
+@st.composite
+def _kept_value_models(draw):
+    """A tree, a forest, or a tree with degree-2 and degree-4 nodes, at n <= 12."""
+    model = draw(_sampler_models(max_n=12, max_parts=3))
+    if isinstance(model, WeightedTree) and model.topology.edges and draw(st.booleans()):
+        rng = philox(draw(st.integers(0, 2 ** 32)))
+        model = _contracted(_chained(model, rng), rng)
+    return model
+
+
+class TestKeptValues:
+    """A tree or forest keeps its correlations and its exact table once read."""
+
+    def kept(self):
+        tree = random_weighted_tree(7, philox(41), -0.9, 0.9)
+        forest = WeightedForest([
+            _renamed(random_weighted_tree(3, philox(42)), [1, 4, 6], [10, 11]),
+            _renamed(random_weighted_tree(4, philox(43)), [2, 3, 5, 7], [20, 21, 22]),
+        ])
+        return {"tree": tree, "forest": forest}
+
+    def test_one_truth_builds_its_table_once(self, monkeypatch):
+        built = []
+        real = distribution_module.even_subset_coefficients
+
+        def counted(topology, alpha):
+            built.append(alpha)
+            return real(topology, alpha)
+
+        monkeypatch.setattr(distribution_module, "even_subset_coefficients", counted)
+        rng = philox(44)
+        truth = random_weighted_tree(8, rng, -0.9, 0.9)
+        fits = [random_weighted_tree(8, rng, -0.9, 0.9) for _ in range(2)]
+        first = [exact_tv(truth, fit) for fit in fits]
+        assert len(built) == 3  # the truth once, each fit once
+        assert built[0] is correlations(truth)
+        assert [exact_tv(truth, fit) for fit in fits] == first
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_correlations_are_kept_on_the_model(self, kind):
+        model = self.kept()[kind]
+        assert model._alpha is None and model._table is None
+        assert correlations(model) is correlations(model)
+        assert model._alpha is correlations(model)
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_kept_arrays_and_slots_are_read_only(self, kind):
+        model = self.kept()[kind]
+        alpha = correlations(model)
+        assert exact_tv(model, model) == 0.0
+        table = model._table
+        with pytest.raises(ValueError):
+            alpha.values[0] = 0.5
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+        for name in ("_alpha", "_table"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(model, name, None)
+        assert model._alpha is alpha and model._table is table
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_pickled_and_copied_models_drop_and_rebuild_the_kept_values(self, kind):
+        model = self.kept()[kind]
+        alpha = correlations(model).values.tobytes()
+        table = LeafDistribution.from_model(model).probabilities.tobytes()
+        uniform = WeightedForest([WeightedTree(TreeTopology([v], []), {}) for v in model.leaves])
+        tv = exact_tv(model, uniform)
+        for back in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert back._alpha is None and back._table is None
+            assert correlations(back).values.tobytes() == alpha
+            assert LeafDistribution.from_model(back).probabilities.tobytes() == table
+            assert exact_tv(back, uniform) == tv
+
+    @settings(max_examples=40, deadline=None)
+    @given(_kept_value_models())
+    def test_filled_model_gives_what_a_fresh_one_gives(self, model):
+        uniform = WeightedForest([WeightedTree(TreeTopology([v], []), {}) for v in model.leaves])
+        correlations(model)
+        LeafDistribution.from_model(model)
+        assert model._alpha is not None and model._table is not None
+        assert correlations(model).values.tobytes() == correlations(_rebuilt(model)).values.tobytes()
+        fresh = LeafDistribution.from_model(_rebuilt(model)).probabilities
+        assert LeafDistribution.from_model(model).probabilities.tobytes() == fresh.tobytes()
+        assert exact_tv(model, uniform) == exact_tv(_rebuilt(model), _rebuilt(uniform))
+        assert exact_tv(uniform, model) == exact_tv(_rebuilt(uniform), _rebuilt(model))
+        assert exact_tv(model, _rebuilt(model)) == 0.0
 
 
 class TestPathRemoved:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import latent_ising.trees as trees
 from latent_ising import (
     BadParameter,
     DimensionMismatch,
@@ -96,6 +97,26 @@ class TestVerdicts:
             run_identity_test(samples, truth, eps=0.1, delta=0.05)
         with pytest.raises(error, match=message):
             learn_from_samples_known(truth.topology, samples, 0.05)
+
+    def test_one_reference_computes_its_correlations_once(self, monkeypatch):
+        # criterion 9's reference and sample seeds
+        truth = random_model(8, philox(9001), magnitude=(0.2, 0.8), signed=True)
+        draws = [sample(truth, 4_000, 9100 + trial) for trial in range(2)]
+        fresh = [
+            run_identity_test(d, WeightedTree(truth.topology, truth.theta), eps=0.3, delta=0.05)
+            for d in draws
+        ]
+        walks = []
+        real = trees._path_products
+
+        def counted(tree):
+            walks.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(trees, "_path_products", counted)
+        verdicts = [run_identity_test(d, truth, eps=0.3, delta=0.05) for d in draws]
+        assert walks == [truth]
+        assert verdicts == fresh and all(v.accepted for v in verdicts)
 
     def test_type_one_error_rate(self):
         truth = random_model(7, philox(64), magnitude=(0.2, 0.8), signed=True)

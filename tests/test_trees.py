@@ -57,6 +57,7 @@ from latent_ising.trees import (
     _pair_offset,
     _path_incidence,
     _postorder,
+    _rebuild,
     _side,
     edge_key,
 )
@@ -427,6 +428,19 @@ class TestNormalize:
         np.testing.assert_allclose(
             correlations(once).values, correlations(wt).values, atol=1e-12
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 14))
+    def test_second_rebuild_changes_nothing(self, seed, n):
+        # normalize skips its second rebuild when nothing needs splitting; the
+        # reference runs it on every output: renumbering a canonical tree is the identity
+        rng = philox(seed)
+        topo = chained_and_contracted(rng, n)
+        tree = WeightedTree(topo, dict(zip(topo.edges, rng.uniform(-1.0, 1.0, len(topo.edges)))))
+        norm = normalize(tree)
+        topology, weights = _rebuild(norm.leaves, norm.topology.edges, norm.theta)
+        assert topology.edges == norm.topology.edges
+        assert list(WeightedTree(topology, weights).theta.items()) == list(norm.theta.items())
 
 
 class TestPath:
