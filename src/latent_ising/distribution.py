@@ -144,8 +144,8 @@ def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -
     """Full-length (2^n) coefficient vector: matching products on even subsets.
 
     ``value[i, j]`` is the correlation of leaves ``i`` and ``j`` and 1.0 on row
-    and column ``n``, so each meeting the matching walk yields multiplies in
-    its closing pair's correlation, or 1.0 where none closes.
+    and column ``n``; ``take`` at each meeting's flat index multiplies in its
+    closing pair's correlation, or 1.0 where none closes.
     """
     if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
@@ -155,31 +155,25 @@ def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -
     a, b = _pair_index(n)
     value[a, b] = value[b, a] = alpha.values
     coef = 1.0
-    for mine, child in _matching_pairs(topology, spins):
-        coef = coef * value[mine, child]
+    for index in _matching_pairs(topology, spins):
+        coef = coef * value.take(index)
     return np.where(functools.reduce(np.logical_xor, spins), 0.0, coef).reshape(-1)
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
     """In-place-free fast Walsh-Hadamard transform (even-subset character sums).
 
-    Each step runs the radix-2 passes of spans ``h`` and ``2h`` together on
-    the quads ``a0, a1, b0, b1`` at offsets 0, h, 2h, 3h; a last radix-2 pass
-    ends an odd number of them.  The sums and their order are the radix-2 ones.
+    Self-sorting (Stockham) radix-2 passes: pass ``j`` writes the span-``2**j``
+    sums and differences of the pairs ``a[0::2]``, ``a[1::2]`` into the two
+    halves of the other buffer, so the bits end in order and the sums and
+    their order are the radix-2 ones.
     """
-    a = vec.copy()
-    h = 1
-    while 4 * h <= a.size:
-        (a0, a1), (b0, b1) = a.reshape(-1, 2, 2, h).transpose(1, 2, 0, 3)  # views into a
-        s0, d0, s1, d1 = a0 + a1, a0 - a1, b0 + b1, b0 - b1
-        np.add(s0, s1, out=a0)
-        np.subtract(s0, s1, out=b0)
-        np.add(d0, d1, out=a1)
-        np.subtract(d0, d1, out=b1)
-        h *= 4
-    if h < a.size:
-        x, y = a.reshape(-1, 2, h).transpose(1, 0, 2)
-        x[...], y[...] = x + y, x - y
+    a, b = vec.copy(), np.empty_like(vec)
+    half = a.size // 2
+    for _ in range(half.bit_length()):
+        np.add(a[0::2], a[1::2], out=b[:half])
+        np.subtract(a[0::2], a[1::2], out=b[half:])
+        a, b = b, a
     return a
 
 

@@ -10,9 +10,10 @@ forest as path products of edge weights (0 between components), quartet
 classification, cut-and-paste surgery,
 induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
-of the ``(2,) * n`` table), yielding at each node's last child the two leaf
-positions that meet there (``n`` for none), a pair where both are leaves.  Every
-parent-pointer traversal reads one walk over an adjacency mapping,
+of the ``(2,) * n`` table), yielding at each node's last child one flat index,
+``mine * (n + 1) + child``, of the two leaf positions that meet there (``n``
+for none), a pair where both are leaves.  Every parent-pointer traversal
+reads one walk over an adjacency mapping,
 ``_postorder``; a topology keeps its validation's from its smallest leaf by
 position, ``_walk = (order, row, up, first, leaf_rows)``: ``order[k]`` is node
 k, the root last, ``row`` maps a node to its position, ``up[k]`` is the
@@ -666,7 +667,7 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
     """Pair up an even leaf subset so the connecting paths are edge-disjoint.
 
     On a tree with internal degree 3 this pairing exists and is unique; it
-    is the 0-d reading of :func:`_matching_pairs`.
+    is the 0-d reading of :func:`_matching_pairs`, each flat index decoded.
     """
     members = sorted(set(subset))
     for v in members:
@@ -676,12 +677,13 @@ def closest_relative_matching(topology: TreeTopology, subset: Iterable[int]) -> 
         raise OddSubset(f"subset of size {len(members)} cannot be paired")
     leaves, n = topology.leaves, topology.leaf_count
     walk = _matching_pairs(topology, np.isin(leaves, members))
-    return sorted((leaves[min(a, b)], leaves[max(a, b)]) for a, b in walk if a < n and b < n)
+    pairs = (divmod(index, n + 1) for index in walk)
+    return sorted((leaves[min(a, b)], leaves[max(a, b)]) for a, b in pairs if a < n and b < n)
 
 
 def _matching_pairs(
     topology: TreeTopology, members: Sequence[np.ndarray]
-) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+) -> Iterable[np.ndarray]:
     """The edge-disjoint matching of every leaf subset, as each node meets its
     last child.
 
@@ -691,10 +693,11 @@ def _matching_pairs(
     of at most one unpaired leaf, ``n`` for none, folded into its parent's (at
     ``up[k]``) as the walk finishes the node.  A first child closes nothing
     and is stored; at a node's last child, which the walk places directly
-    before it, this yields the two carried positions ``(mine, child)``, a
-    pair closing wherever both are below ``n``, and carries on what
-    ``meet[mine, child]`` says: ``n`` where a pair closes or neither carries
-    a leaf, else the one carried.  So pairs come in closing order.
+    before it, this yields the flat index ``mine * (n + 1) + child`` of the
+    two carried positions, a pair closing wherever both are below ``n``, and
+    carries on what the ravelled ``meet`` table holds there: ``n`` where a
+    pair closes or neither carries a leaf, else the one carried.  So pairs
+    come in closing order.
     """
     if not topology.is_binary():
         raise MalformedTree("matching needs internal degree 3")
@@ -710,8 +713,10 @@ def _matching_pairs(
         if k + 1 < p:  # a first child: its parent carries nothing yet
             carried[p] = child
         else:
-            yield carried[p], child
-            carried[p] = meet[carried[p], child]
+            index = carried[p] * (n + 1) + child
+            carried[p] = child = None  # the caller's gather holds only the index
+            yield index
+            carried[p] = meet.take(index)
 
 
 def _postorder(

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -749,6 +750,22 @@ def test_ci_entry_point_pins(tmp_path, capsys, monkeypatch):
         if digest is not None:
             written = redirect or argv[argv.index("--out") + 1]
             assert hashlib.sha256(Path(written).read_bytes()).hexdigest() == digest, line
+
+
+def test_ci_workflow_checks_only_pinned_digests():
+    # the workflow's "Installed entry point" step runs pinned commands and
+    # checks each digest against the file a pinned command writes
+    workflow = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text()
+    commands = re.findall(r"^ +((?:cat \S+ \| )?latent-ising (?!--version).*)$", workflow, re.M)
+    checks = re.findall(r'^ +echo "([0-9a-f]{64})  (\S+)" \| sha256sum -c$', workflow, re.M)
+    assert commands and checks
+    assert set(commands) <= {line for line, _ in _CI_PINS}
+    pinned = set()
+    for line, digest in _CI_PINS:
+        command, _, redirect = line.partition(" > ")
+        argv = command.split()
+        pinned.add((digest, redirect or argv[argv.index("--out") + 1]))
+    assert set(checks) <= pinned
 
 
 def test_ci_entry_point_pins_hold_over_longer_files(tmp_path, capsys, monkeypatch):

@@ -54,6 +54,7 @@ from latent_ising import (
 import latent_ising.distribution as distribution_module
 from latent_ising.distribution import (
     _BLOCK_ROWS,
+    _fwht,
     _marginalize,
     _overwrite,
     config_index,
@@ -184,6 +185,8 @@ class TestClosedForm:
             (5, "644f4a6e2d0dbb91624dd900d6334901c70de60ff9e0e2e7b5513e2759438ffd"),
             (12, "ccf6c77cc666ecfd39adda11a2ca0ed4820943feae0e76390046481fd0d1bbf4"),
             (14, "55a3ef182041393d16240fa6a04bc8bc3c748531e163fdcf36243ce93fb08c8c"),
+            (16, "be2e42a050b64be256e5daed70623f0d9b4fd3d6a17473f0b2e3057ad1219219"),
+            (20, "5d336e6cd411fbf9d3f3784749fa70e0d8dcc7a6d71ed1e44a68db1bd1d70228"),
         ],
     )
     def test_exact_tables_are_pinned(self, n, digest):
@@ -198,6 +201,28 @@ class TestClosedForm:
             tables.update(closed_form_distribution(tree.topology, vector).tobytes())
         tables.update(marginal_distribution(tree).tobytes())
         assert tables.hexdigest() == digest
+
+    @pytest.mark.parametrize("bits", range(15))
+    def test_fwht_is_the_radix2_transform_bit_for_bit(self, bits):
+        # signed zeros, subnormals and magnitudes 1e-150..1e150: every sum of
+        # 2^14 of them stays finite, and a reordered summation shows in the bits
+        rng = philox(900 + bits)
+        size = 2**bits
+        vec = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-150, 150, size)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -1e-150]
+        picks = rng.random(size) < 0.25
+        vec[picks] = rng.choice(special, picks.sum())
+        vec[rng.random(size) < 0.1] = 1.0  # exact cancellations
+        want = vec.copy()
+        h = 1
+        while h < size:  # plain radix-2: spans ascending, (x + y, x - y)
+            pairs = want.reshape(-1, 2, h)
+            x, y = pairs[:, 0].copy(), pairs[:, 1].copy()
+            pairs[:, 0], pairs[:, 1] = x + y, x - y
+            h *= 2
+        before = vec.tobytes()
+        assert _fwht(vec).tobytes() == want.tobytes()
+        assert vec.tobytes() == before
 
 
 class TestMarginalization:

@@ -931,11 +931,10 @@ class TestClosestRelativeMatching:
         mixed = [rng.random(shapes[rng.integers(4)]) < 0.5 for _ in range(n)]
         for members in (flat, mixed):
             got = list(_matching_pairs(topo, members))
-            want = list(_pull_matching_pairs(topo, members))
+            want = [mine * (n + 1) + child for mine, child in _pull_matching_pairs(topo, members)]
             assert len(got) == len(want)
-            for step, reference in zip(got, want):
-                for a, b in zip(step, reference):
-                    np.testing.assert_array_equal(a, b, strict=True)
+            for index, reference in zip(got, want):
+                np.testing.assert_array_equal(index, reference, strict=True)
 
 
 def _pull_matching_pairs(topology, members):
