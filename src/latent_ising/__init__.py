@@ -6,7 +6,6 @@ enough to check the total-variation localization bounds directly.
 """
 
 from .errors import (
-    AlreadyCherry,
     BadParameter,
     BadSpinValue,
     DimensionMismatch,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .trees import (
     CorrelationVector,
-    QuartetSplit,
     TreeTopology,
     WeightedForest,
     WeightedTree,
@@ -40,13 +38,11 @@ from .trees import (
     path,
     path_nodes,
     quartet_gap,
-    quartet_split,
     random_topology,
     random_weighted_tree,
     topologies_equal,
 )
 from .distribution import (
-    LeafDistribution,
     closed_form_distribution,
     closed_form_prob,
     config_index,
@@ -62,7 +58,6 @@ from .estimation import (
     EstimationReport,
     confidence_radius,
     empirical_correlations,
-    report_from_json,
     report_to_json,
     samples_for_radius,
 )
@@ -85,8 +80,6 @@ from .interpolate import (
     InterpolationTrace,
     Move,
     interpolate,
-    is_cherry,
-    sequence,
     trace_to_json,
 )
 from .identity import TestVerdict, required_samples, test_identity

@@ -31,7 +31,7 @@ import io
 import os
 import re
 import stat
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .trees import (
     _matching_pairs,
     _pair_index,
     _path_incidence,
-    _ReadOnly,
     _set,
     as_forest,
     binary,
@@ -103,37 +102,6 @@ def _leaf_axes(n: int) -> List[np.ndarray]:
     k is ``[False, True]`` along axis ``n - 1 - k`` of the ``(2,) * n`` table."""
     _check_enumerable(n)
     return [np.array([False, True]).reshape((2,) + (1,) * k) for k in range(n)]
-
-
-class LeafDistribution(_ReadOnly):
-    """Dense leaf distribution indexed by configuration bitmask, read-only."""
-
-    __slots__ = ("labels", "probabilities")
-
-    def __init__(self, labels: Iterable[int], probabilities: np.ndarray):
-        _set(self, "labels", tuple(sorted(labels)))
-        if len(set(self.labels)) != len(self.labels):
-            raise DimensionMismatch(f"repeated leaf labels in {self.labels}")
-        probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.shape != (2 ** len(self.labels),):
-            raise DimensionMismatch("probability vector length is not 2^n")
-        if not probabilities.min(initial=0.0) >= -1e-12:  # NaN fails the test too
-            raise DimensionMismatch("negative or NaN probability")
-        if not abs(probabilities.sum() - 1.0) <= 1e-9:
-            raise DimensionMismatch("probabilities do not sum to 1")
-        _set(self, "probabilities", probabilities.clip(0.0, None))
-        self.probabilities.flags.writeable = False
-
-    def __reduce__(self):
-        return LeafDistribution, (self.labels, self.probabilities)
-
-    @classmethod
-    def from_model(cls, model: Model) -> "LeafDistribution":
-        labels, table = _model_table(model)
-        return cls(labels, table)
-
-    def prob(self, x: Sequence[int]) -> float:
-        return float(self.probabilities[config_index(self.labels, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +441,8 @@ def _read_tokens(path, raw: bytes) -> np.ndarray:
 # exact total variation
 
 
-def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """Sorted leaf labels and dense table; a tree is the one-component forest.
+def _model_table(model: Model) -> np.ndarray:
+    """Dense table over the sorted leaves; a tree is the one-component forest.
 
     Axis ``a`` of the C-ordered ``(2,) * n`` table is bit ``n - 1 - a``, so a
     component's table, reshaped with a 2 on its leaves' axes, keeps its bit
@@ -485,11 +453,11 @@ def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
     """
     if isinstance(model, tuple):
         topology, alpha = model
-        return topology.leaves, closed_form_distribution(topology, alpha)
+        return closed_form_distribution(topology, alpha)
     forest = as_forest(model)
     labels = forest.leaves
     if model._table is not None:
-        return labels, model._table
+        return model._table
     n = len(labels)
     _check_enumerable(n)
     parts = []
@@ -506,7 +474,7 @@ def _model_table(model: Model) -> Tuple[Tuple[int, ...], np.ndarray]:
     table = functools.reduce(np.multiply, parts).reshape(-1)
     table.flags.writeable = False
     _set(model, "_table", table)
-    return labels, table
+    return table
 
 
 def exact_tv(a: Model, b: Model) -> float:
@@ -524,9 +492,7 @@ def exact_tv(a: Model, b: Model) -> float:
     )
     if labels_a != labels_b:
         raise DimensionMismatch(f"leaf sets differ: {labels_a} vs {labels_b}")
-    _, table_a = _model_table(a)
-    _, table_b = _model_table(b)
-    return float(0.5 * np.abs(table_a - table_b).sum())
+    return float(0.5 * np.abs(_model_table(a) - _model_table(b)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,3 @@ class NoConsistentModel(LatentIsingError):
 class LeafSetMismatch(LatentIsingError):
     """Two trees that must share a leaf set do not."""
 
-
-class AlreadyCherry(LatentIsingError):
-    """A movement sequence was requested for nodes that already form a cherry."""

@@ -143,12 +143,3 @@ def report_to_json(report: EstimationReport) -> str:
     }
     return json.dumps(payload, sort_keys=True)
 
-
-def report_from_json(text: str) -> EstimationReport:
-    payload = json.loads(text)
-    labels = range(1, payload["n"] + 1)
-    pairs = {(i, j): v for i, j, v in payload["alpha"]}
-    alpha = CorrelationVector.from_pairs(labels, pairs)
-    return EstimationReport(
-        alpha_hat=alpha, m=payload["m"], delta=payload["delta"], eta=payload["eta"]
-    )

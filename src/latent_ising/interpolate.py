@@ -33,13 +33,7 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    AlreadyCherry,
-    DimensionMismatch,
-    LeafSetMismatch,
-    MalformedTree,
-    UnknownPair,
-)
+from .errors import DimensionMismatch, LeafSetMismatch, MalformedTree
 from .trees import (
     CorrelationVector,
     Edge,
@@ -111,31 +105,9 @@ class InterpolationTrace:
         return self.steps[-1]  # the source, or the tree that ends the last epoch
 
 
-def is_cherry(topology: TreeTopology, i: int, j: int) -> bool:
-    """True when the two nodes share a common neighbor."""
-    if i == j:
-        raise UnknownPair(f"cherry query with identical nodes {i}")
-    return _common_neighbor(topology, i, j) is not None  # neighbors raises UnknownLeaf
-
-
 def _common_neighbor(topology: TreeTopology, i: int, j: int) -> Optional[int]:
     shared = set(topology.neighbors(i)).intersection(topology.neighbors(j))
     return min(shared) if shared else None
-
-
-def sequence(topology: TreeTopology, i: int, j: int) -> List[TreeTopology]:
-    """Successive topologies pasting ``i`` at each path edge toward ``j``.
-
-    The first element re-pastes ``i`` next to its current position and so
-    equals the input up to isomorphism; the last has i and j as a cherry.
-    ``i`` is cut from the path once; every path edge beyond it lies on the
-    far side of that cut, so each step is one paste.
-    """
-    nodes = path_nodes(topology, i, j)
-    if len(nodes) - 1 < 3:
-        raise AlreadyCherry(f"nodes {i} and {j} are already adjacent or a cherry")
-    cut = _detach(topology, i, nodes[1])
-    return [_attach(cut, (nodes[r], nodes[r + 1]))[0] for r in range(1, len(nodes) - 1)]
 
 
 def interpolate(

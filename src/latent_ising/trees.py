@@ -6,8 +6,8 @@ the unknown-topology learner and the reference of identity testing; a tree is
 read as the one-component forest (``as_forest``).  This module holds the
 topology, weighted-tree and forest types plus the purely combinatorial
 operations: degree normalization, path queries, correlations of a tree or a
-forest as path products of edge weights (0 between components), quartet
-classification, cut-and-paste surgery,
+forest as path products of edge weights (0 between components), the quartet
+rule (``_pairing``) and ``quartet_gap``, cut-and-paste surgery,
 induced subtrees, and the edge-disjoint pair matching.  The matching is one
 walk over per-leaf membership arrays that broadcast together (the leaf axes
 of the ``(2,) * n`` table), yielding at each node's last child one flat index,
@@ -55,7 +55,6 @@ by ``correlations``) and dense leaf table (``_table``, by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -313,12 +312,6 @@ class CorrelationVector(_ReadOnly):
     def __reduce__(self):
         return CorrelationVector, (self.labels, self.values)
 
-    @classmethod
-    def from_pairs(cls, labels: Iterable[int], pairs: Mapping[Edge, float]) -> "CorrelationVector":
-        """The given pair values, 0 elsewhere; pairs are placed by :meth:`index`."""
-        labels = tuple(labels)
-        return cls(labels, np.zeros(len(labels) * (len(labels) - 1) // 2)).replace(pairs)
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -377,15 +370,6 @@ def _pair_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
     numpy's strict upper-triangle indices, at a fraction of their cost."""
     r = np.arange(n)
     return np.less.outer(r, r).nonzero()
-
-
-@dataclass(frozen=True)
-class QuartetSplit:
-    """The induced pairing of four leaves plus its product gap."""
-
-    quartet: Tuple[int, int, int, int]
-    split: Tuple[Edge, Edge]
-    gap: float
 
 
 # ---------------------------------------------------------------------------
@@ -631,25 +615,13 @@ def _pairing(alpha: CorrelationVector, q: Sequence[int]) -> Tuple[List[float], i
     return products, next(k for k, p in enumerate(products) if p >= best * (1.0 - TIE_TOLERANCE))
 
 
-def quartet_split(alpha: CorrelationVector, quartet: Sequence[int]) -> QuartetSplit:
-    """Classify four leaves by the largest cross-product of |correlations|.
-
-    Products within the relative ``TIE_TOLERANCE`` of the largest tie, and
-    ties resolve to the lexicographically smallest split, so the outcome is
-    deterministic and does not change when every correlation is scaled.
-    """
+def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:
+    """Max minus min of the three |correlation| cross-products of four
+    distinct leaves."""
     if len(set(quartet)) != 4:
         raise UnknownPair(f"quartet needs four distinct leaves, got {tuple(quartet)}")
-    q = tuple(sorted(quartet))
-    products, chosen = _pairing(alpha, q)
-    ia, ib, ic, id_ = _SPLIT_ORDER[chosen]
-    split = ((q[ia], q[ib]), (q[ic], q[id_]))
-    return QuartetSplit(q, split, max(products) - min(products))
-
-
-def quartet_gap(alpha: CorrelationVector, quartet: Sequence[int]) -> float:
-    """Max minus min of the three |correlation| cross-products."""
-    return quartet_split(alpha, quartet).gap
+    products, _ = _pairing(alpha, sorted(quartet))
+    return max(products) - min(products)
 
 
 def topologies_equal(a: TreeTopology, b: TreeTopology) -> bool:

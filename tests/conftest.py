@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from latent_ising import (
+    CorrelationVector,
     TreeTopology,
     WeightedTree,
     binary,
@@ -86,6 +87,12 @@ def random_model(
         sign = -1.0 if signed and rng.random() < 0.5 else 1.0
         theta[e] = sign * mag
     return WeightedTree(topo, theta)
+
+
+def pair_vector(labels, pairs) -> CorrelationVector:
+    """The given pair values, placed by label through ``replace``; 0 elsewhere."""
+    labels = tuple(labels)
+    return CorrelationVector(labels, np.zeros(len(labels) * (len(labels) - 1) // 2)).replace(pairs)
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import os
 import pickle
 import re
 import signal
-import struct
 import threading
 import warnings
 
@@ -24,7 +23,6 @@ from latent_ising import (
     DimensionMismatch,
     EmptySample,
     LatentIsingError,
-    LeafDistribution,
     BadSpinValue,
     MalformedTree,
     TooLarge,
@@ -56,6 +54,7 @@ from latent_ising.distribution import (
     _BLOCK_ROWS,
     _fwht,
     _marginalize,
+    _model_table,
     _overwrite,
     config_index,
     even_subset_coefficients,
@@ -67,6 +66,7 @@ from conftest import (
     EDGE_WEIGHTS,
     caterpillar,
     four_leaf_example,
+    pair_vector,
     peak_bytes,
     philox,
     random_model,
@@ -118,7 +118,7 @@ def _pull_marginalize(tree: WeightedTree, spins):
 class TestClosedForm:
     def test_single_edge(self):
         topo = TreeTopology([1, 2], [(1, 2)])
-        alpha = CorrelationVector.from_pairs([1, 2], {(1, 2): 0.5})
+        alpha = pair_vector([1, 2], {(1, 2): 0.5})
         assert closed_form_prob(topo, alpha, (1, 1)) == pytest.approx(0.375)
 
     def test_zero_vector_is_uniform(self):
@@ -133,6 +133,7 @@ class TestClosedForm:
         got = closed_form_prob(wt.topology, alpha, (1, 1, 1, 1))
         assert got == pytest.approx(0.14765625)
         assert got == pytest.approx(brute_force_prob(wt, (1, 1, 1, 1)))
+        assert _model_table(wt).sum() == pytest.approx(1.0)
 
     def test_degree_two_node_reads_as_its_contraction(self):
         topo = TreeTopology([1, 2, 3], [(1, 4), (4, 5), (2, 5), (3, 5)])
@@ -283,48 +284,6 @@ class TestMarginalization:
             want = _pull_marginalize(wt, spins)
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
-
-    def test_distribution_type_checks_clamping(self):
-        wt = four_leaf_example()
-        dist = LeafDistribution.from_model(wt)
-        assert dist.prob((1, 1, 1, 1)) == pytest.approx(0.14765625)
-        assert dist.probabilities.sum() == pytest.approx(1.0)
-
-    def test_repeated_labels_rejected(self):
-        with pytest.raises(DimensionMismatch, match="repeated leaf labels"):
-            LeafDistribution([1, 1], np.full(4, 0.25))
-
-    @pytest.mark.parametrize(
-        "labels, probabilities",
-        [([1], [np.nan, np.nan]), ([1, 2], [0.5, np.nan, 0.25, 0.25])],
-        ids=["all-nan", "one-nan"],
-    )
-    def test_nan_probabilities_rejected(self, labels, probabilities):
-        with pytest.raises(DimensionMismatch):
-            LeafDistribution(labels, np.array(probabilities))
-
-    @pytest.mark.parametrize(
-        "probabilities, message",
-        [
-            ([0.25, 0.25, 0.5], "probability vector length is not 2^n"),
-            ([0.25, 0.25, 0.25, 0.2], "probabilities do not sum to 1"),
-        ],
-        ids=["length", "sum"],
-    )
-    def test_malformed_probability_vector_rejected(self, probabilities, message):
-        with pytest.raises(DimensionMismatch, match=re.escape(message)):
-            LeafDistribution([1, 2], np.array(probabilities))
-
-    def test_pickles_through_its_constructor(self):
-        dist = LeafDistribution.from_model(random_weighted_tree(6, philox(61), -1.0, 1.0))
-        back = pickle.loads(pickle.dumps(dist))
-        assert back.labels == dist.labels
-        assert back.probabilities.tobytes() == dist.probabilities.tobytes()
-        assert not back.probabilities.flags.writeable
-        coin = LeafDistribution([1], [0.25, 0.75])
-        tampered = pickle.dumps(coin).replace(struct.pack("<d", 0.75), struct.pack("<d", 0.5))
-        with pytest.raises(DimensionMismatch, match="do not sum to 1"):
-            pickle.loads(tampered)
 
 
 _SPINS = ["+1", "-1", "1", "+01"]
@@ -824,8 +783,8 @@ class TestExactTv:
 
     def test_two_leaf_difference(self):
         topo = TreeTopology([1, 2], [(1, 2)])
-        a = CorrelationVector.from_pairs([1, 2], {(1, 2): 0.5})
-        b = CorrelationVector.from_pairs([1, 2], {(1, 2): 0.6})
+        a = pair_vector([1, 2], {(1, 2): 0.5})
+        b = pair_vector([1, 2], {(1, 2): 0.6})
         assert exact_tv((topo, a), (topo, b)) == pytest.approx(0.05)
 
     def test_chain_vs_uniform_three_leaves(self):
@@ -875,7 +834,7 @@ class TestExactTv:
     def test_forest_table_is_the_product_of_component_marginals(self, model):
         forest = as_forest(model)
         labels = forest.leaves
-        table = LeafDistribution.from_model(forest).probabilities
+        table = _model_table(forest)
         for mask in range(2 ** len(labels)):
             x = {leaf: 1 if mask >> k & 1 else -1 for k, leaf in enumerate(labels)}
             expected = 1.0
@@ -898,7 +857,7 @@ class TestExactTv:
             shape = np.ones(9, dtype=int)
             shape[8 - np.searchsorted(forest.leaves, tree.leaves)] = 2
             want = want * closed_form_distribution(tree.topology, correlations(tree)).reshape(shape)
-        got = LeafDistribution.from_model(forest).probabilities
+        got = _model_table(forest)
         assert sum(tree.topology.leaf_count == 1 for tree in forest.components) == 2
         assert got.tobytes() == want.reshape(-1).tobytes()
 
@@ -906,10 +865,8 @@ class TestExactTv:
         left = WeightedTree(TreeTopology([1, 3], [(1, 3)]), {(1, 3): 0.5})
         right = WeightedTree(TreeTopology([2, 4], [(2, 4)]), {(2, 4): -0.25})
         forest = WeightedForest([left, right])
-        dist = LeafDistribution.from_model(forest)
         # P(x1=x3=+1) * P(x2=x4=+1) with interleaved labels
-        x = (1, 1, 1, 1)
-        assert dist.prob(x) == pytest.approx(0.375 * (1 - 0.25) / 4)
+        assert _model_table(forest)[0b1111] == pytest.approx(0.375 * (1 - 0.25) / 4)
 
 
 def _renamed(tree: WeightedTree, leaves, internal) -> WeightedTree:
@@ -984,7 +941,7 @@ class TestOracleBitsThroughNormalize:
             mixed_forest = WeightedForest([_chained(left, rng) if cut > 1 else left,
                                            _contracted(right, rng)])
             for model in (a, ra, ca, kb, binary_forest, mixed_forest):
-                hashed.update(LeafDistribution.from_model(model).probabilities.tobytes())
+                hashed.update(_model_table(model).tobytes())
             for x, y in ((a, b), (ra, rb), (ca, kb), (ra, ca), (binary_forest, mixed_forest),
                          (binary_forest, a)):
                 hashed.update(exact_tv(x, y).hex().encode())
@@ -1063,13 +1020,13 @@ class TestKeptValues:
     def test_pickled_and_copied_models_drop_and_rebuild_the_kept_values(self, kind):
         model = self.kept()[kind]
         alpha = correlations(model).values.tobytes()
-        table = LeafDistribution.from_model(model).probabilities.tobytes()
+        table = _model_table(model).tobytes()
         uniform = WeightedForest([WeightedTree(TreeTopology([v], []), {}) for v in model.leaves])
         tv = exact_tv(model, uniform)
         for back in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
             assert back._alpha is None and back._table is None
             assert correlations(back).values.tobytes() == alpha
-            assert LeafDistribution.from_model(back).probabilities.tobytes() == table
+            assert _model_table(back).tobytes() == table
             assert exact_tv(back, uniform) == tv
 
     @settings(max_examples=40, deadline=None)
@@ -1077,11 +1034,11 @@ class TestKeptValues:
     def test_filled_model_gives_what_a_fresh_one_gives(self, model):
         uniform = WeightedForest([WeightedTree(TreeTopology([v], []), {}) for v in model.leaves])
         correlations(model)
-        LeafDistribution.from_model(model)
+        _model_table(model)
         assert model._alpha is not None and model._table is not None
         assert correlations(model).values.tobytes() == correlations(_rebuilt(model)).values.tobytes()
-        fresh = LeafDistribution.from_model(_rebuilt(model)).probabilities
-        assert LeafDistribution.from_model(model).probabilities.tobytes() == fresh.tobytes()
+        fresh = _model_table(_rebuilt(model))
+        assert _model_table(model).tobytes() == fresh.tobytes()
         assert exact_tv(model, uniform) == exact_tv(_rebuilt(model), _rebuilt(uniform))
         assert exact_tv(uniform, model) == exact_tv(_rebuilt(uniform), _rebuilt(model))
         assert exact_tv(model, _rebuilt(model)) == 0.0
@@ -1152,7 +1109,7 @@ def test_config_index_orders_by_sorted_leaf():
     [
         lambda wt: sample((wt.topology, correlations(wt)), 10, 1),
         lambda wt: exact_tv(wt, 3),
-        lambda wt: LeafDistribution.from_model(3),
+        lambda wt: _model_table(3),
         lambda wt: as_forest((wt.topology, correlations(wt))),
     ],
     ids=["sample", "exact_tv", "model_table", "as_forest"],

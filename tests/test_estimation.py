@@ -1,5 +1,6 @@
 """Empirical correlation estimation and the Hoeffding radius algebra."""
 
+import json
 import math
 
 import numpy as np
@@ -12,12 +13,9 @@ from latent_ising import (
     BadParameter,
     BadSpinValue,
     EmptySample,
-    UnknownLeaf,
-    UnknownPair,
     confidence_radius,
     correlations,
     empirical_correlations,
-    report_from_json,
     report_to_json,
     sample,
     samples_for_radius,
@@ -122,25 +120,15 @@ class TestEmpiricalCorrelations:
     def test_report_json_round_trip(self):
         draws = sample(random_model(5, philox(3)), 500, 1)
         report = empirical_correlations(draws, 0.05)
-        again = report_from_json(report_to_json(report))
-        assert again.m == report.m and again.eta == report.eta
-        np.testing.assert_allclose(again.alpha_hat.values, report.alpha_hat.values)
-
-    def test_report_json_with_nan_rejected(self):
-        text = (
-            '{"n": 3, "m": 10, "delta": 0.1, "eta": 0.5, '
-            '"alpha": [[1, 2, NaN], [1, 3, 0.5], [2, 3, 0.5]]}'
+        payload = json.loads(report_to_json(report))
+        assert sorted(payload) == ["alpha", "delta", "eta", "m", "n"]
+        assert (payload["n"], payload["m"], payload["delta"], payload["eta"]) == (
+            report.alpha_hat.n,
+            report.m,
+            report.delta,
+            report.eta,
         )
-        with pytest.raises(UnknownPair):
-            report_from_json(text)
-
-    def test_report_json_naming_an_unknown_leaf_rejected(self):
-        text = (
-            '{"n": 3, "m": 10, "delta": 0.1, "eta": 0.5, '
-            '"alpha": [[1, 2, 0.5], [1, 4, 0.5], [2, 3, 0.5]]}'
-        )
-        with pytest.raises(UnknownLeaf):
-            report_from_json(text)
+        assert payload["alpha"] == [[i, j, v] for i, j, v in report.alpha_hat.pairs()]
 
 
 class TestSamplesForRadius:

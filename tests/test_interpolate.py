@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_ising import (
-    AlreadyCherry,
     CorrelationVector,
     LeafSetMismatch,
     TreeTopology,
@@ -22,12 +21,10 @@ from latent_ising import (
     diameter,
     induced_subtree,
     interpolate,
-    is_cherry,
     path_removed,
     quartet_gap,
     random_topology,
     random_weighted_tree,
-    sequence,
     topologies_equal,
     trace_to_json,
 )
@@ -35,7 +32,7 @@ from latent_ising.distribution import closed_form_distribution
 from latent_ising.interpolate import Move
 from latent_ising.trees import _attach, _side
 
-from conftest import canonical_splits, caterpillar, philox, random_model, reference_path
+from conftest import canonical_splits, philox, random_model, reference_path
 
 CAT4 = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
 FLIP4 = TreeTopology([1, 2, 3, 4], [(1, 5), (3, 5), (5, 6), (2, 6), (4, 6)])
@@ -85,36 +82,6 @@ def block_root(topology: TreeTopology, leaves) -> int:
             if np.array_equal(_side(topology, a, b), want):
                 return b
     raise AssertionError(f"no edge detaches exactly {sorted(leaves)}")
-
-
-class TestCherryAndSequence:
-    def test_cherry_examples(self):
-        assert is_cherry(CAT4, 1, 2)
-        assert not is_cherry(CAT4, 1, 3)
-        star = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
-        for i, j in itertools.combinations([1, 2, 3], 2):
-            assert is_cherry(star, i, j)
-
-    def test_sequence_single_change_on_short_path(self):
-        # path 1 - u - v - 3 has length 3: one no-op re-paste, one real move
-        steps = sequence(CAT4, 1, 3)
-        assert len(steps) == 2
-        assert topologies_equal(steps[0], CAT4)
-        assert not topologies_equal(steps[1], CAT4)
-        assert is_cherry(steps[-1], 1, 3)
-
-    def test_sequence_walks_every_position(self):
-        topo = caterpillar(5)
-        steps = sequence(topo, 1, 5)  # path length 4
-        assert len(steps) == 3
-        assert topologies_equal(steps[0], topo)
-        assert is_cherry(steps[-1], 1, 5)
-        seen = {canonical_splits(s) for s in steps}
-        assert len(seen) == 3
-
-    def test_already_cherry(self):
-        with pytest.raises(AlreadyCherry):
-            sequence(CAT4, 1, 2)
 
 
 class TestInterpolate:

@@ -26,7 +26,7 @@ from latent_ising.errors import BadParameter
 from latent_ising.learn_known import build_interval_lp
 from latent_ising.solvers import Gf2System, gf2_solve, lp_feasible
 
-from conftest import philox, random_model, three_leaf_star
+from conftest import pair_vector, philox, random_model, three_leaf_star
 
 STAR = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
 
@@ -49,9 +49,7 @@ class TestFitKnown:
             assert induced.get(i, j) * target > 0
 
     def test_impossible_star_targets(self):
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.1}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.1})
         with pytest.raises(NoConsistentModel):
             fit_known(STAR, alpha, 0.001)
 

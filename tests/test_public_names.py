@@ -2,9 +2,12 @@
 
 The benchmark harness indexes its per-layer metrics by function name
 (``benchmarks/metrics.py``), and users import the top-level exports; a
-rename or removal shows here as a failing test and a one-line diff.
+rename or removal shows here as a failing test and a one-line diff.  A
+public function that only tests call fails here too, unless ``KEPT`` says
+why it stays.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -31,7 +34,6 @@ MODULES = (
 
 #: the package's public top-level names (submodules aside), one per line
 PUBLIC = (
-    "AlreadyCherry",
     "BadParameter",
     "BadSpinValue",
     "CorrelationVector",
@@ -46,13 +48,11 @@ PUBLIC = (
     "InvalidCut",
     "KnownTopologyFit",
     "LatentIsingError",
-    "LeafDistribution",
     "LeafSetMismatch",
     "MalformedTree",
     "Move",
     "NoConsistentModel",
     "OddSubset",
-    "QuartetSplit",
     "ReconstructedForest",
     "TestVerdict",
     "TooFewLeaves",
@@ -83,7 +83,6 @@ PUBLIC = (
     "gf2_solve",
     "induced_subtree",
     "interpolate",
-    "is_cherry",
     "learn_from_samples_known",
     "learn_unknown",
     "learn_unknown_from_correlations",
@@ -98,17 +97,14 @@ PUBLIC = (
     "path_nodes",
     "path_removed",
     "quartet_gap",
-    "quartet_split",
     "random_topology",
     "random_weighted_tree",
     "read_samples",
     "reconstruct_forest",
-    "report_from_json",
     "report_to_json",
     "required_samples",
     "sample",
     "samples_for_radius",
-    "sequence",
     "serialize_forest",
     "serialize_tree",
     "test_identity",
@@ -118,8 +114,19 @@ PUBLIC = (
 )
 
 
+#: public functions that only tests call, each with the reason it stays
+KEPT = {
+    "closest_relative_matching": "acceptance criterion 6 reaches it through "
+    "test_interpolate.factorization_residual; README names it as an any-n function",
+    "induced_subtree": "ROADMAP item AB's certified TV lower bounds read its marginals",
+    "required_samples": "ROADMAP items Q and T measure the tester against it",
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _load_metrics():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "metrics.py"
+    path = ROOT / "benchmarks" / "metrics.py"
     spec = importlib.util.spec_from_file_location("benchmark_metrics", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -155,3 +162,48 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(obj)
     )
     assert tuple(sorted(public)) == PUBLIC
+
+
+def _read_names(node) -> set:
+    """Every name and attribute read under ``node``; docstrings and imports
+    name nothing."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """Each public function has a caller, or is in ``KEPT``; a kept name that
+    gains a caller leaves ``KEPT``.  A caller is a read of the name in the
+    package (outside ``__init__`` and the function's own definition), in a
+    demo, or in the acceptance suite."""
+    package = ROOT / "src" / "latent_ising"
+    outside = set().union(
+        *(_read_names(ast.parse(p.read_text())) for p in sorted((ROOT / "demos").glob("*.py"))),
+        _read_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())),
+    )
+    # per module, the names each top-level statement reads, with the name it defines
+    statements = {
+        p.stem: [
+            (getattr(stmt, "name", None), _read_names(stmt))
+            for stmt in ast.parse(p.read_text()).body
+        ]
+        for p in sorted(package.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    uncalled = []
+    for name, obj in sorted(vars(latent_ising).items()):
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        home = obj.__module__.rsplit(".", 1)[1]
+        called = name in outside or any(
+            name in reads
+            for module, body in statements.items()
+            for defined, reads in body
+            if not (module == home and defined == name)
+        )
+        if not called:
+            uncalled.append(name)
+    assert uncalled == sorted(KEPT)

@@ -19,9 +19,9 @@ from latent_ising import (
     solvers,
 )
 from latent_ising.errors import BadParameter
-from latent_ising.trees import CorrelationVector, TreeTopology
+from latent_ising.trees import TreeTopology
 
-from conftest import peak_bytes, philox, random_model
+from conftest import pair_vector, peak_bytes, philox, random_model
 
 STAR = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
 
@@ -139,9 +139,7 @@ def _random_interval_lp(rng: np.random.Generator, shape: str) -> IntervalPathLP:
 
 class TestIntervalLp:
     def test_star_feasible_within_bounds(self):
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5})
         lp, _ = build_interval_lp(STAR, alpha, 0.01)
         w = lp_feasible(lp)
         assert not isinstance(w, Infeasible)
@@ -149,9 +147,7 @@ class TestIntervalLp:
 
     def test_star_infeasible_triangle(self):
         # solving the star exactly needs theta_1 = sqrt(0.9*0.9/0.1) > 1
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.1}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.1})
         lp, _ = build_interval_lp(STAR, alpha, 0.001)
         result = lp_feasible(lp)
         assert isinstance(result, Infeasible)
@@ -160,9 +156,7 @@ class TestIntervalLp:
         assert f"{result.side} bound" in result.message
 
     def test_pivot_cap_raises_domain_error(self, monkeypatch):
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5})
         lp, _ = build_interval_lp(STAR, alpha, 0.01)
         monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
         with pytest.raises(NoConsistentModel):
@@ -170,9 +164,7 @@ class TestIntervalLp:
 
     def test_all_upper_bounds_only(self):
         # every magnitude below eta: lower bounds vanish, weights become tiny
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.001, (1, 3): 0.002, (2, 3): 0.001}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.001, (1, 3): 0.002, (2, 3): 0.001})
         lp, _ = build_interval_lp(STAR, alpha, 0.01)
         w = lp_feasible(lp)
         assert not isinstance(w, Infeasible)
@@ -180,9 +172,7 @@ class TestIntervalLp:
         assert np.all(w < -5.0)
 
     def test_deterministic(self):
-        alpha = CorrelationVector.from_pairs(
-            [1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5}
-        )
+        alpha = pair_vector([1, 2, 3], {(1, 2): 0.25, (1, 3): 0.5, (2, 3): 0.5})
         lp, _ = build_interval_lp(STAR, alpha, 0.05)
         np.testing.assert_array_equal(lp_feasible(lp), lp_feasible(lp))
 
