@@ -285,6 +285,14 @@ class TestMarginalization:
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind", ["tree", "pair"])
+    def test_model_table_reads_the_known_value(self, kind):
+        wt = four_leaf_example()
+        model = wt if kind == "tree" else (wt.topology, correlations(wt))
+        table = _model_table(model)
+        assert table[config_index(wt.leaves, (1, 1, 1, 1))] == pytest.approx(0.14765625)
+        assert table.min() >= 0.0 and table.sum() == pytest.approx(1.0)
+
 
 _SPINS = ["+1", "-1", "1", "+01"]
 _TOKENS = _SPINS + ["2", "+300", "x", "#"]

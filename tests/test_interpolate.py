@@ -18,6 +18,7 @@ from latent_ising import (
     WeightedTree,
     closest_relative_matching,
     correlations,
+    cut_paste,
     diameter,
     induced_subtree,
     interpolate,
@@ -29,10 +30,10 @@ from latent_ising import (
     trace_to_json,
 )
 from latent_ising.distribution import closed_form_distribution
-from latent_ising.interpolate import Move
-from latent_ising.trees import _attach, _side
+from latent_ising.interpolate import Move, _common_neighbor, _epoch_moves
+from latent_ising.trees import _attach, _pair_index, _side
 
-from conftest import canonical_splits, philox, random_model, reference_path
+from conftest import canonical_splits, caterpillar, philox, random_model, reference_path
 
 CAT4 = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
 FLIP4 = TreeTopology([1, 2, 3, 4], [(1, 5), (3, 5), (5, 6), (2, 6), (4, 6)])
@@ -82,6 +83,55 @@ def block_root(topology: TreeTopology, leaves) -> int:
             if np.array_equal(_side(topology, a, b), want):
                 return b
     raise AssertionError(f"no edge detaches exactly {sorted(leaves)}")
+
+
+def epoch_pastes(topology: TreeTopology, alpha: CorrelationVector, mover: int, anchor: int):
+    """Each (blocks, max_gap, built tree, target edge) of one epoch moving
+    ``mover`` toward ``anchor``, with |alpha| laid out as ``interpolate`` does."""
+    n = topology.leaf_count
+    magnitudes = np.zeros((n, n))
+    a, b = _pair_index(n)
+    magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+    return [
+        (blocks, max_gap, _attach(*paste)[0], paste[1])
+        for blocks, max_gap, paste in _epoch_moves(topology, mover, anchor, magnitudes)
+    ]
+
+
+class TestCherryAndSequence:
+    """The cherry test and the paste sequence of one epoch of ``interpolate``."""
+
+    def test_cherry_examples(self):
+        assert _common_neighbor(CAT4, 1, 2) == 5
+        assert _common_neighbor(CAT4, 3, 4) == 6
+        assert _common_neighbor(CAT4, 1, 3) is None
+        star = TreeTopology([1, 2, 3], [(1, 4), (2, 4), (3, 4)])
+        for i, j in itertools.combinations([1, 2, 3], 2):
+            assert _common_neighbor(star, i, j) == 4
+
+    def test_sequence_single_change_on_short_path(self):
+        # path 1 - 5 - 6 - 3 has length 3: the one paste makes 1 and 3 a cherry
+        alpha = correlations(unit_weighted(CAT4))
+        ((blocks, max_gap, built, target),) = epoch_pastes(CAT4, alpha, 1, 3)
+        assert blocks == ((1,), (2,), (4,), (3,)) and target == (6, 3)
+        assert max_gap == quartet_gap(alpha, (1, 2, 3, 4))
+        assert topologies_equal(built, cut_paste(CAT4, 1, 5, target))
+        assert not topologies_equal(built, CAT4)
+        assert _common_neighbor(built, 1, 3) is not None
+
+    def test_sequence_walks_every_position(self):
+        topo = caterpillar(5)  # path 1 - 6 - 7 - 8 - 5 has length 4
+        alpha = correlations(unit_weighted(topo))
+        pastes = epoch_pastes(topo, alpha, 1, 5)
+        assert [(blocks, target) for blocks, _, _, target in pastes] == [
+            (((1,), (2,), (3,), (4, 5)), (7, 8)),
+            (((1,), (2, 3), (4,), (5,)), (8, 5)),
+        ]
+        for _, _, built, target in pastes:
+            assert topologies_equal(built, cut_paste(topo, 1, 6, target))
+        seen = {canonical_splits(t) for t in [topo] + [built for _, _, built, _ in pastes]}
+        assert len(seen) == 3
+        assert _common_neighbor(pastes[-1][2], 1, 5) is not None
 
 
 class TestInterpolate:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 import struct
 from collections import deque
 from pathlib import Path
@@ -18,6 +19,7 @@ from latent_ising import (
     BadParameter,
     CorrelationVector,
     InvalidCut,
+    LeafSetMismatch,
     MalformedTree,
     OddSubset,
     TooFewLeaves,
@@ -342,6 +344,16 @@ class TestValidation:
         with pytest.raises(MalformedTree):
             WeightedTree(topo, {(1, 4): 0.5})
 
+    def test_forest_with_a_leaf_in_two_components_rejected(self):
+        left = WeightedTree(TreeTopology([1, 2], [(1, 2)]), {(1, 2): 0.5})
+        right = WeightedTree(TreeTopology([2, 3], [(2, 3)]), {(2, 3): 0.5})
+        with pytest.raises(LeafSetMismatch, match=re.escape("leaves [2] appear in two components")):
+            WeightedForest([left, right])
+
+    def test_empty_forest_rejected(self):
+        with pytest.raises(LeafSetMismatch, match="at least one component"):
+            WeightedForest([])
+
     def test_tolerated_overshoot_is_clamped_bit_for_bit(self):
         topo = TreeTopology([1, 2, 3, 4], [(1, 5), (2, 5), (5, 6), (3, 6), (4, 6)])
         given = [1 + 1e-13, -(1 + 1e-13), -0.0, 0.25, -1.0]
@@ -612,6 +624,24 @@ class TestCorrelations:
         with pytest.raises(error):
             CorrelationVector([1, 2, 3], np.zeros(3)).replace(pairs)
 
+    def test_replace_leaves_the_original_alone(self):
+        alpha = CorrelationVector([1, 2, 3], [0.1, 0.2, 0.3])
+        again = alpha.replace({(1, 3): -0.5})
+        assert alpha.values.tolist() == [0.1, 0.2, 0.3]
+        assert again.values.tolist() == [0.1, -0.5, 0.3]
+        assert not again.values.flags.writeable
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-6, float("nan"), -float("inf")],
+                             ids=["above-one", "nan", "minus-inf"])
+    def test_replace_rejects_values_outside_the_cube(self, value):
+        with pytest.raises(UnknownPair, match=re.escape("outside [-1, 1]")):
+            CorrelationVector([1, 2, 3], np.zeros(3)).replace({(2, 3): value})
+
+    def test_replace_clamps_a_tolerated_overshoot(self):
+        zero = CorrelationVector([1, 2, 3], np.zeros(3))
+        alpha = zero.replace({(1, 2): 1 + 1e-10, (2, 3): -1 - 1e-10})
+        assert (alpha.get(1, 2), alpha.get(1, 3), alpha.get(2, 3)) == (1.0, 0.0, -1.0)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
     def test_two_smaller_cross_products_tie(self, seed):
@@ -676,6 +706,21 @@ class TestQuartetGap:
         alpha = correlations(four_leaf_example())
         with pytest.raises(UnknownPair):
             quartet_gap(alpha, (1, 1, 2, 3))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_gap_ignores_the_order_of_the_quartet(self, seed):
+        rng = philox(seed)
+        alpha = CorrelationVector([1, 2, 3, 4, 5], rng.uniform(-1, 1, 10))
+        quartet = rng.choice(alpha.labels, 4, replace=False).tolist()
+        gaps = {quartet_gap(alpha, q) for q in itertools.permutations(quartet)}
+        assert gaps == {quartet_gap(alpha, sorted(quartet))}
+
+    def test_gap_scales_as_the_square_of_a_common_scale(self):
+        alpha = correlations(random_weighted_tree(7, philox(62), -1.0, 1.0))
+        half = CorrelationVector(alpha.labels, alpha.values / 2)  # exact: a power of two
+        for q in itertools.combinations(alpha.labels, 4):
+            assert quartet_gap(half, q) == quartet_gap(alpha, q) / 4
 
 
 class TestCutPaste:
