@@ -51,6 +51,7 @@ from .trees import (
     TreeTopology,
     WeightedForest,
     WeightedTree,
+    _dense,
     _matching_pairs,
     _pair_index,
     _path_incidence,
@@ -111,17 +112,17 @@ def _leaf_axes(n: int) -> List[np.ndarray]:
 def even_subset_coefficients(topology: TreeTopology, alpha: CorrelationVector) -> np.ndarray:
     """Full-length (2^n) coefficient vector: matching products on even subsets.
 
-    ``value[i, j]`` is the correlation of leaves ``i`` and ``j`` and 1.0 on row
-    and column ``n``; ``take`` at each meeting's flat index multiplies in its
-    closing pair's correlation, or 1.0 where none closes.
+    ``value[i, j]`` is the correlation of leaves ``i`` and ``j``, read from the
+    vector's kept matrix (``_dense``), and 1.0 on row and column ``n``;
+    ``take`` at each meeting's flat index multiplies in its closing pair's
+    correlation, or 1.0 where none closes.
     """
     if alpha.labels != topology.leaves:
         raise DimensionMismatch("correlation vector covers a different leaf set")
     n = topology.leaf_count
     spins = _leaf_axes(n)
     value = np.ones((n + 1, n + 1))
-    a, b = _pair_index(n)
-    value[a, b] = value[b, a] = alpha.values
+    value[:n, :n] = _dense(alpha)
     coef = 1.0
     for index in _matching_pairs(topology, spins):
         coef = coef * value.take(index)

@@ -42,8 +42,8 @@ from .trees import (
     _Cut,
     _attach,
     _beyond,
+    _dense,
     _detach,
-    _pair_index,
     _path_products,
     path_nodes,
 )
@@ -134,10 +134,7 @@ def interpolate(
     current = source
     epochs = 0
     rounds = 0
-    n = source.leaf_count
-    magnitudes = np.zeros((n, n))  # |alpha| by sorted leaf position
-    a, b = _pair_index(n)
-    magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+    magnitudes = np.abs(_dense(alpha))  # |alpha| by sorted leaf position
     row = target_topology._walk[1]  # a target node's position in its walk
     signal = np.abs(_path_products(target))
     # every target cherry (i, j, p), i < j around p, in the order of the pairs (i, j)

@@ -47,9 +47,11 @@ Every operation returns a new object, so instances are safe to share across
 threads.  What is derived from a value may be kept on it, filled on first read
 by one function each and never changed afterwards, so concurrent readers at
 worst build equal values: a topology's split table (``_splits``, by
-``_edge_splits``), and a weighted tree's or forest's correlations (``_alpha``,
-by ``correlations``) and dense leaf table (``_table``, by
-``distribution._model_table``).  A pickled or copied value keeps none of them.
+``_edge_splits``), a weighted tree's or forest's correlations (``_alpha``, by
+``correlations``) and dense leaf table (``_table``, by
+``distribution._model_table``), and a correlation vector's ``(n, n)`` matrix
+(``_matrix``, by ``_dense``), through which every read of a pair by its labels
+or positions goes.  A pickled or copied value keeps none of them.
 """
 
 from __future__ import annotations
@@ -288,10 +290,12 @@ class CorrelationVector(_ReadOnly):
 
     The vector may hold true path products, empirical estimates, or an
     arbitrary point of the cube; nothing here assumes it is realizable on a
-    tree.
+    tree.  Once read, its symmetric ``(n, n)`` matrix (:func:`_dense`, 8n²
+    bytes: 2 MB at n=512) is kept on it for as long as it lives; pickling
+    drops it.
     """
 
-    __slots__ = ("labels", "values", "_pos")
+    __slots__ = ("labels", "values", "_pos", "_matrix")
 
     def __init__(self, labels: Iterable[int], values: np.ndarray):
         _set(self, "labels", tuple(sorted(labels)))
@@ -308,6 +312,7 @@ class CorrelationVector(_ReadOnly):
         _set(self, "_pos", {lab: k for k, lab in enumerate(self.labels)})
         if len(self._pos) != n:
             raise UnknownPair(f"repeated leaf labels in {self.labels}")
+        _set(self, "_matrix", None)  # filled by _dense
 
     def __reduce__(self):
         return CorrelationVector, (self.labels, self.values)
@@ -316,17 +321,14 @@ class CorrelationVector(_ReadOnly):
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, i: int, j: int) -> int:
+    def get(self, i: int, j: int) -> float:
         if i == j:
             raise UnknownPair(f"pair ({i}, {j}) has identical endpoints")
         try:
-            a, b = sorted((self._pos[i], self._pos[j]))
+            a, b = self._pos[i], self._pos[j]
         except KeyError as exc:
             raise UnknownLeaf(f"leaf {exc.args[0]} not covered by this vector") from None
-        return _pair_offset(self.n, a, b)
-
-    def get(self, i: int, j: int) -> float:
-        return float(self.values[self.index(i, j)])
+        return float(_dense(self)[a, b])
 
     def pairs(self) -> Iterable[Tuple[int, int, float]]:
         for (i, j), value in zip(itertools.combinations(self.labels, 2), self.values.tolist()):
@@ -342,16 +344,10 @@ class CorrelationVector(_ReadOnly):
             raise UnknownLeaf(f"leaf {missing[0]} not covered by this vector")
         pos = np.array([self._pos[v] for v in leaves], dtype=np.intp)
         a, b = _pair_index(len(leaves))
-        return CorrelationVector(leaves, self.values[_pair_offset(self.n, pos[a], pos[b])])
+        return CorrelationVector(leaves, _dense(self)[pos[a], pos[b]])
 
     def abs(self) -> "CorrelationVector":
         return CorrelationVector(self.labels, np.abs(self.values))
-
-    def replace(self, changes: Mapping[Edge, float]) -> "CorrelationVector":
-        values = self.values.copy()
-        for (i, j), v in changes.items():
-            values[self.index(i, j)] = v
-        return CorrelationVector(self.labels, values)
 
     def max_abs_difference(self, other: "CorrelationVector") -> float:
         if self.labels != other.labels:
@@ -359,17 +355,29 @@ class CorrelationVector(_ReadOnly):
         return float(np.max(np.abs(self.values - other.values), initial=0.0))
 
 
-def _pair_offset(n: int, a: int, b: int) -> int:
-    # positions 0 <= a < b < n in lexicographic pair order
-    return a * (2 * n - a - 1) // 2 + (b - a - 1)
-
-
 def _pair_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(a, b)``: every pair of positions ``a < b < n`` in the vector's pair
-    order, the :func:`_pair_offset` order; the same arrays and dtype as
-    numpy's strict upper-triangle indices, at a fraction of their cost."""
+    order, the ``_pair_index`` order (lexicographic); the same arrays and
+    dtype as numpy's strict upper-triangle indices, at a fraction of their
+    cost."""
     r = np.arange(n)
     return np.less.outer(r, r).nonzero()
+
+
+def _dense(alpha: CorrelationVector) -> np.ndarray:
+    """(n, n) read-only float64: the value of the pair of sorted leaves a and b
+    at ``[a, b]`` and ``[b, a]``, and 1.0, E[x_i²], on the diagonal.  The one
+    scatter of a pair vector into a matrix, built on first read and kept on
+    the vector."""
+    if alpha._matrix is not None:
+        return alpha._matrix
+    n = alpha.n
+    matrix = np.ones((n, n))
+    a, b = _pair_index(n)
+    matrix[a, b] = matrix[b, a] = alpha.values
+    matrix.flags.writeable = False
+    _set(alpha, "_matrix", matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +453,7 @@ def _side(topology: TreeTopology, a: int, b: int) -> np.ndarray:
 
 def _path_incidence(topology: TreeTopology) -> np.ndarray:
     """(n(n-1)/2, |E|) boolean: row p marks the edges that separate leaf pair
-    p, which are its path edges; pairs come in :func:`_pair_offset` order."""
+    p, which are its path edges; pairs come in ``_pair_index`` order."""
     splits = _edge_splits(topology)
     a, b = _pair_index(topology.leaf_count)
     return (splits[:, a] != splits[:, b]).T

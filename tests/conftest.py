@@ -90,9 +90,12 @@ def random_model(
 
 
 def pair_vector(labels, pairs) -> CorrelationVector:
-    """The given pair values, placed by label through ``replace``; 0 elsewhere."""
-    labels = tuple(labels)
-    return CorrelationVector(labels, np.zeros(len(labels) * (len(labels) - 1) // 2)).replace(pairs)
+    """The given pair values, keyed by label pairs in either order, placed over
+    the sorted label pairs; 0 elsewhere.  Every given pair must be placed."""
+    given = {tuple(sorted(pair)): value for pair, value in pairs.items()}
+    values = [given.pop(pair, 0.0) for pair in itertools.combinations(sorted(labels), 2)]
+    assert not given, f"pairs {sorted(given)} are not pairs of {sorted(labels)}"
+    return CorrelationVector(labels, values)
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from latent_ising import (
 )
 from latent_ising.cli import bench_sweep, fitted_decay_exponent, main
 
-from conftest import caterpillar, check_contract, philox, random_model
+from conftest import caterpillar, check_contract, pair_vector, philox, random_model
 from test_interpolate import factorization_residual, structural_quartet_diff
 
 
@@ -92,7 +92,9 @@ def test_criterion_2_one_coordinate_identity():
         topo = random_topology(n, rng)
         alpha = CorrelationVector(range(1, n + 1), rng.uniform(-1, 1, n * (n - 1) // 2))
         i, j = sorted(int(v) for v in rng.choice(range(1, n + 1), 2, replace=False))
-        beta = alpha.replace({(i, j): float(rng.uniform(-1, 1))})
+        values = {(a, b): value for a, b, value in alpha.pairs()}
+        values[i, j] = float(rng.uniform(-1, 1))
+        beta = pair_vector(alpha.labels, values)
         gamma = path_removed(alpha, topo, (i, j))
         table_a = closed_form_distribution(topo, alpha)
         table_b = closed_form_distribution(topo, beta)

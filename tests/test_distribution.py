@@ -1093,7 +1093,9 @@ class TestPathRemoved:
         topo = random_model(n, rng).topology
         alpha = CorrelationVector(range(1, n + 1), rng.uniform(-1, 1, n * (n - 1) // 2))
         i, j = sorted(int(v) for v in rng.choice(range(1, n + 1), 2, replace=False))
-        beta = alpha.replace({(i, j): float(rng.uniform(-1, 1))})
+        values = {(a, b): value for a, b, value in alpha.pairs()}
+        values[i, j] = float(rng.uniform(-1, 1))
+        beta = pair_vector(alpha.labels, values)
         gamma = path_removed(alpha, topo, (i, j))
         fa = closed_form_distribution(topo, alpha)
         fb = closed_form_distribution(topo, beta)

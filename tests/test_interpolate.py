@@ -31,7 +31,7 @@ from latent_ising import (
 )
 from latent_ising.distribution import closed_form_distribution
 from latent_ising.interpolate import Move, _common_neighbor, _epoch_moves
-from latent_ising.trees import _attach, _pair_index, _side
+from latent_ising.trees import _attach, _dense, _side
 
 from conftest import canonical_splits, caterpillar, philox, random_model, reference_path
 
@@ -88,10 +88,7 @@ def block_root(topology: TreeTopology, leaves) -> int:
 def epoch_pastes(topology: TreeTopology, alpha: CorrelationVector, mover: int, anchor: int):
     """Each (blocks, max_gap, built tree, target edge) of one epoch moving
     ``mover`` toward ``anchor``, with |alpha| laid out as ``interpolate`` does."""
-    n = topology.leaf_count
-    magnitudes = np.zeros((n, n))
-    a, b = _pair_index(n)
-    magnitudes[a, b] = magnitudes[b, a] = np.abs(alpha.values)
+    magnitudes = np.abs(_dense(alpha))
     return [
         (blocks, max_gap, _attach(*paste)[0], paste[1])
         for blocks, max_gap, paste in _epoch_moves(topology, mover, anchor, magnitudes)

@@ -49,11 +49,11 @@ from latent_ising.distribution import marginal_distribution
 from latent_ising.trees import (
     TIE_TOLERANCE,
     _attach,
+    _dense,
     _detach,
     _edge_splits,
     _matching_pairs,
     _pair_index,
-    _pair_offset,
     _pairing,
     _path_incidence,
     _postorder,
@@ -508,11 +508,50 @@ class TestPairIndex:
             want_a, want_b = np.triu_indices(n, 1)
             assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
             assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
-            assert np.array_equal(_pair_offset(n, a, b), np.arange(n * (n - 1) // 2))
+            alpha = CorrelationVector(range(n), philox(n).uniform(-1.0, 1.0, len(a)))
+            assert _dense(alpha)[a, b].tobytes() == alpha.values.tobytes()
 
     def test_the_package_has_one_pair_index(self):
         src = Path(__file__).resolve().parent.parent / "src"
-        assert [p.name for p in src.rglob("*.py") if "triu_indices" in p.read_text()] == []
+        for word in ("triu_indices", "_pair_offset"):
+            assert [p.name for p in src.rglob("*.py") if word in p.read_text()] == []
+
+
+class TestKeptMatrix:
+    def test_symmetric_with_a_unit_diagonal_and_read_only(self):
+        alpha = correlations(random_weighted_tree(9, philox(11), -1.0, 1.0))
+        matrix = _dense(alpha)
+        assert matrix.shape == (9, 9) and matrix.dtype == np.float64
+        assert np.array_equal(matrix, matrix.T)
+        assert np.array_equal(np.diag(matrix), np.ones(9))
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 0.5
+
+    def test_filled_once_and_dropped_by_pickling_and_copying(self):
+        alpha = correlations(random_weighted_tree(6, philox(12), -1.0, 1.0))
+        assert alpha._matrix is None  # nothing fills it before the first read
+        assert _dense(alpha) is _dense(alpha) is alpha._matrix
+        for back in (pickle.loads(pickle.dumps(alpha)), copy.copy(alpha)):
+            assert back._matrix is None
+            assert _dense(back).tobytes() == _dense(alpha).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_get_and_restrict_match_the_offset_arithmetic(self, n):
+        rng = philox(500 + n)
+        labels = sorted(rng.choice(range(1, 4 * n), n, replace=False).tolist())
+        alpha = CorrelationVector(labels, rng.uniform(-1.0, 1.0, n * (n - 1) // 2))
+
+        def offset(a, b):  # positions a < b < n in lexicographic pair order
+            return a * (2 * n - a - 1) // 2 + b - a - 1
+
+        for a, b in itertools.permutations(range(n), 2):
+            want = alpha.values[offset(min(a, b), max(a, b))]
+            assert alpha.get(labels[a], labels[b]) == want
+        keep = sorted(rng.choice(n, max(2, n // 2), replace=False).tolist())
+        sub = alpha.restrict([labels[k] for k in keep])
+        want = [alpha.values[offset(a, b)] for a, b in itertools.combinations(keep, 2)]
+        assert sub.values.tolist() == want
 
 
 class TestCorrelations:
@@ -606,40 +645,40 @@ class TestCorrelations:
         with pytest.raises(UnknownLeaf, match="leaf 10 not covered"):
             alpha.restrict([2, 10, 11])
 
-    def test_replace_places_each_pair_by_label(self):
-        alpha = CorrelationVector([3, 1, 2], np.zeros(3)).replace({(2, 1): 0.1, (3, 2): -0.4})
+    def test_get_reads_each_pair_by_label(self):
+        alpha = CorrelationVector([3, 1, 2], [0.1, 0.0, -0.4])  # pairs of the sorted labels
+        assert (alpha.get(2, 1), alpha.get(3, 1), alpha.get(3, 2)) == (0.1, 0.0, -0.4)
         assert (alpha.get(1, 2), alpha.get(1, 3), alpha.get(2, 3)) == (0.1, 0.0, -0.4)
 
     @pytest.mark.parametrize(
-        "pairs, error",
+        "pair, error, message",
         [
-            ({(1, 1): 0.5}, UnknownPair),
-            ({(1, 3): 0.1, (2, 2): 0.5}, UnknownPair),
-            ({(1, 4): 0.5}, UnknownLeaf),
-            ({(0, 2): 0.5}, UnknownLeaf),
+            ((1, 1), UnknownPair, "identical endpoints"),
+            ((4, 4), UnknownPair, "identical endpoints"),  # the self pair is caught first
+            ((1, 4), UnknownLeaf, "leaf 4 not covered"),
+            ((0, 2), UnknownLeaf, "leaf 0 not covered"),
         ],
-        ids=["self-pair", "self-pair-after-a-pair", "unknown-label", "unknown-first-label"],
+        ids=["self-pair", "unknown-self-pair", "unknown-label", "unknown-first-label"],
     )
-    def test_replace_rejects_self_and_unknown_pairs(self, pairs, error):
-        with pytest.raises(error):
-            CorrelationVector([1, 2, 3], np.zeros(3)).replace(pairs)
+    def test_get_rejects_self_and_unknown_pairs(self, pair, error, message):
+        with pytest.raises(error, match=message):
+            CorrelationVector([1, 2, 3], np.zeros(3)).get(*pair)
 
-    def test_replace_leaves_the_original_alone(self):
-        alpha = CorrelationVector([1, 2, 3], [0.1, 0.2, 0.3])
-        again = alpha.replace({(1, 3): -0.5})
+    def test_values_are_a_read_only_copy(self):
+        given = np.array([0.1, 0.2, 0.3])
+        alpha = CorrelationVector([1, 2, 3], given)
+        given[1] = -0.5
         assert alpha.values.tolist() == [0.1, 0.2, 0.3]
-        assert again.values.tolist() == [0.1, -0.5, 0.3]
-        assert not again.values.flags.writeable
+        assert not alpha.values.flags.writeable
 
     @pytest.mark.parametrize("value", [1.0 + 1e-6, float("nan"), -float("inf")],
                              ids=["above-one", "nan", "minus-inf"])
-    def test_replace_rejects_values_outside_the_cube(self, value):
+    def test_values_outside_the_cube_rejected(self, value):
         with pytest.raises(UnknownPair, match=re.escape("outside [-1, 1]")):
-            CorrelationVector([1, 2, 3], np.zeros(3)).replace({(2, 3): value})
+            CorrelationVector([1, 2, 3], [0.0, 0.0, value])
 
-    def test_replace_clamps_a_tolerated_overshoot(self):
-        zero = CorrelationVector([1, 2, 3], np.zeros(3))
-        alpha = zero.replace({(1, 2): 1 + 1e-10, (2, 3): -1 - 1e-10})
+    def test_a_tolerated_overshoot_is_clamped(self):
+        alpha = CorrelationVector([1, 2, 3], [1 + 1e-10, 0.0, -1 - 1e-10])
         assert (alpha.get(1, 2), alpha.get(1, 3), alpha.get(2, 3)) == (1.0, 0.0, -1.0)
 
     @settings(max_examples=25, deadline=None)
@@ -1177,6 +1216,8 @@ class TestImmutability:
         model = every_model_kind()[kind]
         if kind == "topology":
             _edge_splits(model)  # a filled split table is read-only too
+        if kind == "correlations":
+            _dense(model)  # and so is a filled matrix
         for name in type(model).__slots__:
             value = getattr(model, name)
             with pytest.raises(AttributeError, match="read-only"):
@@ -1274,3 +1315,27 @@ class TestQuartetProducts:
         alpha = correlations(four_leaf_example())
         with pytest.raises(UnknownLeaf):
             quartet_gap(alpha, (1, 2, 3, 9))
+
+    def test_pairing_pinned_over_a_seeded_quartet_corpus(self):
+        """Bit for bit: every quartet's three products and its winner, over
+        vectors with exactly tied magnitudes, path products, and a
+        1e-7-scaled copy of each."""
+        digest, ties = hashlib.sha256(), 0
+        for n in range(8, 17):
+            rng = philox(300 + n)
+            size = n * (n - 1) // 2
+            tied = rng.choice([0.25, 0.5, 1.0], size) * rng.choice([-1.0, 1.0], size)
+            vectors = [
+                CorrelationVector(range(1, n + 1), tied),
+                correlations(random_weighted_tree(n, rng, -1.0, 1.0)),
+            ]
+            vectors += [CorrelationVector(v.labels, v.values * 1e-7) for v in vectors]
+            for alpha in vectors:
+                for q in itertools.combinations(alpha.labels, 4):
+                    products, winner = _pairing(alpha, q)
+                    digest.update(struct.pack("<3dB", *products, winner))
+                    ties += products.count(max(products)) > 1
+        assert ties > 0
+        assert digest.hexdigest() == (
+            "3da2a266d498d50c54853d8d5f88196f4aa4f8e079376321a242e19ca46314ab"
+        )
